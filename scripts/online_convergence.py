@@ -18,7 +18,7 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from rscn.build import BuildConfig, build_rscn  # noqa: E402
-from rscn.cli import RSCN_ALPHA, RSCN_N_MAX, TASK_WASHOUT  # noqa: E402
+from rscn.cli import RSCN_ALPHA, RSCN_N_MAX  # noqa: E402
 from rscn.model import atomic_write_text  # noqa: E402
 from rscn.online import OnlineConfig, online_run  # noqa: E402
 from rscn.tasks import SupervisedSequence, task_from_manifest  # noqa: E402
@@ -34,7 +34,6 @@ def main() -> int:
     task = task_from_manifest({"task": args.task, "seed": args.seed})
     cfg = BuildConfig(
         n_max=RSCN_N_MAX[args.task],
-        washout=TASK_WASHOUT[args.task],
         esp_alpha=RSCN_ALPHA[args.task],
         seed=args.seed,
     )

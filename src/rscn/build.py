@@ -6,8 +6,7 @@ that adding them cannot worsen the training residual. The feedback
 matrix grows in a block-lower-triangular shape: an appended row feeds
 from all earlier nodes and itself but never back into them, so the
 existing state sequences stay valid and the post-washout training
-residual norm is non-increasing across accepted nodes (with the default
-echo-state handling).
+residual norm is non-increasing across accepted nodes.
 """
 
 from __future__ import annotations
@@ -29,14 +28,8 @@ from .model import (
     run_reservoir,
 )
 from .seeding import substream
-from .spectral import EIGEN, MODE_CONTRACTION, MODE_SPECTRAL, scale_feedback, spectral_radius
+from .spectral import MODE_CONTRACTION, scale_feedback
 from .tasks import SupervisedSequence
-
-ESP_INCREMENTAL = "incremental"
-ESP_RESCALE_ACCEPTED = "rescale_accepted"
-ESP_RESCALE_CANDIDATES = "rescale_candidates"
-ESP_NONE = "none"
-_ESP_MODES = (ESP_INCREMENTAL, ESP_RESCALE_ACCEPTED, ESP_RESCALE_CANDIDATES, ESP_NONE)
 
 INFEASIBLE = -math.inf
 
@@ -50,20 +43,14 @@ class BuildConfig:
     acceptance test; both are swept (scales outermost) until a pool
     yields an acceptable candidate.
 
-    ``esp_mode`` selects how the echo state property is maintained while
-    growing:
-
-    * ``"incremental"`` (default): no rescaling; each candidate's
-      self-weight is clamped to at most ``esp_alpha`` in magnitude so the
-      grown triangular part keeps its spectral radius below one, and old
-      state sequences stay valid.
-    * ``"rescale_accepted"``: after each acceptance the whole feedback
-      matrix is rescaled to spectral radius ``esp_alpha`` and all states
-      recomputed.
-    * ``"rescale_candidates"``: every candidate is scored under its own
-      rescaled feedback matrix (full state recomputation per candidate;
-      expensive, off by default).
-    * ``"none"``: no handling at all.
+    ``esp_alpha`` fixes the echo-state handling. The initial block is
+    contracted to largest singular value ``esp_alpha`` and each appended
+    node's self-weight is clamped to at most ``esp_alpha`` in magnitude.
+    Appended rows never feed back into earlier nodes, so the grown
+    triangular part keeps its spectral radius below one, nothing is
+    rescaled after growth starts, and old state sequences stay valid.
+    The washout that scoring and the readout skip is the one carried by
+    the training and validation sequences.
     """
 
     n_init: int = 5
@@ -75,8 +62,6 @@ class BuildConfig:
     epsilon: float = 1e-6
     sparsity: float = 0.03
     esp_alpha: float = 0.9
-    esp_mode: str = ESP_INCREMENTAL
-    washout: int = 20
     ridge: float = 0.0
     seed: int = 0
 
@@ -93,8 +78,6 @@ class BuildConfig:
             raise ContractViolationError("sparsity must lie in [0, 1]")
         if not 0.0 < self.esp_alpha < 1.0:
             raise ContractViolationError("esp_alpha must lie in (0, 1)")
-        if self.esp_mode not in _ESP_MODES:
-            raise ContractViolationError(f"unknown esp_mode {self.esp_mode!r}")
         if self.ridge < 0:
             raise ContractViolationError("ridge must be nonnegative")
 
@@ -105,9 +88,8 @@ class CandidateNode:
 
     ``feedback_row`` has one entry per node after growth (couplings to
     the existing nodes followed by the self-weight). ``state_seq`` runs
-    over the full training inputs. Under candidate rescaling the whole
-    scaled feedback matrix and the recomputed full state matrix ride
-    along, since old states change in that mode.
+    over the full training inputs; the old nodes' states do not depend
+    on the new row, so they are not carried.
     """
 
     input_row: np.ndarray
@@ -116,8 +98,6 @@ class CandidateNode:
     state_seq: np.ndarray
     score: float
     per_output_scores: np.ndarray
-    scaled_feedback: np.ndarray | None = None
-    full_states: np.ndarray | None = None
 
 
 @dataclass
@@ -322,41 +302,6 @@ def _pool_scores(
     return scores, per
 
 
-def _pool_states_rescaled(
-    state: BuildState,
-    w_in_pool: np.ndarray,
-    w_r_pool: np.ndarray,
-    b_pool: np.ndarray,
-    scales: np.ndarray,
-    inputs: np.ndarray,
-) -> np.ndarray:
-    """New-node states when every candidate rescales the grown matrix.
-
-    The rescaling touches the existing rows too, so each candidate's full
-    state trajectory is evolved; only the appended node's sequence is
-    returned (old rows are recomputed again for the accepted candidate).
-    """
-    model = state.model
-    act = activation_fn(model.activation)
-    n, n_steps = model.n_nodes, inputs.shape[1]
-    n_pool = b_pool.size
-    drive_old = model.input_weights @ inputs + model.biases[:, None]
-    drive_new = w_in_pool @ inputs + b_pool[:, None]
-    w_r_old = model.feedback
-    x_old = np.zeros((n_pool, n))
-    x_new = np.zeros(n_pool)
-    g = np.empty((n_pool, n_steps))
-    for t in range(n_steps):
-        fb_old = scales[:, None] * (x_old @ w_r_old.T)
-        fb_new = scales * (
-            np.einsum("pj,pj->p", w_r_pool[:, :n], x_old) + w_r_pool[:, n] * x_new
-        )
-        x_old = act(drive_old[:, t][None, :] + fb_old)
-        x_new = act(drive_new[:, t] + fb_new)
-        g[:, t] = x_new
-    return g
-
-
 def configure_node(
     state: BuildState,
     inputs: np.ndarray,
@@ -368,10 +313,12 @@ def configure_node(
     """Draw a pool of candidates and return the best acceptable one.
 
     Draw order is fixed (input rows, then feedback rows, then biases) so
-    a seeded generator reproduces the pool exactly. A candidate passes
-    when its worst per-output score is nonnegative; among passers the
-    largest total score wins, first drawn winning ties. An empty pool is
-    a valid outcome telling the caller to advance r or the weight scale.
+    a seeded generator reproduces the pool exactly. Each self-weight is
+    clamped to ``[-esp_alpha, esp_alpha]`` before the states are run. A
+    candidate passes when its worst per-output score is nonnegative;
+    among passers the largest total score wins, first drawn winning ties.
+    An empty pool is a valid outcome telling the caller to advance r or
+    the weight scale.
     """
     cfg = state.cfg
     n = state.model.n_nodes
@@ -384,26 +331,10 @@ def configure_node(
     mu = (1.0 - r) / (n + 1)
     state.mu_current = mu
 
-    scaled_pool = None
-    scales = None
-    if cfg.esp_mode == ESP_INCREMENTAL:
-        np.clip(w_r_pool[:, -1], -cfg.esp_alpha, cfg.esp_alpha, out=w_r_pool[:, -1])
-        act = activation_fn(state.model.activation)
-        prev = _shifted_states(state.train_seq.states, state.train_seq.initial_state)
-        g = _pool_node_states(prev, inputs, w_in_pool, w_r_pool, b_pool, act)
-    elif cfg.esp_mode == ESP_RESCALE_CANDIDATES:
-        rho_base = spectral_radius(
-            state.model.feedback, BLOCK_LOWER_TRIANGULAR,
-            state.model.initial_block_size, estimator=EIGEN,
-        )
-        rho_pool = np.maximum(rho_base, np.abs(w_r_pool[:, -1]))
-        scales = np.where(rho_pool > 0.0, cfg.esp_alpha / np.where(rho_pool > 0, rho_pool, 1.0), 1.0)
-        g = _pool_states_rescaled(state, w_in_pool, w_r_pool, b_pool, scales, inputs)
-        scaled_pool = True
-    else:
-        act = activation_fn(state.model.activation)
-        prev = _shifted_states(state.train_seq.states, state.train_seq.initial_state)
-        g = _pool_node_states(prev, inputs, w_in_pool, w_r_pool, b_pool, act)
+    np.clip(w_r_pool[:, -1], -cfg.esp_alpha, cfg.esp_alpha, out=w_r_pool[:, -1])
+    act = activation_fn(state.model.activation)
+    prev = _shifted_states(state.train_seq.states, state.train_seq.initial_state)
+    g = _pool_node_states(prev, inputs, w_in_pool, w_r_pool, b_pool, act)
 
     washout = state.train.washout
     scores, per = _pool_scores(state.residual, g[:, washout:], r, mu)
@@ -413,10 +344,6 @@ def configure_node(
         return CandidatePool(None, 0, g_max)
     ok_idx = np.nonzero(ok)[0]
     best = ok_idx[int(np.argmax(scores[ok_idx]))]
-    scaled_feedback = None
-    if scaled_pool:
-        grown = _grow_feedback(state.model.feedback, w_r_pool[best])
-        scaled_feedback = grown * scales[best]
     cand = CandidateNode(
         input_row=w_in_pool[best].copy(),
         feedback_row=w_r_pool[best].copy(),
@@ -424,7 +351,6 @@ def configure_node(
         state_seq=g[best].copy(),
         score=float(scores[best]),
         per_output_scores=per[:, best].copy(),
-        scaled_feedback=scaled_feedback,
     )
     return CandidatePool(cand, n_accepted, g_max)
 
@@ -462,8 +388,8 @@ def init_network(
 
     Input weights and biases are dense uniform on the first weight
     scale's interval; feedback entries are independently nonzero with
-    probability ``sparsity``. The initial block is rescaled according to
-    ``esp_mode`` before any state is computed.
+    probability ``sparsity``. The initial block is contracted to largest
+    singular value ``esp_alpha`` before any state is computed.
     """
     if train.n_inputs != val.n_inputs or train.n_outputs != val.n_outputs:
         raise ContractViolationError("train and val must share channel counts")
@@ -485,10 +411,7 @@ def init_network(
     with warnings.catch_warnings():
         # an all-zero sparse draw is routine at 3% density; the no-op is fine
         warnings.simplefilter("ignore")
-        if cfg.esp_mode == ESP_INCREMENTAL:
-            model = scale_feedback(model, cfg.esp_alpha, MODE_CONTRACTION).model
-        elif cfg.esp_mode in (ESP_RESCALE_ACCEPTED, ESP_RESCALE_CANDIDATES):
-            model = scale_feedback(model, cfg.esp_alpha, MODE_SPECTRAL).model
+        model = scale_feedback(model, cfg.esp_alpha, MODE_CONTRACTION).model
     train_seq = run_reservoir(model, train.inputs)
     val_seq = run_reservoir(model, val.inputs)
     state = BuildState(
@@ -527,7 +450,11 @@ def _extend_sequence(
 
 
 def _accept_node(state: BuildState, cand: CandidateNode) -> None:
-    cfg = state.cfg
+    """Append the candidate's row and extend the stored states by its node.
+
+    The old rows are untouched, so only the new node's validation states
+    are computed; its training states came with the candidate.
+    """
     model = state.model
     act = activation_fn(model.activation)
     w_in = np.vstack([model.input_weights, cand.input_row])
@@ -537,43 +464,21 @@ def _accept_node(state: BuildState, cand: CandidateNode) -> None:
     n_new = model.n_nodes + 1
     readout0 = np.zeros((ell, n_new + k))
 
-    if cfg.esp_mode == ESP_RESCALE_CANDIDATES:
-        grown = ReservoirModel(
-            input_weights=w_in, feedback=cand.scaled_feedback, biases=b,
-            readout=readout0, structure_tag=BLOCK_LOWER_TRIANGULAR,
-            initial_block_size=model.initial_block_size,
-        )
-        state.model = grown
-        state.train_seq = run_reservoir(grown, state.train.inputs)
-        state.val_seq = run_reservoir(grown, state.val.inputs)
-    elif cfg.esp_mode == ESP_RESCALE_ACCEPTED:
-        grown = ReservoirModel(
-            input_weights=w_in,
-            feedback=_grow_feedback(model.feedback, cand.feedback_row),
-            biases=b, readout=readout0,
-            structure_tag=BLOCK_LOWER_TRIANGULAR,
-            initial_block_size=model.initial_block_size,
-        )
-        grown = scale_feedback(grown, cfg.esp_alpha, MODE_SPECTRAL).model
-        state.model = grown
-        state.train_seq = run_reservoir(grown, state.train.inputs)
-        state.val_seq = run_reservoir(grown, state.val.inputs)
-    else:
-        grown = ReservoirModel(
-            input_weights=w_in,
-            feedback=_grow_feedback(model.feedback, cand.feedback_row),
-            biases=b, readout=readout0,
-            structure_tag=BLOCK_LOWER_TRIANGULAR,
-            initial_block_size=model.initial_block_size,
-        )
-        state.model = grown
-        prev_val = _shifted_states(state.val_seq.states, state.val_seq.initial_state)
-        val_node = _node_states(
-            prev_val, state.val.inputs, cand.input_row, cand.feedback_row,
-            cand.bias, act,
-        )
-        state.train_seq = _extend_sequence(state.train_seq, state.train.inputs, cand.state_seq)
-        state.val_seq = _extend_sequence(state.val_seq, state.val.inputs, val_node)
+    grown = ReservoirModel(
+        input_weights=w_in,
+        feedback=_grow_feedback(model.feedback, cand.feedback_row),
+        biases=b, readout=readout0,
+        structure_tag=BLOCK_LOWER_TRIANGULAR,
+        initial_block_size=model.initial_block_size,
+    )
+    state.model = grown
+    prev_val = _shifted_states(state.val_seq.states, state.val_seq.initial_state)
+    val_node = _node_states(
+        prev_val, state.val.inputs, cand.input_row, cand.feedback_row,
+        cand.bias, act,
+    )
+    state.train_seq = _extend_sequence(state.train_seq, state.train.inputs, cand.state_seq)
+    state.val_seq = _extend_sequence(state.val_seq, state.val.inputs, val_node)
     _solve_and_score(state)
     state.snapshots.append(state.model)
 

@@ -14,7 +14,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -53,7 +53,6 @@ ESN_SIZES = {"mg": 98, "mg1": 124, "mg2": 135, "plant": 157}
 SCR_SIZES = {"mg": 79, "mg1": 103, "mg2": 111, "plant": 136}
 RSCN_N_MAX = {"mg": 120, "mg1": 120, "mg2": 140, "plant": 140}
 RSCN_ALPHA = {"mg": 0.9, "mg1": 0.9, "mg2": 0.9, "plant": 0.9}
-TASK_WASHOUT = {"mg": 20, "mg1": 20, "mg2": 20, "plant": 100}
 SCR_RING_GRID = (0.25, 0.5, 0.75, 0.9)
 
 ONLINE_MODES = {
@@ -105,28 +104,37 @@ def _task_name(task_manifest: dict) -> str:
     return task_manifest["task"]
 
 
+def _config(cls, params: dict):
+    """``cls(**params)``, refusing keys that are not fields of ``cls``."""
+    unknown = sorted(set(params) - {f.name for f in fields(cls)})
+    if unknown:
+        raise SchemaError(
+            f"model_params has keys {cls.__name__} does not know: {', '.join(unknown)}"
+        )
+    return cls(**params)
+
+
 def _model_spec(kind: str, task_name: str, manifest: dict, alpha: float | None):
     """Model config for one of rscn|esn|scr with per-task defaults."""
     params = dict(manifest.get("model_params", {}))
     if kind == "rscn":
         params.setdefault("n_max", RSCN_N_MAX.get(task_name, 100))
-        params.setdefault("washout", TASK_WASHOUT.get(task_name, 20))
         params.setdefault("esp_alpha", RSCN_ALPHA.get(task_name, 0.9))
         if alpha is not None:
             params["esp_alpha"] = alpha
-        return BuildConfig(**params)
+        return _config(BuildConfig, params)
     if kind == "esn":
         params.setdefault("n_nodes", ESN_SIZES.get(task_name, 100))
         params.setdefault("topology", "esn_random")
         if alpha is not None:
             params["esp_alpha"] = alpha
-        return BaselineConfig(**params)
+        return _config(BaselineConfig, params)
     if kind == "scr":
         params.setdefault("n_nodes", SCR_SIZES.get(task_name, 100))
         params.setdefault("topology", "scr_ring")
         if alpha is not None:
             params["esp_alpha"] = alpha
-        return BaselineConfig(**params)
+        return _config(BaselineConfig, params)
     raise SchemaError(f"unknown model kind {kind!r}")
 
 

@@ -110,13 +110,17 @@ class ReservoirModel:
                 raise ContractViolationError(
                     f"initial_block_size {n0} out of range for {n} nodes"
                 )
-            for i in range(n):
-                j0 = max(i, n0 - 1) + 1
-                if j0 < n and np.any(w_r[i, j0:] != 0.0):
-                    raise ContractViolationError(
-                        f"feedback row {i} has nonzeros beyond column "
-                        f"{j0 - 1}, breaking the grown lower-triangular shape"
-                    )
+            # row i may reach column max(i, n0 - 1): above the diagonal,
+            # outside the leading n0 x n0 block, every entry must be zero
+            beyond = np.triu(w_r, 1)
+            beyond[:n0, :n0] = 0.0
+            bad_rows = np.flatnonzero(beyond.any(axis=1))
+            if bad_rows.size:
+                i = int(bad_rows[0])
+                raise ContractViolationError(
+                    f"feedback row {i} has nonzeros beyond column "
+                    f"{max(i, n0 - 1)}, breaking the grown lower-triangular shape"
+                )
 
     @property
     def n_nodes(self) -> int:

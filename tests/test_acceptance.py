@@ -11,7 +11,7 @@ import pytest
 
 from rscn.baselines import BaselineConfig
 from rscn.build import BuildConfig, build_rscn, configure_node, init_network
-from rscn.cli import ESN_SIZES, RSCN_ALPHA, RSCN_N_MAX, TASK_WASHOUT
+from rscn.cli import ESN_SIZES, RSCN_ALPHA, RSCN_N_MAX
 from rscn.evaluate import nrmse, run_trials
 from rscn.model import run_reservoir
 from rscn.online import (
@@ -41,7 +41,6 @@ def report(number: int, ok: bool, detail: str) -> None:
 def rscn_cfg(task: str) -> BuildConfig:
     return BuildConfig(
         n_max=RSCN_N_MAX[task],
-        washout=TASK_WASHOUT[task],
         esp_alpha=RSCN_ALPHA[task],
     )
 
@@ -153,7 +152,7 @@ class TestCriterion5MonotoneResidual:
         worst = 0.0
         for seed in range(10):
             data = task_from_manifest({"task": task, "seed": seed})
-            cfg = BuildConfig(n_max=40, washout=washout, seed=seed)
+            cfg = BuildConfig(n_max=40, seed=seed)
             _, hist = build_rscn(data.train, data.val, cfg)
             norms = hist.train_norms
             assert len(norms) >= 2
@@ -175,7 +174,7 @@ class TestCriterion6EspContraction:
             ("plant", 100, 0), ("plant", 100, 1),
         ):
             data = task_from_manifest({"task": task, "seed": seed})
-            cfg = BuildConfig(n_max=60, washout=washout, seed=seed)
+            cfg = BuildConfig(n_max=60, seed=seed)
             model, _ = build_rscn(data.train, data.val, cfg)
             scaled = scale_feedback(model, 0.99, MODE_CONTRACTION).model
             rep = esp_check(
@@ -270,8 +269,7 @@ class TestCriterion10StructuralGrowth:
     def test_append_preserves_old_states_and_dense_column_does_not(self):
         for seed in range(10):
             data = task_from_manifest({"task": "mg", "seed": seed})
-            cfg = BuildConfig(n_init=4, n_max=12, n_step=2, g_max=30, seed=seed,
-                              washout=20)
+            cfg = BuildConfig(n_init=4, n_max=12, n_step=2, g_max=30, seed=seed)
             state = init_network(
                 data.train, data.val, cfg, np.random.default_rng(seed)
             )
@@ -348,8 +346,7 @@ class TestCriterion11IndustrySchemas:
         }
         task = task_from_manifest(manifest)
         assert task.train.n_inputs == expected_k
-        cfg = BuildConfig(n_init=4, n_max=20, n_step=3, g_max=30, washout=10,
-                          seed=3)
+        cfg = BuildConfig(n_init=4, n_max=20, n_step=3, g_max=30, seed=3)
         model, _ = build_rscn(task.train, task.val, cfg)
         preds, state = online_run(
             model, task.test, OnlineConfig(mode="dead_zone", phi=0.05),

@@ -23,7 +23,7 @@ def small_cfg(**kw):
     base = dict(
         n_init=3, n_max=15, n_step=3, g_max=20,
         lambda_sequence=(0.5, 1.0, 5.0), r_sequence=(0.9, 0.99, 0.999),
-        sparsity=0.2, washout=5, seed=0,
+        sparsity=0.2, seed=0,
     )
     base.update(kw)
     return BuildConfig(**base)
@@ -137,7 +137,7 @@ class TestCandidateStates:
         assert np.allclose(g, np.tanh(state.train.inputs[0]), atol=1e-15)
 
     def test_matches_hand_unrolled_recurrence(self):
-        cfg = small_cfg(n_init=1, esp_mode="none", sparsity=1.0)
+        cfg = small_cfg(n_init=1, sparsity=1.0)
         state = self.make_state(cfg=cfg)
         n = state.model.n_nodes
         assert n == 1
@@ -170,7 +170,7 @@ class TestCandidateStates:
 
 class TestInitNetwork:
     def test_zero_sparsity_means_zero_feedback(self):
-        cfg = small_cfg(sparsity=0.0, esp_mode="none")
+        cfg = small_cfg(sparsity=0.0)
         state = init_network(toy_task(), toy_task(seed=1), cfg, np.random.default_rng(0))
         assert np.all(state.model.feedback == 0.0)
 
@@ -186,7 +186,6 @@ class TestInitNetwork:
         # 25 entries at density 0.03: expected nonzero count 0.75
         cfg = BuildConfig(
             n_init=5, n_max=10, n_step=2, g_max=5, sparsity=0.03,
-            esp_mode="none", washout=2,
         )
         task = toy_task(40)
         val = toy_task(40, seed=1)
@@ -241,7 +240,6 @@ class TestConfigureNode:
         seq = SupervisedSequence(u, y, washout=5, name="t")
         cfg = BuildConfig(
             n_init=2, n_max=10, n_step=2, g_max=200, sparsity=0.0,
-            esp_mode="none", washout=5,
             lambda_sequence=(5.0,), r_sequence=(0.9, 0.99, 0.999),
         )
         state = init_network(seq, seq, cfg, np.random.default_rng(0))
@@ -378,72 +376,10 @@ class TestBuildRscn:
         assert np.allclose(w, model.readout, atol=1e-9)
 
 
-class TestRescaleModes:
-    def test_rescale_accepted_pins_spectral_radius(self):
-        from rscn.spectral import EIGEN, spectral_radius
-
-        task = toy_task(140)
-        cfg = small_cfg(n_max=8, esp_mode="rescale_accepted", esp_alpha=0.7)
-        model, hist = build_rscn(task, toy_task(140, seed=9), cfg)
-        assert model.n_nodes > cfg.n_init
-        rho = spectral_radius(
-            model.feedback, model.structure_tag, model.initial_block_size,
-            estimator=EIGEN,
-        )
-        assert rho == pytest.approx(0.7, rel=1e-9)
-
-    def test_rescale_candidates_builds_and_pins_radius(self):
-        from rscn.spectral import EIGEN, spectral_radius
-
-        task = toy_task(100)
-        cfg = small_cfg(
-            n_max=6, g_max=10, esp_mode="rescale_candidates", esp_alpha=0.6,
-            sparsity=0.5,
-        )
-        model, hist = build_rscn(task, toy_task(100, seed=9), cfg)
-        assert model.n_nodes > cfg.n_init
-        rho = spectral_radius(
-            model.feedback, model.structure_tag, model.initial_block_size,
-            estimator=EIGEN,
-        )
-        assert rho == pytest.approx(0.6, rel=1e-9)
-
-    def test_rescale_candidates_deterministic(self):
-        task = toy_task(100)
-        cfg = small_cfg(n_max=6, g_max=10, esp_mode="rescale_candidates", seed=5)
-        m1, _ = build_rscn(task, toy_task(100, seed=9), cfg)
-        m2, _ = build_rscn(task, toy_task(100, seed=9), cfg)
-        assert np.array_equal(m1.feedback, m2.feedback)
-        assert np.array_equal(m1.readout, m2.readout)
-
-    def test_rescale_candidates_states_match_full_rerun(self):
-        # the accepted candidate's cached full states must equal a fresh run
-        task = toy_task(100)
-        cfg = small_cfg(n_max=5, g_max=10, esp_mode="rescale_candidates")
-        state = init_network(task, toy_task(100, seed=9), cfg, np.random.default_rng(0))
-        pool = None
-        for lam in cfg.lambda_sequence:
-            for r in cfg.r_sequence:
-                pool = configure_node(state, task.inputs, lam, r, 10,
-                                      np.random.default_rng(2))
-                if pool.best is not None:
-                    break
-            if pool.best is not None:
-                break
-        assert pool.best is not None
-        from rscn.build import _accept_node
-
-        _accept_node(state, pool.best)
-        fresh = run_reservoir(state.model, task.inputs)
-        assert np.allclose(state.train_seq.states, fresh.states, atol=1e-14)
-        # the scored sequence is the scaled dynamics' appended node
-        assert np.allclose(pool.best.state_seq, fresh.states[-1], atol=1e-12)
-
-
 class TestOldStatePreservation:
-    def grow_once(self, esp_mode):
+    def grow_once(self):
         task = toy_task(120)
-        cfg = small_cfg(esp_mode=esp_mode)
+        cfg = small_cfg()
         state = init_network(task, toy_task(120, seed=1), cfg, np.random.default_rng(0))
         before = state.train_seq.states.copy()
         pool = configure_node(state, task.inputs, 1.0, 0.999, 50, np.random.default_rng(4))
@@ -454,12 +390,12 @@ class TestOldStatePreservation:
         return before, state
 
     def test_incremental_append_preserves_old_states_bitwise(self):
-        before, state = self.grow_once("incremental")
+        before, state = self.grow_once()
         n = before.shape[0]
         assert np.array_equal(state.train_seq.states[:n], before)
 
     def test_dense_final_column_changes_old_states(self):
-        before, state = self.grow_once("incremental")
+        before, state = self.grow_once()
         n = before.shape[0]
         # deliberately general growth: let old nodes see the new node
         w_r = state.model.feedback.copy()

@@ -47,7 +47,7 @@ def fast_manifest(tmp_path, toy_csv):
         "model_params": {
             "n_init": 3, "n_max": 10, "n_step": 2, "g_max": 15,
             "lambda_sequence": [0.5, 1.0, 5.0], "r_sequence": [0.9, 0.99, 0.999],
-            "sparsity": 0.2, "washout": 5,
+            "sparsity": 0.2,
         },
     }
     path = tmp_path / "run.json"
@@ -174,6 +174,18 @@ class TestErrorPaths:
 
     def test_unknown_task_exits_3(self, tmp_path):
         assert run("train", "--task", "mgX", "--out", str(tmp_path)) == 3
+
+    def test_unknown_model_params_key_is_a_schema_error(self, tmp_path, fast_manifest,
+                                                        capsys):
+        doc = load_manifest(fast_manifest)
+        doc["model_params"].update({"esp_mode": "none", "washout": 5})
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(doc))
+        assert run("train", "--manifest", str(path), "--out", str(tmp_path)) == 3
+        err = capsys.readouterr().err
+        assert "kind=SchemaError" in err
+        assert "esp_mode" in err and "washout" in err
+        assert not any(f.endswith(".model.json") for f in os.listdir(tmp_path))
 
     def test_help_exits_zero(self):
         assert run("--help") == 0

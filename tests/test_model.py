@@ -134,13 +134,20 @@ class TestReadout:
 
 class TestStructureInvariant:
     def test_grown_rows_must_be_zero_right_of_diagonal(self):
-        w_r = np.zeros((3, 3))
-        w_r[0, 2] = 0.5  # initial block is 2x2, so row 0 may reach column 1 only
-        with pytest.raises(ContractViolationError):
-            make_model(
-                np.ones((3, 1)), w_r, np.zeros(3), np.zeros((1, 4)),
-                structure_tag=BLOCK_LOWER_TRIANGULAR, initial_block_size=2,
-            )
+        block_row = np.zeros((3, 3))
+        block_row[0, 2] = 0.5  # initial block is 2x2, so row 0 may reach column 1 only
+        grown_row = np.tril(np.full((5, 5), 0.1))
+        grown_row[0, 1] = 0.2  # inside the initial block: allowed
+        grown_row[3, 4] = 0.5  # grown row 3 may reach its diagonal, column 3, only
+        for w_r, row, last_col in ((block_row, 0, 1), (grown_row, 3, 3)):
+            n = w_r.shape[0]
+            with pytest.raises(
+                ContractViolationError, match=f"row {row} has nonzeros beyond column {last_col},"
+            ):
+                make_model(
+                    np.ones((n, 1)), w_r, np.zeros(n), np.zeros((1, n + 1)),
+                    structure_tag=BLOCK_LOWER_TRIANGULAR, initial_block_size=2,
+                )
 
     def test_valid_grown_structure_accepted(self):
         w_r = np.array([

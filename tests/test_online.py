@@ -234,7 +234,7 @@ class TestOnlineRun:
 
         task = task_from_manifest({"task": "mg1", "seed": 0})
         model, _ = build_rscn(
-            task.train, task.val, BuildConfig(n_max=120, washout=20, seed=0)
+            task.train, task.val, BuildConfig(n_max=120, seed=0)
         )
         stream = SupervisedSequence(
             np.hstack([task.val.inputs, task.test.inputs]),
