@@ -15,7 +15,7 @@ import math
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -40,8 +40,12 @@ class BuildConfig:
 
     ``lambda_sequence`` is the ladder of weight scales tried for the
     random draws and ``r_sequence`` the contraction factors of the
-    acceptance test; both are swept (scales outermost) until a pool
-    yields an acceptable candidate.
+    acceptance test. Scales are swept outermost. For one scale, one pool
+    of ``g_max`` candidates is drawn per r, all pools are run through one
+    state recursion, and the first pool (in ladder order) with an
+    acceptable candidate supplies the node; the draws of later pools
+    are taken back, so the random stream is the same as drawing and
+    testing the pools one at a time.
 
     ``esp_alpha`` fixes the echo-state handling. The initial block is
     contracted to largest singular value ``esp_alpha`` and each appended
@@ -102,9 +106,17 @@ class CandidateNode:
 
 @dataclass
 class CandidatePool:
-    """Outcome of one configuration attempt at fixed (scale, r)."""
+    """Outcome of one configuration attempt over an r-ladder at one scale.
+
+    ``r`` is the contraction factor of the pool that supplied ``best``
+    and ``n_accepted`` counts that pool's acceptable candidates; both are
+    ``None``/0 when no pool passed. ``n_drawn`` counts the candidates of
+    every pool up to and including the passing one (all pools if none
+    passed).
+    """
 
     best: CandidateNode | None
+    r: float | None
     n_accepted: int
     n_drawn: int
 
@@ -160,7 +172,6 @@ class BuildState:
     residual: np.ndarray
     residual_norm_history: list[float]
     validation_norm_history: list[float]
-    mu_current: float
     snapshots: deque
     history: BuildHistory
 
@@ -267,22 +278,38 @@ def candidate_states(
 def _pool_node_states(
     prev_states: np.ndarray,
     inputs: np.ndarray,
-    w_in_pool: np.ndarray,
-    w_r_pool: np.ndarray,
-    b_pool: np.ndarray,
+    pools: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
     act: Callable[[np.ndarray], np.ndarray],
 ) -> np.ndarray:
-    """Vectorised :func:`_node_states` across a candidate pool."""
-    drive = w_in_pool @ inputs + b_pool[:, None]
-    if prev_states.shape[0]:
-        drive += w_r_pool[:, :-1] @ prev_states
-    self_w = w_r_pool[:, -1]
-    n_pool, n_steps = drive.shape
-    g = np.empty((n_pool, n_steps))
-    gp = np.zeros(n_pool)
-    for t in range(n_steps):
-        gp = act(drive[:, t] + self_w * gp)
-        g[:, t] = gp
+    """Time-major state sequences ``(n_steps, n_pool)`` of stacked pools.
+
+    ``pools`` holds ``(input rows, feedback rows, biases)`` per pool;
+    the columns of the result follow the pools' rows in order. Each
+    pool's drive comes from its own matmuls (so its bits do not depend
+    on the other pools) and is written transposed into one buffer,
+    which the recursion, starting from a zero state, then updates in
+    place one contiguous row per step.
+    """
+    n_steps = inputs.shape[1]
+    width = sum(b.size for _, _, b in pools)
+    g = np.empty((n_steps, width))
+    self_w = np.empty(width)
+    col = 0
+    for w_in, w_r, b in pools:
+        drive = w_in @ inputs + b[:, None]
+        if prev_states.shape[0]:
+            drive += w_r[:, :-1] @ prev_states
+        g[:, col:col + b.size] = drive.T
+        self_w[col:col + b.size] = w_r[:, -1]
+        col += b.size
+    gp = np.zeros(width)
+    fed = np.empty(width)
+    # per-step call overhead dominates, so outputs are passed positionally
+    for row in g:
+        np.multiply(self_w, gp, fed)
+        np.add(row, fed, row)
+        act(row, row)
+        gp = row
     return g
 
 
@@ -306,53 +333,66 @@ def configure_node(
     state: BuildState,
     inputs: np.ndarray,
     lam: float,
-    r: float,
+    rs: Sequence[float],
     g_max: int,
     rng: np.random.Generator,
 ) -> CandidatePool:
-    """Draw a pool of candidates and return the best acceptable one.
+    """Try the r-ladder ``rs`` at weight scale ``lam``; return the first pass.
 
-    Draw order is fixed (input rows, then feedback rows, then biases) so
-    a seeded generator reproduces the pool exactly. Each self-weight is
-    clamped to ``[-esp_alpha, esp_alpha]`` before the states are run. A
-    candidate passes when its worst per-output score is nonnegative;
-    among passers the largest total score wins, first drawn winning ties.
-    An empty pool is a valid outcome telling the caller to advance r or
-    the weight scale.
+    One pool of ``g_max`` candidates is drawn per r, pool after pool, in
+    a fixed order within each (input rows, then feedback rows, then
+    biases); each self-weight is clamped to ``[-esp_alpha, esp_alpha]``.
+    All pools share one state recursion. Pool ``j`` is then scored with
+    its own ``r`` and ``mu = (1 - r) / (n + 1)``: a candidate passes when
+    its worst per-output score is nonnegative, and among passers the
+    largest total score wins, first drawn winning ties. The first pool
+    with a passer supplies the node, and ``rng`` is set back to its
+    state just after that pool's draws, so the stream continues exactly
+    as if the pools had been drawn and tested one at a time. A result
+    without a node tells the caller to advance the weight scale.
     """
     cfg = state.cfg
     n = state.model.n_nodes
     k = state.model.n_inputs
     if g_max <= 0:
-        return CandidatePool(None, 0, 0)
-    w_in_pool = rng.uniform(-lam, lam, size=(g_max, k))
-    w_r_pool = rng.uniform(-lam, lam, size=(g_max, n + 1))
-    b_pool = rng.uniform(-lam, lam, size=g_max)
-    mu = (1.0 - r) / (n + 1)
-    state.mu_current = mu
+        return CandidatePool(None, None, 0, 0)
+    pools, rng_after = [], []
+    for _ in rs:
+        w_in_pool = rng.uniform(-lam, lam, size=(g_max, k))
+        w_r_pool = rng.uniform(-lam, lam, size=(g_max, n + 1))
+        b_pool = rng.uniform(-lam, lam, size=g_max)
+        np.clip(w_r_pool[:, -1], -cfg.esp_alpha, cfg.esp_alpha, out=w_r_pool[:, -1])
+        pools.append((w_in_pool, w_r_pool, b_pool))
+        rng_after.append(rng.bit_generator.state)
 
-    np.clip(w_r_pool[:, -1], -cfg.esp_alpha, cfg.esp_alpha, out=w_r_pool[:, -1])
     act = activation_fn(state.model.activation)
     prev = _shifted_states(state.train_seq.states, state.train_seq.initial_state)
-    g = _pool_node_states(prev, inputs, w_in_pool, w_r_pool, b_pool, act)
+    g_all = _pool_node_states(prev, inputs, pools, act)
 
     washout = state.train.washout
-    scores, per = _pool_scores(state.residual, g[:, washout:], r, mu)
-    ok = np.all(per >= 0.0, axis=0)
-    n_accepted = int(ok.sum())
-    if n_accepted == 0:
-        return CandidatePool(None, 0, g_max)
-    ok_idx = np.nonzero(ok)[0]
-    best = ok_idx[int(np.argmax(scores[ok_idx]))]
-    cand = CandidateNode(
-        input_row=w_in_pool[best].copy(),
-        feedback_row=w_r_pool[best].copy(),
-        bias=float(b_pool[best]),
-        state_seq=g[best].copy(),
-        score=float(scores[best]),
-        per_output_scores=per[:, best].copy(),
-    )
-    return CandidatePool(cand, n_accepted, g_max)
+    for j, r in enumerate(rs):
+        # score a C-contiguous (g_max, n_steps) copy: the layout fixes the bits
+        g = np.ascontiguousarray(g_all[:, j * g_max:(j + 1) * g_max].T)
+        mu = (1.0 - r) / (n + 1)
+        scores, per = _pool_scores(state.residual, g[:, washout:], r, mu)
+        ok = np.all(per >= 0.0, axis=0)
+        n_accepted = int(ok.sum())
+        if n_accepted == 0:
+            continue
+        rng.bit_generator.state = rng_after[j]
+        ok_idx = np.nonzero(ok)[0]
+        best = ok_idx[int(np.argmax(scores[ok_idx]))]
+        w_in_pool, w_r_pool, b_pool = pools[j]
+        cand = CandidateNode(
+            input_row=w_in_pool[best].copy(),
+            feedback_row=w_r_pool[best].copy(),
+            bias=float(b_pool[best]),
+            state_seq=g[best].copy(),
+            score=float(scores[best]),
+            per_output_scores=per[:, best].copy(),
+        )
+        return CandidatePool(cand, r, n_accepted, (j + 1) * g_max)
+    return CandidatePool(None, None, 0, len(rs) * g_max)
 
 
 def _grow_feedback(w_r: np.ndarray, new_row: np.ndarray) -> np.ndarray:
@@ -424,7 +464,6 @@ def init_network(
         residual=np.zeros((ell, train.n_steps - train.washout)),
         residual_norm_history=[],
         validation_norm_history=[],
-        mu_current=0.0,
         snapshots=deque(maxlen=cfg.n_step + 1),
         history=BuildHistory(),
     )
@@ -473,10 +512,8 @@ def _accept_node(state: BuildState, cand: CandidateNode) -> None:
     )
     state.model = grown
     prev_val = _shifted_states(state.val_seq.states, state.val_seq.initial_state)
-    val_node = _node_states(
-        prev_val, state.val.inputs, cand.input_row, cand.feedback_row,
-        cand.bias, act,
-    )
+    one = (cand.input_row[None], cand.feedback_row[None], np.array([cand.bias]))
+    val_node = _pool_node_states(prev_val, state.val.inputs, [one], act)[:, 0]
     state.train_seq = _extend_sequence(state.train_seq, state.train.inputs, cand.state_seq)
     state.val_seq = _extend_sequence(state.val_seq, state.val.inputs, val_node)
     _solve_and_score(state)
@@ -499,12 +536,13 @@ def build_rscn(
 ) -> tuple[ReservoirModel, BuildHistory]:
     """Grow a reservoir until tolerance, size cap, or validation stop.
 
-    Candidate search sweeps the weight-scale ladder outermost and the
-    contraction factors within it, moving on whenever a pool comes back
-    empty. When the validation residual has not improved over the last
-    ``n_step + 1`` sizes, growth rolls back ``n_step`` nodes and returns.
-    Exhausting every (scale, r) pair flags the history as stalled and
-    returns the current model rather than raising.
+    Candidate search sweeps the weight-scale ladder, trying the whole
+    r-ladder at each scale in one :func:`configure_node` call and moving
+    on when no pool passes. When the validation residual has not
+    improved over the last ``n_step + 1`` sizes, growth rolls back
+    ``n_step`` nodes and returns. Exhausting every (scale, r) pair flags
+    the history as stalled and returns the current model rather than
+    raising.
 
     Passing ``rng`` drives initialisation and candidate draws from one
     stream; by default the two draw from named substreams of
@@ -529,26 +567,22 @@ def build_rscn(
             history.rolled_back_to = model.n_nodes
             history.final_size = model.n_nodes
             return model, history
-        chosen = None
         pool_total = 0
         for lam in cfg.lambda_sequence:
-            for r in cfg.r_sequence:
-                pool = configure_node(state, train.inputs, lam, r, cfg.g_max, rng_cand)
-                pool_total += pool.n_drawn
-                if pool.best is not None:
-                    chosen = (pool.best, lam, r, pool.n_accepted)
-                    break
-            if chosen is not None:
+            pool = configure_node(
+                state, train.inputs, lam, cfg.r_sequence, cfg.g_max, rng_cand
+            )
+            pool_total += pool.n_drawn
+            if pool.best is not None:
                 break
-        if chosen is None:
+        else:
             history.stalled = True
             break
-        cand, lam, r, n_accepted = chosen
-        _accept_node(state, cand)
+        _accept_node(state, pool.best)
         history.record(
-            state.model.n_nodes, lam, r, cand.score,
+            state.model.n_nodes, lam, pool.r, pool.best.score,
             state.residual_norm_history[-1], state.validation_norm_history[-1],
-            n_accepted, pool_total,
+            pool.n_accepted, pool_total,
         )
     history.final_size = state.model.n_nodes
     return state.model, history

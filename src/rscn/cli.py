@@ -104,13 +104,18 @@ def _task_name(task_manifest: dict) -> str:
     return task_manifest["task"]
 
 
-def _config(cls, params: dict):
-    """``cls(**params)``, refusing keys that are not fields of ``cls``."""
-    unknown = sorted(set(params) - {f.name for f in fields(cls)})
+def _check_fields(cls, names, source: str) -> None:
+    """Refuse ``names`` that are not fields of ``cls`` with a SchemaError."""
+    unknown = sorted(set(names) - {f.name for f in fields(cls)})
     if unknown:
         raise SchemaError(
-            f"model_params has keys {cls.__name__} does not know: {', '.join(unknown)}"
+            f"{source} has keys {cls.__name__} does not know: {', '.join(unknown)}"
         )
+
+
+def _config(cls, params: dict):
+    """``cls(**params)``, refusing keys that are not fields of ``cls``."""
+    _check_fields(cls, params, "model_params")
     return cls(**params)
 
 
@@ -233,6 +238,7 @@ def cmd_train(args) -> int:
     spec = _model_spec(kind, task_name, run_manifest, args.alpha)
     if args.grid:
         grid = _parse_grid(args.grid)
+        _check_fields(type(spec), grid, "--grid")
         best, _ = grid_search(task_manifest, spec, grid, n_trials_per_point=1, seed=seed)
         spec = replace(spec, **best)
         print(f"grid best point: {best}")

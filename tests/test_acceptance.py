@@ -278,7 +278,7 @@ class TestCriterion10StructuralGrowth:
             for lam in cfg.lambda_sequence:
                 for r in cfg.r_sequence:
                     pool = configure_node(
-                        state, data.train.inputs, lam, r, cfg.g_max,
+                        state, data.train.inputs, lam, (r,), cfg.g_max,
                         np.random.default_rng(seed + 100),
                     )
                     if pool.best is not None:

@@ -211,14 +211,14 @@ class TestConfigureNode:
 
     def test_zero_budget_returns_empty_pool(self):
         state = self.make_state()
-        pool = configure_node(state, state.train.inputs, 1.0, 0.9, 0, np.random.default_rng(0))
+        pool = configure_node(state, state.train.inputs, 1.0, (0.9,), 0, np.random.default_rng(0))
         assert pool.best is None and pool.n_drawn == 0
 
     def test_same_seed_same_selection(self):
         state_a = self.make_state()
         state_b = self.make_state()
-        pa = configure_node(state_a, state_a.train.inputs, 1.0, 0.999, 30, np.random.default_rng(5))
-        pb = configure_node(state_b, state_b.train.inputs, 1.0, 0.999, 30, np.random.default_rng(5))
+        pa = configure_node(state_a, state_a.train.inputs, 1.0, (0.999,), 30, np.random.default_rng(5))
+        pb = configure_node(state_b, state_b.train.inputs, 1.0, (0.999,), 30, np.random.default_rng(5))
         assert (pa.best is None) == (pb.best is None)
         if pa.best is not None:
             assert np.array_equal(pa.best.input_row, pb.best.input_row)
@@ -226,7 +226,7 @@ class TestConfigureNode:
 
     def test_accepted_candidate_has_nonnegative_per_output_scores(self):
         state = self.make_state()
-        pool = configure_node(state, state.train.inputs, 1.0, 0.999, 50, np.random.default_rng(8))
+        pool = configure_node(state, state.train.inputs, 1.0, (0.999,), 50, np.random.default_rng(8))
         assert pool.best is not None
         assert np.all(pool.best.per_output_scores >= 0.0)
         assert pool.n_accepted >= 1
@@ -246,7 +246,7 @@ class TestConfigureNode:
         rng_cand = np.random.default_rng(1)
         pool = None
         for r in cfg.r_sequence:
-            pool = configure_node(state, seq.inputs, 5.0, r, 200, rng_cand)
+            pool = configure_node(state, seq.inputs, 5.0, (r,), 200, rng_cand)
             if pool.best is not None:
                 break
         assert pool.best is not None
@@ -255,7 +255,7 @@ class TestConfigureNode:
     def test_pool_matches_single_candidate_oracle(self):
         state = self.make_state()
         rng = np.random.default_rng(12)
-        pool = configure_node(state, state.train.inputs, 2.0, 0.99, 10, rng)
+        pool = configure_node(state, state.train.inputs, 2.0, (0.99,), 10, rng)
         # redraw the same pool and re-evaluate each candidate individually
         rng2 = np.random.default_rng(12)
         n, k = state.model.n_nodes, 2
@@ -279,6 +279,44 @@ class TestConfigureNode:
         else:
             assert pool.best.score == pytest.approx(best_score, rel=1e-12)
             assert np.array_equal(pool.best.input_row, w_in[best_idx])
+
+    @pytest.mark.parametrize(
+        "lam,g_max,seed,passing_r",
+        [
+            (5.0, 1, 99, 0.9),  # first pool
+            (5.0, 1, 7, 0.999),  # a later pool
+            (5.0, 1, 2, 0.9999),  # the last pool
+            (0.5, 20, 5, 0.99),  # a later pool with several passers
+            (5.0, 1, 257, None),  # no pool passes
+        ],
+    )
+    def test_ladder_matches_one_pool_per_call(self, lam, g_max, seed, passing_r):
+        rs = (0.9, 0.99, 0.999, 0.9999)
+        state = self.make_state()
+        rng = np.random.default_rng(seed)
+        ladder = configure_node(state, state.train.inputs, lam, rs, g_max, rng)
+
+        twin = np.random.default_rng(seed)
+        n_drawn = 0
+        for r in rs:
+            single = configure_node(state, state.train.inputs, lam, (r,), g_max, twin)
+            n_drawn += single.n_drawn
+            if single.best is not None:
+                break
+        assert ladder.r == single.r == passing_r
+        assert ladder.n_accepted == single.n_accepted
+        assert ladder.n_drawn == n_drawn
+        assert (ladder.best is None) == (single.best is None)
+        if ladder.best is not None:
+            a, b = ladder.best, single.best
+            assert np.array_equal(a.input_row, b.input_row)
+            assert np.array_equal(a.feedback_row, b.feedback_row)
+            assert a.bias == b.bias
+            assert np.array_equal(a.state_seq, b.state_seq)
+            assert a.score == b.score
+            assert np.array_equal(a.per_output_scores, b.per_output_scores)
+        # the generator resumes where one-pool-at-a-time drawing would leave it
+        assert rng.random() == twin.random()
 
 
 class TestEarlyStop:
@@ -382,7 +420,7 @@ class TestOldStatePreservation:
         cfg = small_cfg()
         state = init_network(task, toy_task(120, seed=1), cfg, np.random.default_rng(0))
         before = state.train_seq.states.copy()
-        pool = configure_node(state, task.inputs, 1.0, 0.999, 50, np.random.default_rng(4))
+        pool = configure_node(state, task.inputs, 1.0, (0.999,), 50, np.random.default_rng(4))
         assert pool.best is not None
         from rscn.build import _accept_node
 

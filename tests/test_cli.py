@@ -187,5 +187,13 @@ class TestErrorPaths:
         assert "esp_mode" in err and "washout" in err
         assert not any(f.endswith(".model.json") for f in os.listdir(tmp_path))
 
+    def test_unknown_grid_name_is_a_schema_error(self, tmp_path, fast_manifest, capsys):
+        assert run("train", "--manifest", fast_manifest, "--grid", "washout=1,2",
+                   "--out", str(tmp_path)) == 3
+        err = capsys.readouterr().err
+        assert "kind=SchemaError" in err
+        assert "washout" in err
+        assert not any(f.endswith(".model.json") for f in os.listdir(tmp_path))
+
     def test_help_exits_zero(self):
         assert run("--help") == 0
