@@ -18,7 +18,7 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from rscn.build import BuildConfig, build_rscn  # noqa: E402
-from rscn.cli import RSCN_ALPHA, RSCN_N_MAX  # noqa: E402
+from rscn.cli import RSCN_N_MAX  # noqa: E402
 from rscn.model import atomic_write_text  # noqa: E402
 from rscn.online import OnlineConfig, online_run  # noqa: E402
 from rscn.tasks import SupervisedSequence, task_from_manifest  # noqa: E402
@@ -32,11 +32,7 @@ def main() -> int:
     args = parser.parse_args()
 
     task = task_from_manifest({"task": args.task, "seed": args.seed})
-    cfg = BuildConfig(
-        n_max=RSCN_N_MAX[args.task],
-        esp_alpha=RSCN_ALPHA[args.task],
-        seed=args.seed,
-    )
+    cfg = BuildConfig(n_max=RSCN_N_MAX[args.task], seed=args.seed)
     model, _ = build_rscn(task.train, task.val, cfg)
     stream = SupervisedSequence(
         np.hstack([task.val.inputs, task.test.inputs]),

@@ -10,7 +10,7 @@ from .build import solve_output_weights
 from .errors import ContractViolationError
 from .model import GENERAL, ReservoirModel, run_reservoir
 from .seeding import substream
-from .spectral import MODE_CONTRACTION, scale_feedback
+from .spectral import scale_feedback
 from .tasks import SupervisedSequence
 
 TOPOLOGY_ESN = "esn_random"
@@ -59,18 +59,12 @@ def _fit_readout(
     return model.with_readout(w_out)
 
 
-def build_esn(
-    cfg: BaselineConfig,
-    train: SupervisedSequence,
-    ridge: float | None = None,
-    rng: np.random.Generator | None = None,
-) -> ReservoirModel:
+def build_esn(cfg: BaselineConfig, train: SupervisedSequence) -> ReservoirModel:
     """Random sparse reservoir contracted to ``esp_alpha``, readout by
     least squares on the post-washout extended states."""
     if cfg.topology != TOPOLOGY_ESN:
         raise ContractViolationError("build_esn needs topology 'esn_random'")
-    ridge = cfg.ridge if ridge is None else ridge
-    rng = rng if rng is not None else substream(cfg.seed, "init")
+    rng = substream(cfg.seed, "init")
     n, k, ell = cfg.n_nodes, train.n_inputs, train.n_outputs
     lam = cfg.weight_scale
     w_in = rng.uniform(-lam, lam, size=(n, k))
@@ -84,21 +78,15 @@ def build_esn(
         readout=np.zeros((ell, n + k)),
         structure_tag=GENERAL,
     )
-    model = scale_feedback(model, cfg.esp_alpha, MODE_CONTRACTION).model
-    return _fit_readout(model, train, ridge)
+    model = scale_feedback(model, cfg.esp_alpha)
+    return _fit_readout(model, train, cfg.ridge)
 
 
-def build_scr(
-    cfg: BaselineConfig,
-    train: SupervisedSequence,
-    ridge: float | None = None,
-    rng: np.random.Generator | None = None,
-) -> ReservoirModel:
+def build_scr(cfg: BaselineConfig, train: SupervisedSequence) -> ReservoirModel:
     """Simple cycle reservoir: one directed ring with a single weight."""
     if cfg.topology != TOPOLOGY_SCR:
         raise ContractViolationError("build_scr needs topology 'scr_ring'")
-    ridge = cfg.ridge if ridge is None else ridge
-    rng = rng if rng is not None else substream(cfg.seed, "init")
+    rng = substream(cfg.seed, "init")
     n, k, ell = cfg.n_nodes, train.n_inputs, train.n_outputs
     lam = cfg.weight_scale
     w_in = rng.uniform(-lam, lam, size=(n, k))
@@ -112,15 +100,10 @@ def build_scr(
         readout=np.zeros((ell, n + k)),
         structure_tag=GENERAL,
     )
-    return _fit_readout(model, train, ridge)
+    return _fit_readout(model, train, cfg.ridge)
 
 
-def build_baseline(
-    cfg: BaselineConfig,
-    train: SupervisedSequence,
-    ridge: float | None = None,
-    rng: np.random.Generator | None = None,
-) -> ReservoirModel:
+def build_baseline(cfg: BaselineConfig, train: SupervisedSequence) -> ReservoirModel:
     if cfg.topology == TOPOLOGY_ESN:
-        return build_esn(cfg, train, ridge, rng)
-    return build_scr(cfg, train, ridge, rng)
+        return build_esn(cfg, train)
+    return build_scr(cfg, train)

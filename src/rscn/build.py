@@ -28,7 +28,7 @@ from .model import (
     run_reservoir,
 )
 from .seeding import substream
-from .spectral import MODE_CONTRACTION, scale_feedback
+from .spectral import scale_feedback
 from .tasks import SupervisedSequence
 
 INFEASIBLE = -math.inf
@@ -170,8 +170,6 @@ class BuildState:
     train_seq: StateSequence
     val_seq: StateSequence
     residual: np.ndarray
-    residual_norm_history: list[float]
-    validation_norm_history: list[float]
     snapshots: deque
     history: BuildHistory
 
@@ -225,9 +223,9 @@ def score_candidate(
     return float(per.sum()), per
 
 
-def _shifted_states(states: np.ndarray, initial_state: np.ndarray) -> np.ndarray:
-    """Matrix whose column ``t`` is the state at ``t - 1``."""
-    return np.column_stack([initial_state, states[:, :-1]])
+def _shifted_states(states: np.ndarray) -> np.ndarray:
+    """Matrix whose column ``t`` is the state at ``t - 1``, from a zero start."""
+    return np.column_stack([np.zeros(states.shape[0]), states[:, :-1]])
 
 
 def _node_states(
@@ -270,7 +268,7 @@ def candidate_states(
         raise ContractViolationError(
             "inputs must be the training inputs this build state was made from"
         )
-    prev = _shifted_states(state.train_seq.states, state.train_seq.initial_state)
+    prev = _shifted_states(state.train_seq.states)
     act = activation_fn(state.model.activation)
     return _node_states(prev, inputs, cand.input_row, cand.feedback_row, cand.bias, act)
 
@@ -366,7 +364,7 @@ def configure_node(
         rng_after.append(rng.bit_generator.state)
 
     act = activation_fn(state.model.activation)
-    prev = _shifted_states(state.train_seq.states, state.train_seq.initial_state)
+    prev = _shifted_states(state.train_seq.states)
     g_all = _pool_node_states(prev, inputs, pools, act)
 
     washout = state.train.washout
@@ -403,8 +401,11 @@ def _grow_feedback(w_r: np.ndarray, new_row: np.ndarray) -> np.ndarray:
     return grown
 
 
-def _solve_and_score(state: BuildState) -> None:
-    """Re-solve the readout and refresh residuals and norm histories."""
+def _solve_and_score(state: BuildState) -> tuple[float, float]:
+    """Re-solve the readout and refresh the residual.
+
+    Returns the post-washout training and validation residual norms.
+    """
     cfg = state.cfg
     w_t = state.train.washout
     w_v = state.val.washout
@@ -413,9 +414,8 @@ def _solve_and_score(state: BuildState) -> None:
     w_out = solve_output_weights(x_eff, t_eff, cfg.ridge)
     state.model = state.model.with_readout(w_out)
     state.residual = t_eff - w_out @ x_eff
-    state.residual_norm_history.append(float(np.linalg.norm(state.residual)))
     val_resid = state.val.targets[:, w_v:] - w_out @ state.val_seq.extended[:, w_v:]
-    state.validation_norm_history.append(float(np.linalg.norm(val_resid)))
+    return float(np.linalg.norm(state.residual)), float(np.linalg.norm(val_resid))
 
 
 def init_network(
@@ -451,7 +451,7 @@ def init_network(
     with warnings.catch_warnings():
         # an all-zero sparse draw is routine at 3% density; the no-op is fine
         warnings.simplefilter("ignore")
-        model = scale_feedback(model, cfg.esp_alpha, MODE_CONTRACTION).model
+        model = scale_feedback(model, cfg.esp_alpha)
     train_seq = run_reservoir(model, train.inputs)
     val_seq = run_reservoir(model, val.inputs)
     state = BuildState(
@@ -462,17 +462,12 @@ def init_network(
         train_seq=train_seq,
         val_seq=val_seq,
         residual=np.zeros((ell, train.n_steps - train.washout)),
-        residual_norm_history=[],
-        validation_norm_history=[],
         snapshots=deque(maxlen=cfg.n_step + 1),
         history=BuildHistory(),
     )
-    _solve_and_score(state)
+    train_norm, val_norm = _solve_and_score(state)
     state.snapshots.append(state.model)
-    state.history.record(
-        n0, math.nan, math.nan, math.nan,
-        state.residual_norm_history[-1], state.validation_norm_history[-1], 0, 0,
-    )
+    state.history.record(n0, math.nan, math.nan, math.nan, train_norm, val_norm, 0, 0)
     state.history.final_size = n0
     return state
 
@@ -481,18 +476,15 @@ def _extend_sequence(
     seq: StateSequence, inputs: np.ndarray, node_states: np.ndarray
 ) -> StateSequence:
     states = np.vstack([seq.states, node_states])
-    return StateSequence(
-        states=states,
-        extended=np.vstack([states, inputs]),
-        initial_state=np.append(seq.initial_state, 0.0),
-    )
+    return StateSequence(states=states, extended=np.vstack([states, inputs]))
 
 
-def _accept_node(state: BuildState, cand: CandidateNode) -> None:
+def _accept_node(state: BuildState, cand: CandidateNode) -> tuple[float, float]:
     """Append the candidate's row and extend the stored states by its node.
 
     The old rows are untouched, so only the new node's validation states
-    are computed; its training states came with the candidate.
+    are computed; its training states came with the candidate. Returns
+    the re-solved readout's training and validation residual norms.
     """
     model = state.model
     act = activation_fn(model.activation)
@@ -511,13 +503,15 @@ def _accept_node(state: BuildState, cand: CandidateNode) -> None:
         initial_block_size=model.initial_block_size,
     )
     state.model = grown
-    prev_val = _shifted_states(state.val_seq.states, state.val_seq.initial_state)
-    one = (cand.input_row[None], cand.feedback_row[None], np.array([cand.bias]))
-    val_node = _pool_node_states(prev_val, state.val.inputs, [one], act)[:, 0]
+    prev_val = _shifted_states(state.val_seq.states)
+    val_node = _node_states(
+        prev_val, state.val.inputs, cand.input_row, cand.feedback_row, cand.bias, act
+    )
     state.train_seq = _extend_sequence(state.train_seq, state.train.inputs, cand.state_seq)
     state.val_seq = _extend_sequence(state.val_seq, state.val.inputs, val_node)
-    _solve_and_score(state)
+    norms = _solve_and_score(state)
     state.snapshots.append(state.model)
+    return norms
 
 
 def early_stop_triggered(val_norms: list[float], n_step: int) -> bool:
@@ -529,10 +523,7 @@ def early_stop_triggered(val_norms: list[float], n_step: int) -> bool:
 
 
 def build_rscn(
-    train: SupervisedSequence,
-    val: SupervisedSequence,
-    cfg: BuildConfig,
-    rng: np.random.Generator | None = None,
+    train: SupervisedSequence, val: SupervisedSequence, cfg: BuildConfig
 ) -> tuple[ReservoirModel, BuildHistory]:
     """Grow a reservoir until tolerance, size cap, or validation stop.
 
@@ -543,25 +534,17 @@ def build_rscn(
     ``n_step`` nodes and returns. Exhausting every (scale, r) pair flags
     the history as stalled and returns the current model rather than
     raising.
-
-    Passing ``rng`` drives initialisation and candidate draws from one
-    stream; by default the two draw from named substreams of
-    ``cfg.seed``, so a config fully determines the result.
     """
     if train.n_inputs != val.n_inputs or train.n_outputs != val.n_outputs:
         raise ContractViolationError("train and val must share channel counts")
-    if rng is None:
-        rng_init = substream(cfg.seed, "init")
-        rng_cand = substream(cfg.seed, "candidates")
-    else:
-        rng_init = rng_cand = rng
-    state = init_network(train, val, cfg, rng_init)
+    state = init_network(train, val, cfg, substream(cfg.seed, "init"))
+    rng_cand = substream(cfg.seed, "candidates")
     history = state.history
     while True:
         n = state.model.n_nodes
-        if state.residual_norm_history[-1] <= cfg.epsilon or n >= cfg.n_max:
+        if history.train_norms[-1] <= cfg.epsilon or n >= cfg.n_max:
             break
-        if early_stop_triggered(state.validation_norm_history, cfg.n_step):
+        if early_stop_triggered(history.val_norms, cfg.n_step):
             model = state.snapshots[0]
             history.early_stopped = True
             history.rolled_back_to = model.n_nodes
@@ -578,11 +561,10 @@ def build_rscn(
         else:
             history.stalled = True
             break
-        _accept_node(state, pool.best)
+        train_norm, val_norm = _accept_node(state, pool.best)
         history.record(
             state.model.n_nodes, lam, pool.r, pool.best.score,
-            state.residual_norm_history[-1], state.validation_norm_history[-1],
-            pool.n_accepted, pool_total,
+            train_norm, val_norm, pool.n_accepted, pool_total,
         )
     history.final_size = state.model.n_nodes
     return state.model, history

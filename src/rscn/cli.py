@@ -14,7 +14,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -39,9 +39,11 @@ from .evaluate import (
 from .model import atomic_write_text, load_model, save_model
 from .online import MODE_BASIC, MODE_DEAD_ZONE, MODE_DECREASING, OnlineConfig, diagnostics_csv, online_run
 from .seeding import substream
-from .spectral import MODE_CONTRACTION, esp_check, scale_feedback
+from .spectral import esp_check, scale_feedback
 from .tasks import (
     GENERATOR_TASKS,
+    check_fields,
+    from_params,
     load_manifest,
     save_manifest,
     task_from_manifest,
@@ -52,7 +54,6 @@ from .tasks import (
 ESN_SIZES = {"mg": 98, "mg1": 124, "mg2": 135, "plant": 157}
 SCR_SIZES = {"mg": 79, "mg1": 103, "mg2": 111, "plant": 136}
 RSCN_N_MAX = {"mg": 120, "mg1": 120, "mg2": 140, "plant": 140}
-RSCN_ALPHA = {"mg": 0.9, "mg1": 0.9, "mg2": 0.9, "plant": 0.9}
 SCR_RING_GRID = (0.25, 0.5, 0.75, 0.9)
 
 ONLINE_MODES = {
@@ -98,25 +99,15 @@ def _resolve_task_manifest(task_arg: str, seed: int) -> dict:
 
 
 def _task_name(task_manifest: dict) -> str:
-    if task_manifest.get("task") == "csv":
-        path = task_manifest["csv"]["path"]
-        return os.path.splitext(os.path.basename(path))[0]
-    return task_manifest["task"]
-
-
-def _check_fields(cls, names, source: str) -> None:
-    """Refuse ``names`` that are not fields of ``cls`` with a SchemaError."""
-    unknown = sorted(set(names) - {f.name for f in fields(cls)})
-    if unknown:
-        raise SchemaError(
-            f"{source} has keys {cls.__name__} does not know: {', '.join(unknown)}"
-        )
-
-
-def _config(cls, params: dict):
-    """``cls(**params)``, refusing keys that are not fields of ``cls``."""
-    _check_fields(cls, params, "model_params")
-    return cls(**params)
+    kind = task_manifest.get("task")
+    if kind == "csv":
+        spec = task_manifest.get("csv")
+        if not isinstance(spec, dict) or "path" not in spec:
+            raise SchemaError("csv task manifest needs a 'csv' section with a 'path'")
+        return os.path.splitext(os.path.basename(spec["path"]))[0]
+    if kind not in GENERATOR_TASKS:
+        raise SchemaError(f"unknown task kind {kind!r}")
+    return kind
 
 
 def _model_spec(kind: str, task_name: str, manifest: dict, alpha: float | None):
@@ -124,22 +115,21 @@ def _model_spec(kind: str, task_name: str, manifest: dict, alpha: float | None):
     params = dict(manifest.get("model_params", {}))
     if kind == "rscn":
         params.setdefault("n_max", RSCN_N_MAX.get(task_name, 100))
-        params.setdefault("esp_alpha", RSCN_ALPHA.get(task_name, 0.9))
         if alpha is not None:
             params["esp_alpha"] = alpha
-        return _config(BuildConfig, params)
+        return from_params(BuildConfig, params, "model_params")
     if kind == "esn":
         params.setdefault("n_nodes", ESN_SIZES.get(task_name, 100))
         params.setdefault("topology", "esn_random")
         if alpha is not None:
             params["esp_alpha"] = alpha
-        return _config(BaselineConfig, params)
+        return from_params(BaselineConfig, params, "model_params")
     if kind == "scr":
         params.setdefault("n_nodes", SCR_SIZES.get(task_name, 100))
         params.setdefault("topology", "scr_ring")
         if alpha is not None:
             params["esp_alpha"] = alpha
-        return _config(BaselineConfig, params)
+        return from_params(BaselineConfig, params, "model_params")
     raise SchemaError(f"unknown model kind {kind!r}")
 
 
@@ -238,7 +228,7 @@ def cmd_train(args) -> int:
     spec = _model_spec(kind, task_name, run_manifest, args.alpha)
     if args.grid:
         grid = _parse_grid(args.grid)
-        _check_fields(type(spec), grid, "--grid")
+        check_fields(type(spec), grid, "--grid")
         best, _ = grid_search(task_manifest, spec, grid, n_trials_per_point=1, seed=seed)
         spec = replace(spec, **best)
         print(f"grid best point: {best}")
@@ -356,7 +346,7 @@ def cmd_esp_check(args) -> int:
         raise SchemaError("esp-check needs --model-file")
     model = load_model(model_file)
     if args.alpha is not None:
-        model = scale_feedback(model, args.alpha, MODE_CONTRACTION).model
+        model = scale_feedback(model, args.alpha)
     report = esp_check(model, rng=substream(seed, "esp"))
     print(
         f"converged={str(report.converged).lower()} "
@@ -451,8 +441,6 @@ def cmd_dispatch(argv: list[str]) -> int:
         ContractViolationError,
         FileNotFoundError,
         json.JSONDecodeError,
-        KeyError,
-        TypeError,
     ) as err:
         print(f"error: kind={type(err).__name__} msg={err}", file=sys.stderr)
         return 3

@@ -36,25 +36,6 @@ def nrmse(predictions: np.ndarray, targets: np.ndarray) -> float:
     return float(np.sqrt(np.sum((y - t) ** 2) / (n * var)))
 
 
-class RunningMeanStd:
-    """Streaming mean and population standard deviation (Welford)."""
-
-    def __init__(self):
-        self.n = 0
-        self.mean = 0.0
-        self._m2 = 0.0
-
-    def push(self, x: float) -> None:
-        self.n += 1
-        delta = x - self.mean
-        self.mean += delta / self.n
-        self._m2 += delta * (x - self.mean)
-
-    @property
-    def std(self) -> float:
-        return float(np.sqrt(self._m2 / self.n)) if self.n else 0.0
-
-
 @dataclass(frozen=True)
 class MeanStd:
     mean: float
@@ -66,10 +47,8 @@ class MeanStd:
 
     @staticmethod
     def of(values: Sequence[float]) -> "MeanStd":
-        agg = RunningMeanStd()
-        for v in values:
-            agg.push(float(v))
-        return MeanStd(agg.mean, agg.std)
+        """Mean and population standard deviation of ``values``."""
+        return MeanStd(float(np.mean(values)), float(np.std(values)))
 
 
 @dataclass(frozen=True)
@@ -84,9 +63,6 @@ class TrialReport:
     val_nrmse: MeanStd
     n_trials: int
     n_failed: int = 0
-
-
-ModelSpec = "BuildConfig | BaselineConfig"
 
 
 def spec_name(spec) -> str:

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import expit
 
-from .errors import ContractViolationError, NumericOverflowError
+from .errors import ContractViolationError, NumericOverflowError, SchemaError
 
 TANH = "tanh"
 SIGMOID = "sigmoid"
@@ -152,12 +152,10 @@ class StateSequence:
 
     states: np.ndarray
     extended: np.ndarray
-    initial_state: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "states", _frozen(self.states))
         object.__setattr__(self, "extended", _frozen(self.extended))
-        object.__setattr__(self, "initial_state", _frozen(self.initial_state))
 
     @property
     def n_steps(self) -> int:
@@ -187,7 +185,7 @@ def run_reservoir(
     if initial_state is None:
         x = np.zeros(n)
     else:
-        x = np.asarray(initial_state, dtype=float).copy()
+        x = np.asarray(initial_state, dtype=float)
         if x.shape != (n,):
             raise ContractViolationError(
                 f"initial_state shape {x.shape}, expected ({n},)"
@@ -197,7 +195,6 @@ def run_reservoir(
     drive = model.input_weights @ inputs + model.biases[:, None]
     states = np.empty((n, n_steps))
     w_r = model.feedback
-    x0 = x.copy()
     for t in range(n_steps):
         x = act(drive[:, t] + w_r @ x)
         if not np.all(np.isfinite(x)):
@@ -206,7 +203,7 @@ def run_reservoir(
             )
         states[:, t] = x
     extended = np.vstack([states, inputs])
-    return StateSequence(states=states, extended=extended, initial_state=x0)
+    return StateSequence(states=states, extended=extended)
 
 
 def readout(
@@ -247,22 +244,24 @@ def model_from_dict(doc: dict) -> ReservoirModel:
         raise ContractViolationError(
             f"unsupported model document version {doc.get('version')!r}"
         )
-    model = ReservoirModel(
-        input_weights=np.array(doc["input_weights"], dtype=float).reshape(
-            doc["n_nodes"], doc["n_inputs"]
-        ),
-        feedback=np.array(doc["feedback"], dtype=float).reshape(
-            doc["n_nodes"], doc["n_nodes"]
-        ),
-        biases=np.array(doc["biases"], dtype=float),
-        readout=np.array(doc["readout"], dtype=float).reshape(
-            doc["n_outputs"], doc["n_nodes"] + doc["n_inputs"]
-        ),
-        activation=doc["activation"],
-        structure_tag=doc["structure_tag"],
-        initial_block_size=doc["initial_block_size"],
-    )
-    return model
+    try:
+        return ReservoirModel(
+            input_weights=np.array(doc["input_weights"], dtype=float).reshape(
+                doc["n_nodes"], doc["n_inputs"]
+            ),
+            feedback=np.array(doc["feedback"], dtype=float).reshape(
+                doc["n_nodes"], doc["n_nodes"]
+            ),
+            biases=np.array(doc["biases"], dtype=float),
+            readout=np.array(doc["readout"], dtype=float).reshape(
+                doc["n_outputs"], doc["n_nodes"] + doc["n_inputs"]
+            ),
+            activation=doc["activation"],
+            structure_tag=doc["structure_tag"],
+            initial_block_size=doc["initial_block_size"],
+        )
+    except KeyError as err:
+        raise SchemaError(f"model document missing {err}") from None
 
 
 def atomic_write_text(path: str, text: str) -> None:

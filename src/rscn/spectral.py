@@ -3,11 +3,10 @@
 The echo state property (asymptotic independence of the reservoir state
 from its initial condition) is guaranteed whenever the feedback matrix
 has largest singular value below one, since the state map is then a
-contraction for tanh/sigmoid activations. The largest singular value
-(computed by LAPACK's SVD) upper-bounds the spectral radius, so scaling
-by either quantity is offered: scaling by the singular value certifies
-the property unconditionally, scaling by the spectral radius is the
-conventional reservoir recipe.
+contraction for tanh/sigmoid activations. Feedback is therefore scaled
+by its largest singular value (computed by LAPACK's SVD), which
+certifies the property unconditionally. The spectral radius, which that
+value upper-bounds, is offered as a diagnostic.
 """
 
 from __future__ import annotations
@@ -22,9 +21,6 @@ from .model import BLOCK_LOWER_TRIANGULAR, GENERAL, ReservoirModel, run_reservoi
 
 SIGMA_MAX = "sigma_max"
 EIGEN = "eigen"
-
-MODE_CONTRACTION = "contraction"
-MODE_SPECTRAL = "spectral"
 
 
 def max_singular_value(w: np.ndarray) -> float:
@@ -104,52 +100,19 @@ def spectral_radius(
     return _eigen_radius(w)
 
 
-@dataclass(frozen=True)
-class ScaleReport:
-    """Result of rescaling a feedback matrix for the echo state property.
+def scale_feedback(model: ReservoirModel, alpha: float) -> ReservoirModel:
+    """Contract the feedback matrix to largest singular value ``alpha``.
 
-    ``certified`` is True when the scaled matrix is a certain contraction
-    (largest singular value below one).
-    """
-
-    model: ReservoirModel
-    sigma_max: float
-    rho: float | None
-    certified: bool
-
-
-def scale_feedback(
-    model: ReservoirModel, alpha: float, mode: str = MODE_CONTRACTION
-) -> ScaleReport:
-    """Rescale the feedback matrix so its gain equals ``alpha`` in (0, 1).
-
-    ``"contraction"`` divides by the largest singular value, making the
-    state map a certain contraction. ``"spectral"`` divides by the
-    spectral radius; that certifies the property only when
-    ``alpha < rho / sigma_max``, which the report records.
+    With ``alpha`` in (0, 1) the state map of the result is a certain
+    contraction. A zero feedback matrix is returned unchanged.
     """
     if not 0.0 < alpha < 1.0:
         raise ContractViolationError(f"alpha must lie in (0, 1), got {alpha}")
-    if mode not in (MODE_CONTRACTION, MODE_SPECTRAL):
-        raise ContractViolationError(f"unknown scale mode {mode!r}")
     sigma = max_singular_value(model.feedback)
-    if mode == MODE_CONTRACTION:
-        if sigma == 0.0:
-            warnings.warn("feedback matrix is zero; contraction scaling is a no-op")
-            return ScaleReport(model, sigma_max=0.0, rho=None, certified=True)
-        scaled = model.with_feedback(model.feedback * (alpha / sigma))
-        return ScaleReport(scaled, sigma_max=sigma, rho=None, certified=True)
-    rho = spectral_radius(
-        model.feedback,
-        structure_tag=model.structure_tag,
-        initial_block_size=model.initial_block_size,
-        estimator=EIGEN,
-    )
-    if rho == 0.0:
-        warnings.warn("spectral radius is zero; spectral scaling is a no-op")
-        return ScaleReport(model, sigma_max=sigma, rho=0.0, certified=sigma < 1.0)
-    scaled = model.with_feedback(model.feedback * (alpha / rho))
-    return ScaleReport(scaled, sigma_max=sigma, rho=rho, certified=alpha < rho / sigma)
+    if sigma == 0.0:
+        warnings.warn("feedback matrix is zero; contraction scaling is a no-op")
+        return model
+    return model.with_feedback(model.feedback * (alpha / sigma))
 
 
 @dataclass(frozen=True)

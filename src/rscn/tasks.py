@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -414,6 +414,24 @@ def slice_sequence(
 GENERATOR_TASKS = ("mg", "mg1", "mg2", "plant")
 
 
+def check_fields(cls, names, source: str) -> None:
+    """Refuse ``names`` that are not fields of ``cls`` with a SchemaError."""
+    unknown = sorted(set(names) - {f.name for f in fields(cls)})
+    if unknown:
+        raise SchemaError(
+            f"{source} has keys {cls.__name__} does not know: {', '.join(unknown)}"
+        )
+
+
+def from_params(cls, params: dict, source: str):
+    """``cls(**params)``, refusing unknown keys and values of the wrong type."""
+    check_fields(cls, params, source)
+    try:
+        return cls(**params)
+    except TypeError as err:
+        raise SchemaError(f"{source}: {err}") from None
+
+
 def task_from_manifest(manifest: dict) -> TaskData:
     """Materialise the task a manifest describes.
 
@@ -425,11 +443,13 @@ def task_from_manifest(manifest: dict) -> TaskData:
     kind = manifest.get("task")
     seed = int(manifest.get("seed", 0))
     if kind in ("mg", "mg1", "mg2"):
-        params = MGParams(**manifest.get("mg_params", {}))
+        params = from_params(MGParams, manifest.get("mg_params", {}), "mg_params")
         series = mackey_glass(params, substream(seed, "task"))
         return mg_task(series, kind)
     if kind == "plant":
-        params = PlantParams(**manifest.get("plant_params", {}))
+        params = from_params(
+            PlantParams, manifest.get("plant_params", {}), "plant_params"
+        )
         return plant_task(params, substream(seed, "task"))
     if kind == "csv":
         spec = manifest.get("csv")

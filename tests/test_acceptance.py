@@ -11,7 +11,7 @@ import pytest
 
 from rscn.baselines import BaselineConfig
 from rscn.build import BuildConfig, build_rscn, configure_node, init_network
-from rscn.cli import ESN_SIZES, RSCN_ALPHA, RSCN_N_MAX
+from rscn.cli import ESN_SIZES, RSCN_N_MAX
 from rscn.evaluate import nrmse, run_trials
 from rscn.model import run_reservoir
 from rscn.online import (
@@ -22,7 +22,7 @@ from rscn.online import (
     project_step_deadzone,
     project_step_decreasing,
 )
-from rscn.spectral import MODE_CONTRACTION, esp_check, scale_feedback
+from rscn.spectral import esp_check, scale_feedback
 from rscn.tasks import (
     DEBUTANIZER_REDUCED_FEATURES,
     POWER_LOAD_FEATURES,
@@ -39,10 +39,7 @@ def report(number: int, ok: bool, detail: str) -> None:
 
 
 def rscn_cfg(task: str) -> BuildConfig:
-    return BuildConfig(
-        n_max=RSCN_N_MAX[task],
-        esp_alpha=RSCN_ALPHA[task],
-    )
+    return BuildConfig(n_max=RSCN_N_MAX[task])
 
 
 def esn_cfg(task: str) -> BaselineConfig:
@@ -176,7 +173,7 @@ class TestCriterion6EspContraction:
             data = task_from_manifest({"task": task, "seed": seed})
             cfg = BuildConfig(n_max=60, seed=seed)
             model, _ = build_rscn(data.train, data.val, cfg)
-            scaled = scale_feedback(model, 0.99, MODE_CONTRACTION).model
+            scaled = scale_feedback(model, 0.99)
             rep = esp_check(
                 scaled, n_pairs=100, n_steps=500, tol=1e-8,
                 rng=np.random.default_rng(seed),

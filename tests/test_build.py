@@ -443,3 +443,39 @@ class TestOldStatePreservation:
         general = replace(state.model, feedback=w_r, structure_tag="general")
         seq = run_reservoir(general, state.train.inputs)
         assert not np.array_equal(seq.states[:n], before)
+
+
+class TestStoredSequences:
+    """The sequences and norms a build keeps agree with the model it returns."""
+
+    def test_final_norms_match_returned_model(self):
+        task, val = toy_task(160), toy_task(160, seed=1)
+        cfg = small_cfg(n_max=12, n_step=11)
+        model, hist = build_rscn(task, val, cfg)
+        assert not hist.early_stopped and model.n_nodes == hist.sizes[-1]
+        for seq, norm in ((task, hist.train_norms[-1]), (val, hist.val_norms[-1])):
+            ext = run_reservoir(model, seq.inputs).extended[:, seq.washout:]
+            resid = seq.targets[:, seq.washout:] - model.readout @ ext
+            assert np.linalg.norm(resid) == pytest.approx(norm, rel=1e-10)
+
+    def test_grown_sequences_match_a_full_rerun(self):
+        from rscn.build import _accept_node
+
+        task, val = toy_task(120), toy_task(120, seed=1)
+        cfg = small_cfg()
+        state = init_network(task, val, cfg, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        for _ in range(4):
+            for lam in cfg.lambda_sequence:
+                pool = configure_node(
+                    state, task.inputs, lam, cfg.r_sequence, cfg.g_max, rng
+                )
+                if pool.best is not None:
+                    break
+            assert pool.best is not None
+            _accept_node(state, pool.best)
+        assert state.model.n_nodes == cfg.n_init + 4
+        for stored, seq in ((state.train_seq, task), (state.val_seq, val)):
+            want = run_reservoir(state.model, seq.inputs)
+            np.testing.assert_allclose(stored.states, want.states, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(stored.extended, want.extended, rtol=0, atol=1e-12)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rscn.cli import cmd_dispatch
-from rscn.model import load_model
+from rscn.model import ReservoirModel, load_model, model_to_dict
 from rscn.tasks import load_manifest
 
 
@@ -187,6 +187,15 @@ class TestErrorPaths:
         assert "esp_mode" in err and "washout" in err
         assert not any(f.endswith(".model.json") for f in os.listdir(tmp_path))
 
+    def test_wrongly_typed_model_params_value_is_a_schema_error(self, tmp_path,
+                                                                fast_manifest, capsys):
+        doc = load_manifest(fast_manifest)
+        doc["model_params"]["n_step"] = "three"
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(doc))
+        assert run("train", "--manifest", str(path), "--out", str(tmp_path)) == 3
+        assert "kind=SchemaError" in capsys.readouterr().err
+
     def test_unknown_grid_name_is_a_schema_error(self, tmp_path, fast_manifest, capsys):
         assert run("train", "--manifest", fast_manifest, "--grid", "washout=1,2",
                    "--out", str(tmp_path)) == 3
@@ -194,6 +203,40 @@ class TestErrorPaths:
         assert "kind=SchemaError" in err
         assert "washout" in err
         assert not any(f.endswith(".model.json") for f in os.listdir(tmp_path))
+
+    def test_csv_task_without_csv_section_is_a_schema_error(self, tmp_path,
+                                                             fast_manifest, capsys):
+        doc = load_manifest(fast_manifest)
+        del doc["task"]["csv"]
+        path = tmp_path / "nocsv.json"
+        path.write_text(json.dumps(doc))
+        assert run("train", "--manifest", str(path), "--out", str(tmp_path)) == 3
+        assert "kind=SchemaError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("task,section", [("mg", "mg_params"),
+                                              ("plant", "plant_params")])
+    def test_unknown_generator_params_key_is_a_schema_error(self, tmp_path, capsys,
+                                                            task, section):
+        path = tmp_path / "gen.json"
+        path.write_text(json.dumps({"task": {"task": task, section: {"bogus": 1}}}))
+        assert run("gen", "--manifest", str(path), "--out", str(tmp_path)) == 3
+        err = capsys.readouterr().err
+        assert "kind=SchemaError" in err and "bogus" in err
+
+    @pytest.mark.parametrize("command", ["eval", "esp-check"])
+    def test_model_document_missing_a_key_is_a_schema_error(self, tmp_path, capsys,
+                                                            command):
+        model = ReservoirModel(
+            input_weights=np.ones((2, 1)), feedback=np.zeros((2, 2)),
+            biases=np.zeros(2), readout=np.zeros((1, 3)),
+        )
+        doc = model_to_dict(model)
+        del doc["input_weights"]
+        path = tmp_path / "broken.model.json"
+        path.write_text(json.dumps(doc))
+        assert run(command, "--model-file", str(path), "--task", "mg") == 3
+        err = capsys.readouterr().err
+        assert "kind=SchemaError" in err and "input_weights" in err
 
     def test_help_exits_zero(self):
         assert run("--help") == 0

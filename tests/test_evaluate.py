@@ -8,7 +8,6 @@ from rscn.build import BuildConfig
 from rscn.errors import ContractViolationError, MetricUndefinedError
 from rscn.evaluate import (
     MeanStd,
-    RunningMeanStd,
     emit_report,
     grid_search,
     nrmse,
@@ -78,15 +77,6 @@ class TestNrmse:
 
 
 class TestAggregation:
-    @settings(max_examples=50, deadline=None)
-    @given(st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=40))
-    def test_streaming_matches_two_pass_oracle(self, values):
-        agg = RunningMeanStd()
-        for v in values:
-            agg.push(v)
-        assert agg.mean == pytest.approx(np.mean(values), abs=1e-9)
-        assert agg.std == pytest.approx(np.std(values), abs=1e-9)
-
     def test_single_value_has_zero_std(self):
         m = MeanStd.of([3.5])
         assert m.mean == 3.5 and m.std == 0.0

@@ -7,8 +7,6 @@ from hypothesis.extra.numpy import arrays
 from rscn.model import BLOCK_LOWER_TRIANGULAR, GENERAL, ReservoirModel, run_reservoir
 from rscn.spectral import (
     EIGEN,
-    MODE_CONTRACTION,
-    MODE_SPECTRAL,
     SIGMA_MAX,
     esp_check,
     max_singular_value,
@@ -123,34 +121,19 @@ def tiny_model(w_r, structure_tag=GENERAL, n0=0):
 class TestScaleFeedback:
     def test_contraction_sets_sigma_to_alpha(self):
         w = np.array([[2.0, 0.0], [0.0, 1.0]])  # sigma_max = 2
-        report = scale_feedback(tiny_model(w), 0.5, MODE_CONTRACTION)
-        assert max_singular_value(report.model.feedback) == pytest.approx(0.5, rel=1e-9)
-        assert report.certified
+        scaled = scale_feedback(tiny_model(w), 0.5)
+        assert max_singular_value(scaled.feedback) == pytest.approx(0.5, rel=1e-9)
 
     def test_contraction_holds_for_near_tied_singular_values(self):
         w = np.diag([2.0, 1.9999])
-        report = scale_feedback(tiny_model(w), 0.5, MODE_CONTRACTION)
-        assert report.certified
-        assert np.linalg.norm(report.model.feedback, 2) <= 0.5 * (1 + 1e-12)
-
-    def test_spectral_sets_rho_to_alpha(self):
-        rng = np.random.default_rng(4)
-        w = rng.normal(size=(4, 4))
-        report = scale_feedback(tiny_model(w), 0.4, MODE_SPECTRAL)
-        got = spectral_radius(report.model.feedback, estimator=EIGEN)
-        assert got == pytest.approx(0.4, rel=1e-7)
-
-    def test_spectral_certification_on_normal_matrix(self):
-        # diagonal matrix: rho == sigma_max, so any alpha < 1 certifies
-        report = scale_feedback(tiny_model(np.diag([0.5, -0.8])), 0.79, MODE_SPECTRAL)
-        assert report.certified
-        assert report.rho == pytest.approx(0.8, abs=1e-12)
+        scaled = scale_feedback(tiny_model(w), 0.5)
+        assert np.linalg.norm(scaled.feedback, 2) <= 0.5 * (1 + 1e-12)
 
     def test_zero_matrix_is_noop_with_warning(self):
         m = tiny_model(np.zeros((2, 2)))
         with pytest.warns(UserWarning):
-            report = scale_feedback(m, 0.5, MODE_CONTRACTION)
-        assert np.array_equal(report.model.feedback, m.feedback)
+            scaled = scale_feedback(m, 0.5)
+        assert np.array_equal(scaled.feedback, m.feedback)
 
 
 class TestEspContraction:
@@ -159,7 +142,7 @@ class TestEspContraction:
         n = 10
         w = rng.normal(size=(n, n))
         model = tiny_model(w)
-        model = scale_feedback(model, 0.9, MODE_CONTRACTION).model
+        model = scale_feedback(model, 0.9)
         report = esp_check(model, n_pairs=20, n_steps=500, tol=1e-8,
                            rng=np.random.default_rng(0))
         assert report.converged
@@ -168,8 +151,7 @@ class TestEspContraction:
     def test_gap_bounded_by_geometric_envelope(self):
         rng = np.random.default_rng(15)
         n = 6
-        model = scale_feedback(tiny_model(rng.normal(size=(n, n))), 0.8,
-                               MODE_CONTRACTION).model
+        model = scale_feedback(tiny_model(rng.normal(size=(n, n))), 0.8)
         u = rng.uniform(-1, 1, (1, 200))
         x1 = rng.uniform(-1, 1, n)
         x2 = rng.uniform(-1, 1, n)
