@@ -32,6 +32,7 @@ from .evaluate import (
     emit_report,
     evaluate_model,
     grid_search,
+    nrmse,
     run_trials,
     spec_name,
     train_model,
@@ -113,22 +114,15 @@ def _task_name(task_manifest: dict) -> str:
 def _model_spec(kind: str, task_name: str, manifest: dict, alpha: float | None):
     """Model config for one of rscn|esn|scr with per-task defaults."""
     params = dict(manifest.get("model_params", {}))
+    if alpha is not None:
+        params["esp_alpha"] = alpha
     if kind == "rscn":
         params.setdefault("n_max", RSCN_N_MAX.get(task_name, 100))
-        if alpha is not None:
-            params["esp_alpha"] = alpha
         return from_params(BuildConfig, params, "model_params")
-    if kind == "esn":
-        params.setdefault("n_nodes", ESN_SIZES.get(task_name, 100))
-        params.setdefault("topology", "esn_random")
-        if alpha is not None:
-            params["esp_alpha"] = alpha
-        return from_params(BaselineConfig, params, "model_params")
-    if kind == "scr":
-        params.setdefault("n_nodes", SCR_SIZES.get(task_name, 100))
-        params.setdefault("topology", "scr_ring")
-        if alpha is not None:
-            params["esp_alpha"] = alpha
+    if kind in ("esn", "scr"):
+        sizes, topology = (ESN_SIZES, "esn_random") if kind == "esn" else (SCR_SIZES, "scr_ring")
+        params.setdefault("n_nodes", sizes.get(task_name, 100))
+        params.setdefault("topology", topology)
         return from_params(BaselineConfig, params, "model_params")
     raise SchemaError(f"unknown model kind {kind!r}")
 
@@ -167,14 +161,14 @@ def _ensure_out(args) -> str:
     return out
 
 
-def _merged(args, manifest: dict, key: str, default):
-    """Flag > manifest > default."""
+def _merged(args, manifest: dict, key: str, default, kind=None):
+    """Flag > manifest > default, converted by ``kind`` when given."""
     flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in manifest:
-        return manifest[key]
-    return default
+    value = flag if flag is not None else manifest.get(key, default)
+    try:
+        return value if kind is None else kind(value)
+    except (TypeError, ValueError):
+        raise SchemaError(f"{key!r} must be {kind.__name__}, got {value!r}") from None
 
 
 def _load_run_manifest(args) -> dict:
@@ -197,7 +191,7 @@ def _effective_task(args, run_manifest: dict, seed: int) -> dict:
 
 def cmd_gen(args) -> int:
     run_manifest = _load_run_manifest(args)
-    seed = int(_merged(args, run_manifest, "seed", 0))
+    seed = _merged(args, run_manifest, "seed", 0, int)
     task_arg = args.positional_task or _merged(args, run_manifest, "task", None)
     if task_arg is None:
         raise SchemaError("gen needs a task")
@@ -221,7 +215,7 @@ def cmd_gen(args) -> int:
 
 def cmd_train(args) -> int:
     run_manifest = _load_run_manifest(args)
-    seed = int(_merged(args, run_manifest, "seed", 0))
+    seed = _merged(args, run_manifest, "seed", 0, int)
     task_manifest = _effective_task(args, run_manifest, seed)
     task_name = _task_name(task_manifest)
     kind = str(_merged(args, run_manifest, "model", "rscn")).lower()
@@ -254,7 +248,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     run_manifest = _load_run_manifest(args)
-    seed = int(_merged(args, run_manifest, "seed", 0))
+    seed = _merged(args, run_manifest, "seed", 0, int)
     model_file = _merged(args, run_manifest, "model_file", None)
     if model_file is None:
         raise SchemaError("eval needs --model-file")
@@ -271,7 +265,7 @@ def cmd_eval(args) -> int:
 
 def cmd_online(args) -> int:
     run_manifest = _load_run_manifest(args)
-    seed = int(_merged(args, run_manifest, "seed", 0))
+    seed = _merged(args, run_manifest, "seed", 0, int)
     model_file = _merged(args, run_manifest, "model_file", None)
     if model_file is None:
         raise SchemaError("online needs --model-file")
@@ -285,9 +279,9 @@ def cmd_online(args) -> int:
     mode = ONLINE_MODES.get(str(mode_arg), str(mode_arg))
     cfg = OnlineConfig(
         mode=mode,
-        a=float(_merged(args, online_section, "a", 1.0)),
-        c=float(_merged(args, online_section, "c", 1.0)),
-        phi=float(_merged(args, online_section, "phi", 0.0)),
+        a=_merged(args, online_section, "a", 1.0, float),
+        c=_merged(args, online_section, "c", 1.0, float),
+        phi=_merged(args, online_section, "phi", 0.0, float),
     )
     w_ref = None
     ref_file = _merged(args, online_section, "ref_model", None)
@@ -299,17 +293,19 @@ def cmd_online(args) -> int:
     path = os.path.join(out, name)
     atomic_write_text(path, diagnostics_csv(stream, preds, state))
     w = stream.washout
-    from .evaluate import nrmse
-
-    err = nrmse(preds[:, w:], stream.targets[:, w:])
-    print(f"online mode={mode} steps={stream.n_steps} nrmse={err:.6f} -> {path}")
+    targets = stream.targets[:, w:]
+    err = nrmse(preds[:, w:], targets)
+    # a-priori: each step predicted with the weights before its update
+    prior_err = nrmse(targets - state.prior_errors[w:].T, targets)
+    print(f"online mode={mode} steps={stream.n_steps} nrmse={err:.6f} "
+          f"apriori_nrmse={prior_err:.6f} -> {path}")
     return 0
 
 
 def cmd_bench(args) -> int:
     run_manifest = _load_run_manifest(args)
-    seed = int(_merged(args, run_manifest, "seed", 0))
-    trials = int(_merged(args, run_manifest, "trials", 20))
+    seed = _merged(args, run_manifest, "seed", 0, int)
+    trials = _merged(args, run_manifest, "trials", 20, int)
     tasks = args.task_list or run_manifest.get("tasks") or list(GENERATOR_TASKS)
     models = args.model_list or run_manifest.get("models") or ["esn", "scr", "rscn"]
     out = _ensure_out(args)
@@ -340,7 +336,7 @@ def cmd_bench(args) -> int:
 
 def cmd_esp_check(args) -> int:
     run_manifest = _load_run_manifest(args)
-    seed = int(_merged(args, run_manifest, "seed", 0))
+    seed = _merged(args, run_manifest, "seed", 0, int)
     model_file = _merged(args, run_manifest, "model_file", None)
     if model_file is None:
         raise SchemaError("esp-check needs --model-file")

@@ -162,6 +162,24 @@ class StateSequence:
         return self.states.shape[1]
 
 
+def input_drive(model: ReservoirModel, inputs: np.ndarray) -> np.ndarray:
+    """Validated input drive ``W_in u(t) + b``, one ``(N,)`` row per step."""
+    inputs = np.asarray(inputs, dtype=float)
+    if inputs.ndim != 2 or inputs.shape[0] != model.n_inputs:
+        raise ContractViolationError(f"inputs shape {inputs.shape}, expected ({model.n_inputs}, n)")
+    if not np.all(np.isfinite(inputs)):
+        raise ContractViolationError("inputs contain non-finite values")
+    drive = model.input_weights @ inputs + model.biases[:, None]
+    return np.ascontiguousarray(drive.T)
+
+
+def check_finite_steps(rows: np.ndarray) -> None:
+    """Raise ``NumericOverflowError`` naming the first step (row) that is not finite."""
+    finite = np.isfinite(rows).reshape(len(rows), -1).all(axis=1)
+    if not finite.all():
+        raise NumericOverflowError(f"non-finite reservoir state at step {np.argmin(finite) + 1}")
+
+
 def run_reservoir(
     model: ReservoirModel,
     inputs: np.ndarray,
@@ -171,39 +189,24 @@ def run_reservoir(
 
     Column ``t`` of the result is
     ``act(W_in u(t) + W_r x(t-1) + b)`` with ``x(0) = initial_state``
-    (zeros by default). Deterministic: identical arguments give a
+    (zeros by default), computed in place into row ``t`` of an ``(n, N)``
+    buffer and returned C-contiguous. Finiteness is checked once, after
+    the last step. Deterministic: identical arguments give a
     bit-identical sequence.
     """
+    drive = input_drive(model, inputs)
     inputs = np.asarray(inputs, dtype=float)
-    if inputs.ndim != 2 or inputs.shape[0] != model.n_inputs:
-        raise ContractViolationError(
-            f"inputs shape {inputs.shape}, expected ({model.n_inputs}, n)"
-        )
-    if not np.all(np.isfinite(inputs)):
-        raise ContractViolationError("inputs contain non-finite values")
     n = model.n_nodes
-    if initial_state is None:
-        x = np.zeros(n)
-    else:
-        x = np.asarray(initial_state, dtype=float)
-        if x.shape != (n,):
-            raise ContractViolationError(
-                f"initial_state shape {x.shape}, expected ({n},)"
-            )
-    act = activation_fn(model.activation)
-    n_steps = inputs.shape[1]
-    drive = model.input_weights @ inputs + model.biases[:, None]
-    states = np.empty((n, n_steps))
-    w_r = model.feedback
-    for t in range(n_steps):
-        x = act(drive[:, t] + w_r @ x)
-        if not np.all(np.isfinite(x)):
-            raise NumericOverflowError(
-                f"non-finite reservoir state at step {t + 1}"
-            )
-        states[:, t] = x
-    extended = np.vstack([states, inputs])
-    return StateSequence(states=states, extended=extended)
+    x = np.zeros(n) if initial_state is None else np.asarray(initial_state, dtype=float)
+    if x.shape != (n,):
+        raise ContractViolationError(f"initial_state shape {x.shape}, expected ({n},)")
+    act, w_r, rows = activation_fn(model.activation), model.feedback, np.empty_like(drive)
+    for drive_t, row in zip(drive, rows):
+        np.add(drive_t, w_r @ x, out=row)
+        x = act(row, out=row)
+    check_finite_steps(rows)
+    states = np.ascontiguousarray(rows.T)
+    return StateSequence(states=states, extended=np.vstack([states, inputs]))
 
 
 def readout(

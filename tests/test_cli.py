@@ -109,7 +109,7 @@ class TestTrainEvalOnline:
         line = capsys.readouterr().out.strip().splitlines()[-1]
         assert "split=test" in line and "nrmse=" in line
 
-    def test_online_writes_diagnostics(self, tmp_path, fast_manifest):
+    def test_online_writes_diagnostics(self, tmp_path, fast_manifest, capsys):
         out = tmp_path / "m"
         run("train", "--manifest", fast_manifest, "--out", str(out))
         model_file = next(str(out / f) for f in os.listdir(out) if f.endswith("model.json"))
@@ -120,6 +120,9 @@ class TestTrainEvalOnline:
         assert len(diag) == 1
         header = (out / diag[0]).read_text().splitlines()[0]
         assert header.startswith("n,target_1,prediction_1,prior_err_norm")
+        # each update shrinks its own step's error, so a posteriori <= a priori
+        fields = dict(f.split("=", 1) for f in capsys.readouterr().out.split() if "=" in f)
+        assert 0.0 <= float(fields["nrmse"]) <= float(fields["apriori_nrmse"])
 
     def test_flag_overrides_manifest_seed(self, tmp_path, fast_manifest):
         out1, out2 = tmp_path / "s1", tmp_path / "s2"
@@ -237,6 +240,31 @@ class TestErrorPaths:
         assert run(command, "--model-file", str(path), "--task", "mg") == 3
         err = capsys.readouterr().err
         assert "kind=SchemaError" in err and "input_weights" in err
+
+    @pytest.mark.parametrize("command,section,key", [
+        ("eval", None, "seed"),
+        ("bench", None, "trials"),
+        ("online", "online", "a"),
+        ("online", "online", "c"),
+        ("online", "online", "phi"),
+    ])
+    def test_wrongly_typed_run_manifest_scalar_is_a_schema_error(self, tmp_path, capsys,
+                                                                  command, section, key):
+        model_file = tmp_path / "tiny.model.json"
+        model_file.write_text(json.dumps(model_to_dict(ReservoirModel(
+            input_weights=np.ones((2, 1)), feedback=np.zeros((2, 2)),
+            biases=np.zeros(2), readout=np.zeros((1, 3)),
+        ))))
+        doc = {"task": "mg", "model_file": str(model_file), "tasks": ["mg"]}
+        if section is None:
+            doc[key] = "abc"
+        else:
+            doc[section] = {key: "abc"}
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(doc))
+        assert run(command, "--manifest", str(path), "--out", str(tmp_path)) == 3
+        err = capsys.readouterr().err
+        assert "kind=SchemaError" in err and repr(key) in err
 
     def test_help_exits_zero(self):
         assert run("--help") == 0

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rscn.errors import ContractViolationError
+from rscn.errors import ContractViolationError, NumericOverflowError
 from rscn.model import (
     BLOCK_LOWER_TRIANGULAR,
     ReservoirModel,
@@ -90,6 +90,22 @@ class TestRunReservoir:
         model = make_model([[1.0]], [[0.0]], [0.0], [[0.0, 0.0]])
         with pytest.raises(ContractViolationError):
             run_reservoir(model, np.array([[np.nan]]))
+
+    def test_overflow_names_the_first_non_finite_step(self):
+        # step 1: tanh(inf + 0) = 1 in both nodes; step 2 feeds node 0
+        # inf + (-1e308 - 1e308) = inf + (-inf), which is NaN
+        model = make_model([[1e308], [1e308]], [[-1e308, -1e308], [0.0, 0.0]],
+                           [0.0, 0.0], np.zeros((1, 3)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericOverflowError, match=r"at step 2$"):
+                run_reservoir(model, np.full((1, 4), 2.0))
+
+    def test_states_are_c_contiguous(self):
+        rng = np.random.default_rng(3)
+        model = make_model(rng.normal(size=(4, 2)), 0.3 * rng.normal(size=(4, 4)),
+                           rng.normal(size=4), np.zeros((1, 6)))
+        seq = run_reservoir(model, rng.uniform(-1, 1, (2, 9)))
+        assert seq.states.shape == (4, 9) and seq.states.flags["C_CONTIGUOUS"]
 
 
 class TestReadout:

@@ -273,3 +273,102 @@ class TestOnlineRun:
             OnlineConfig(mode="basic", a=0.0)
         with pytest.raises(ContractViolationError):
             OnlineConfig(mode="basic", c=0.0)
+
+
+def legacy_diagnostics_csv(stream, preds, state):
+    """The row-by-row formatter the column export replaced, kept as an oracle."""
+    ell = stream.n_outputs
+    header = ["n"]
+    header += [f"target_{q + 1}" for q in range(ell)]
+    header += [f"prediction_{q + 1}" for q in range(ell)]
+    header += ["prior_err_norm", "posterior_err_norm", "eta", "weight_gap"]
+    lines = [",".join(header)]
+    for t, d in enumerate(state.diagnostics):
+        cells = [str(t + 1)]
+        cells += [repr(float(v)) for v in stream.targets[:, t]]
+        cells += [repr(float(v)) for v in preds[:, t]]
+        cells.append(repr(float(np.linalg.norm(d.prior_error))))
+        cells.append(repr(float(np.linalg.norm(d.posterior_error))))
+        cells.append(repr(float(d.eta)))
+        cells.append("" if d.weight_gap is None else repr(float(d.weight_gap)))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+PHI = np.linspace(0.0, 1.0, 80)  # per-step bound: the gate opens early, rarely later
+RULES = [  # online_run's config, and the step function it must equal at step t + 1
+    (OnlineConfig(mode="basic", a=0.7, c=0.5), lambda s, g, y, t: project_step(s, g, y, 0.7, 0.5)),
+    (OnlineConfig(mode="decreasing_gain"), lambda s, g, y, t: project_step_decreasing(s, g, y)),
+    (OnlineConfig(mode="dead_zone", phi=PHI),
+     lambda s, g, y, t: project_step_deadzone(s, g, y, PHI[t])),
+]
+
+
+class TestOnlineColumns:
+    def stream(self, ell, seed=11, n=80):
+        model = small_model(seed=seed, ell=ell)
+        rng = np.random.default_rng(seed)
+        u = rng.uniform(-1, 1, (2, n))
+        return model, SupervisedSequence(u, rng.normal(size=(ell, n)), washout=5)
+
+    @pytest.mark.parametrize("rule", range(len(RULES)))
+    @pytest.mark.parametrize("ell", [1, 2])
+    @pytest.mark.parametrize("with_ref", [False, True])
+    def test_online_run_equals_a_loop_of_step_functions(self, rule, ell, with_ref):
+        from rscn.model import run_reservoir
+
+        cfg, step = RULES[rule]
+        model, stream = self.stream(ell)
+        w_ref = 0.5 * model.readout if with_ref else None
+        preds, state = online_run(model, stream, cfg, w_ref=w_ref)
+
+        features = np.ascontiguousarray(run_reservoir(model, stream.inputs).extended.T)
+        manual = OnlineState(readout=model.readout.copy(), w_ref=w_ref)
+        manual_preds = [model.readout @ features[0]]
+        for t in range(1, stream.n_steps):
+            step(manual, features[t], stream.targets[:, t], t)
+            manual_preds.append(manual.readout @ features[t])
+        first = stream.targets[:, 0] - manual_preds[0]
+
+        assert np.array_equal(state.readout, manual.readout)
+        assert state.accumulated_gain == manual.accumulated_gain
+        assert np.array_equal(preds, np.column_stack(manual_preds))
+        assert np.array_equal(state.prior_errors[0], first)
+        assert np.array_equal(state.posterior_errors[0], first)
+        assert np.array_equal(state.prior_errors[1:], manual.prior_errors)
+        assert np.array_equal(state.posterior_errors[1:], manual.posterior_errors)
+        assert np.array_equal(state.etas, np.r_[0.0, manual.etas])
+        gaps = state.weight_gap_series()
+        assert np.array_equal(gaps[1:], manual.weight_gap_series(), equal_nan=True)
+        if with_ref:
+            assert gaps[0] == np.linalg.norm(model.readout - w_ref)
+        else:
+            assert np.all(np.isnan(gaps))
+        assert len(state.diagnostics) == stream.n_steps == state.step
+
+    @pytest.mark.parametrize("ell", [1, 2])
+    @pytest.mark.parametrize("with_ref", [False, True])
+    def test_csv_equals_the_row_formatter(self, ell, with_ref):
+        model, stream = self.stream(ell, seed=12)
+        w_ref = 0.5 * model.readout if with_ref else None
+        for cfg, _ in RULES:
+            preds, state = online_run(model, stream, cfg, w_ref=w_ref)
+            assert diagnostics_csv(stream, preds, state) == legacy_diagnostics_csv(
+                stream, preds, state)
+
+    def test_diagnostics_is_a_read_only_sequence_of_records(self):
+        state = make_state([[0.0, 0.0]], w_ref=np.array([[1.0, 1.0]]))
+        for k in range(40):  # past the first growth of the columns
+            project_step(state, np.array([1.0, float(k)]), np.array([1.0]), 1.0, 1.0)
+        diags = state.diagnostics
+        assert len(diags) == 40
+        assert [d.step for d in diags] == list(range(1, 41))
+        assert diags[-1].step == diags[39].step == 40
+        assert [d.step for d in diags[38:]] == [39, 40]
+        # first step: g = (1, 0) moves W from 0 to (0.5, 0)
+        assert diags[0].posterior_error[0] == 0.5
+        assert diags[0].weight_gap == np.linalg.norm([[-0.5, -1.0]])
+        with pytest.raises(IndexError):
+            diags[40]
+        with pytest.raises(TypeError):
+            diags[0] = None

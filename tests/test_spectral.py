@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from rscn.errors import ContractViolationError, NumericOverflowError
 from rscn.model import BLOCK_LOWER_TRIANGULAR, GENERAL, ReservoirModel, run_reservoir
 from rscn.spectral import (
     EIGEN,
@@ -161,3 +162,93 @@ class TestEspContraction:
         g0 = np.linalg.norm(x1 - x2)
         envelope = 0.8 ** np.arange(1, 201) * g0
         assert np.all(gaps <= envelope + 1e-12)
+
+
+def per_pair_esp_check(model, inputs=None, n_pairs=100, n_steps=500, tol=1e-8, rng=None):
+    """Oracle: the pair-by-pair loop over ``run_reservoir`` that the batched
+    recursion replaced."""
+    rng = rng if rng is not None else np.random.default_rng(0)
+    if inputs is None:
+        inputs = rng.uniform(-1.0, 1.0, size=(model.n_inputs, n_steps))
+    else:
+        inputs = np.asarray(inputs, dtype=float)[:, :n_steps]
+    n = model.n_nodes
+    worst_step, worst_final, all_converged = 0, 0.0, True
+    for _ in range(n_pairs):
+        x1 = rng.uniform(-1.0, 1.0, size=n)
+        x2 = rng.uniform(-1.0, 1.0, size=n)
+        delta = x2 - x1
+        gap0 = np.linalg.norm(delta)
+        if gap0 > 2.0:
+            x2 = x1 + delta * (2.0 / gap0)
+        s1 = run_reservoir(model, inputs, x1)
+        s2 = run_reservoir(model, inputs, x2)
+        gaps = np.linalg.norm(s1.states - s2.states, axis=0)
+        below = np.nonzero(gaps < tol)[0]
+        if below.size == 0:
+            all_converged = False
+        else:
+            worst_step = max(worst_step, int(below[0]) + 1)
+        worst_final = max(worst_final, float(gaps[-1]))
+    return all_converged, worst_final, worst_step if all_converged else None
+
+
+def random_model(seed, n, k=2, gain=0.9, activation="tanh"):
+    rng = np.random.default_rng(seed)
+    w = rng.normal(size=(n, n))
+    return ReservoirModel(
+        input_weights=rng.uniform(-1, 1, (n, k)),
+        feedback=w * (gain / np.linalg.norm(w, 2)),
+        biases=rng.uniform(-0.5, 0.5, n),
+        readout=np.zeros((1, n + k)),
+        activation=activation,
+    )
+
+
+class TestEspCheckBatched:
+    CASES = [
+        (random_model(0, 5), {}),
+        (random_model(1, 12, gain=0.99), {"n_steps": 80}),
+        (random_model(2, 8, activation="sigmoid"), {"n_pairs": 9, "n_steps": 120}),
+        (random_model(3, 6, k=1), {"n_pairs": 3, "tol": 1e-3, "n_steps": 7}),
+        # bistable: tanh(3x) has fixed points near +-1, so pairs that start
+        # on opposite signs in some node never meet
+        (ReservoirModel(input_weights=np.full((2, 1), 0.05), feedback=3.0 * np.eye(2),
+                        biases=np.zeros(2), readout=np.zeros((1, 3))), {"n_pairs": 6}),
+    ]
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    @pytest.mark.parametrize("given_inputs", [False, True])
+    def test_matches_the_per_pair_loop(self, case, given_inputs):
+        model, kwargs = self.CASES[case]
+        inputs = (np.random.default_rng(case).uniform(-1, 1, (model.n_inputs, 600))
+                  if given_inputs else None)
+        rng_a, rng_b = np.random.default_rng(case), np.random.default_rng(case)
+        report = esp_check(model, inputs=inputs, rng=rng_a, **kwargs)
+        converged, final, steps = per_pair_esp_check(model, inputs=inputs, rng=rng_b, **kwargs)
+        assert report.converged == converged
+        assert report.steps_to_tol == steps
+        assert report.max_final_gap == pytest.approx(final, abs=1e-12)
+        assert rng_a.random() == rng_b.random()
+
+    def test_non_contracting_model_does_not_converge(self):
+        model, kwargs = self.CASES[-1]
+        report = esp_check(model, rng=np.random.default_rng(4), **kwargs)
+        assert not report.converged and report.steps_to_tol is None
+        assert report.max_final_gap > 1.0
+
+    @pytest.mark.parametrize("kwargs", [{"n_pairs": 0}, {"n_steps": 0},
+                                        {"inputs": np.zeros((2, 0))}])
+    def test_empty_runs_rejected(self, kwargs):
+        with pytest.raises(ContractViolationError):
+            esp_check(random_model(0, 4), **kwargs)
+
+    def test_overflow_is_a_numeric_error(self):
+        model = ReservoirModel(
+            input_weights=np.full((2, 1), 1e308),
+            feedback=np.array([[-1e308, -1e308], [0.0, 0.0]]),
+            biases=np.zeros(2), readout=np.zeros((1, 3)),
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericOverflowError):
+                esp_check(model, inputs=np.full((1, 4), 2.0), n_pairs=2)
