@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -22,6 +21,7 @@ import numpy as np
 from .errors import ContractViolationError
 from .model import (
     BLOCK_LOWER_TRIANGULAR,
+    TANH,
     ReservoirModel,
     StateSequence,
     activation_fn,
@@ -41,11 +41,10 @@ class BuildConfig:
     ``lambda_sequence`` is the ladder of weight scales tried for the
     random draws and ``r_sequence`` the contraction factors of the
     acceptance test. Scales are swept outermost. For one scale, one pool
-    of ``g_max`` candidates is drawn per r, all pools are run through one
-    state recursion, and the first pool (in ladder order) with an
-    acceptable candidate supplies the node; the draws of later pools
-    are taken back, so the random stream is the same as drawing and
-    testing the pools one at a time.
+    of ``g_max`` candidates is drawn per r and the first pool (in ladder
+    order) with an acceptable candidate supplies the node; the draws of
+    later pools are taken back, so the random stream is the same as
+    drawing and testing the pools one at a time.
 
     ``esp_alpha`` fixes the echo-state handling. The initial block is
     contracted to largest singular value ``esp_alpha`` and each appended
@@ -161,17 +160,58 @@ class BuildHistory:
 
 @dataclass
 class BuildState:
-    """Mutable working state of one growth run (single-owner)."""
+    """Mutable working state of one growth run (single-owner).
+
+    Rows ``[:n]`` of the ``n_max``-row buffers are in use and never change
+    once grown. State buffers keep column 0 at zero, so ``[:n, 1:]`` are
+    the states and ``[:n, :-1]`` the states one step earlier. ``q`` (rows),
+    ``r_inv`` and ``qt = Qᵀt`` factorise the post-washout training design
+    (under ridge, with ``√ridge·I`` rows); ``basis`` names each vector's
+    design column (inputs, then nodes) and ``resid`` is the residual.
+    """
 
     cfg: BuildConfig
     train: SupervisedSequence
     val: SupervisedSequence
-    model: ReservoirModel
-    train_seq: StateSequence
-    val_seq: StateSequence
-    residual: np.ndarray
-    snapshots: deque
+    n: int
+    input_weights: np.ndarray
+    feedback: np.ndarray
+    biases: np.ndarray
+    train_states: np.ndarray
+    val_states: np.ndarray
+    q: np.ndarray
+    r_inv: np.ndarray
+    qt: np.ndarray
+    basis: list[int]
+    resid: np.ndarray
     history: BuildHistory
+
+    @property
+    def residual(self) -> np.ndarray:
+        """Post-washout training residual ``(L, T)`` of the current readout."""
+        return self.resid[:, :self.train.n_steps - self.train.washout]
+
+    @property
+    def train_seq(self) -> StateSequence:
+        states = self.train_states[:self.n, 1:]
+        return StateSequence(states, np.vstack([states, self.train.inputs]))
+
+    @property
+    def val_seq(self) -> StateSequence:
+        states = self.val_states[:self.n, 1:]
+        return StateSequence(states, np.vstack([states, self.val.inputs]))
+
+    @property
+    def model(self) -> ReservoirModel:
+        """The current network with the factorisation's readout."""
+        return self.network(self.n, _readout(self))
+
+    def network(self, n: int, readout: np.ndarray) -> ReservoirModel:
+        """The first ``n`` grown nodes with the given readout."""
+        return ReservoirModel(
+            self.input_weights[:n], self.feedback[:n, :n], self.biases[:n], readout,
+            structure_tag=BLOCK_LOWER_TRIANGULAR, initial_block_size=self.cfg.n_init,
+        )
 
 
 def solve_output_weights(
@@ -199,35 +239,6 @@ def solve_output_weights(
     return w.T
 
 
-def score_candidate(
-    residual: np.ndarray, g: np.ndarray, r: float, mu: float
-) -> tuple[float, np.ndarray]:
-    """Supervisory score of one candidate state sequence.
-
-    Per output ``q`` the score is ``<e_q, g>^2 / <g, g>`` minus
-    ``(1 - r - mu) * ||e_q||^2``; the total is their sum. A candidate
-    whose state sequence has zero energy is infeasible and scores -inf.
-    """
-    e = np.atleast_2d(np.asarray(residual, dtype=float))
-    g = np.asarray(g, dtype=float).ravel()
-    if e.shape[1] != g.size:
-        raise ContractViolationError(
-            f"residual covers {e.shape[1]} steps but g covers {g.size}"
-        )
-    gg = float(g @ g)
-    if gg == 0.0:
-        per = np.full(e.shape[0], INFEASIBLE)
-        return INFEASIBLE, per
-    coef = 1.0 - r - mu
-    per = (e @ g) ** 2 / gg - coef * np.einsum("qt,qt->q", e, e)
-    return float(per.sum()), per
-
-
-def _shifted_states(states: np.ndarray) -> np.ndarray:
-    """Matrix whose column ``t`` is the state at ``t - 1``, from a zero start."""
-    return np.column_stack([np.zeros(states.shape[0]), states[:, :-1]])
-
-
 def _node_states(
     prev_states: np.ndarray,
     inputs: np.ndarray,
@@ -247,30 +258,6 @@ def _node_states(
         gp = float(act(drive[t] + self_w * gp))
         g[t] = gp
     return g
-
-
-def candidate_states(
-    state: BuildState, cand: CandidateNode, inputs: np.ndarray
-) -> np.ndarray:
-    """New-node state sequence over the run's training inputs.
-
-    Valid because an appended row leaves the existing rows untouched:
-    the old states are read from the current training sequence rather
-    than recomputed.
-    """
-    inputs = np.asarray(inputs, dtype=float)
-    n = state.model.n_nodes
-    if cand.feedback_row.shape != (n + 1,):
-        raise ContractViolationError(
-            f"feedback_row has length {cand.feedback_row.size}, expected {n + 1}"
-        )
-    if inputs.shape != state.train.inputs.shape:
-        raise ContractViolationError(
-            "inputs must be the training inputs this build state was made from"
-        )
-    prev = _shifted_states(state.train_seq.states)
-    act = activation_fn(state.model.activation)
-    return _node_states(prev, inputs, cand.input_row, cand.feedback_row, cand.bias, act)
 
 
 def _pool_node_states(
@@ -340,82 +327,103 @@ def configure_node(
     One pool of ``g_max`` candidates is drawn per r, pool after pool, in
     a fixed order within each (input rows, then feedback rows, then
     biases); each self-weight is clamped to ``[-esp_alpha, esp_alpha]``.
-    All pools share one state recursion. Pool ``j`` is then scored with
-    its own ``r`` and ``mu = (1 - r) / (n + 1)``: a candidate passes when
-    its worst per-output score is nonnegative, and among passers the
-    largest total score wins, first drawn winning ties. The first pool
-    with a passer supplies the node, and ``rng`` is set back to its
+    Every pool but the last shares one state recursion; the last pool is
+    drawn and recursed only if none of them passes. Pool ``j`` is scored
+    with its own ``r`` and ``mu = (1 - r) / (n + 1)``: a candidate passes
+    when its worst per-output score is nonnegative, and among passers
+    the largest total score wins, first drawn winning ties. The first
+    pool with a passer supplies the node, and ``rng`` is set back to its
     state just after that pool's draws, so the stream continues exactly
     as if the pools had been drawn and tested one at a time. A result
     without a node tells the caller to advance the weight scale.
     """
-    cfg = state.cfg
-    n = state.model.n_nodes
-    k = state.model.n_inputs
+    alpha, n, k = state.cfg.esp_alpha, state.n, state.train.n_inputs
     if g_max <= 0:
         return CandidatePool(None, None, 0, 0)
-    pools, rng_after = [], []
-    for _ in rs:
-        w_in_pool = rng.uniform(-lam, lam, size=(g_max, k))
-        w_r_pool = rng.uniform(-lam, lam, size=(g_max, n + 1))
-        b_pool = rng.uniform(-lam, lam, size=g_max)
-        np.clip(w_r_pool[:, -1], -cfg.esp_alpha, cfg.esp_alpha, out=w_r_pool[:, -1])
-        pools.append((w_in_pool, w_r_pool, b_pool))
-        rng_after.append(rng.bit_generator.state)
-
-    act = activation_fn(state.model.activation)
-    prev = _shifted_states(state.train_seq.states)
-    g_all = _pool_node_states(prev, inputs, pools, act)
-
-    washout = state.train.washout
-    for j, r in enumerate(rs):
-        # score a C-contiguous (g_max, n_steps) copy: the layout fixes the bits
-        g = np.ascontiguousarray(g_all[:, j * g_max:(j + 1) * g_max].T)
-        mu = (1.0 - r) / (n + 1)
-        scores, per = _pool_scores(state.residual, g[:, washout:], r, mu)
-        ok = np.all(per >= 0.0, axis=0)
-        n_accepted = int(ok.sum())
-        if n_accepted == 0:
-            continue
-        rng.bit_generator.state = rng_after[j]
-        ok_idx = np.nonzero(ok)[0]
-        best = ok_idx[int(np.argmax(scores[ok_idx]))]
-        w_in_pool, w_r_pool, b_pool = pools[j]
-        cand = CandidateNode(
-            input_row=w_in_pool[best].copy(),
-            feedback_row=w_r_pool[best].copy(),
-            bias=float(b_pool[best]),
-            state_seq=g[best].copy(),
-            score=float(scores[best]),
-            per_output_scores=per[:, best].copy(),
-        )
-        return CandidatePool(cand, r, n_accepted, (j + 1) * g_max)
+    prev, washout = state.train_states[:n, :-1], state.train.washout
+    last = max(len(rs) - 1, 0)
+    for batch in filter(None, (range(last), range(last, len(rs)))):
+        pools, rng_after = [], []
+        for _ in batch:
+            w_in_pool = rng.uniform(-lam, lam, size=(g_max, k))
+            w_r_pool = rng.uniform(-lam, lam, size=(g_max, n + 1))
+            b_pool = rng.uniform(-lam, lam, size=g_max)
+            np.clip(w_r_pool[:, -1], -alpha, alpha, out=w_r_pool[:, -1])
+            pools.append((w_in_pool, w_r_pool, b_pool))
+            rng_after.append(rng.bit_generator.state)
+        g_all = _pool_node_states(prev, inputs, pools, activation_fn(TANH))
+        for i, j in enumerate(batch):
+            # score a C-contiguous (g_max, n_steps) copy: the layout fixes the bits
+            g = np.ascontiguousarray(g_all[:, i * g_max:(i + 1) * g_max].T)
+            r = rs[j]
+            mu = (1.0 - r) / (n + 1)
+            scores, per = _pool_scores(state.residual, g[:, washout:], r, mu)
+            ok = np.all(per >= 0.0, axis=0)
+            n_accepted = int(ok.sum())
+            if n_accepted == 0:
+                continue
+            rng.bit_generator.state = rng_after[i]
+            ok_idx = np.nonzero(ok)[0]
+            best = ok_idx[int(np.argmax(scores[ok_idx]))]
+            w_in_pool, w_r_pool, b_pool = pools[i]
+            cand = CandidateNode(
+                input_row=w_in_pool[best].copy(),
+                feedback_row=w_r_pool[best].copy(),
+                bias=float(b_pool[best]),
+                state_seq=g[best].copy(),
+                score=float(scores[best]),
+                per_output_scores=per[:, best].copy(),
+            )
+            return CandidatePool(cand, r, n_accepted, (j + 1) * g_max)
     return CandidatePool(None, None, 0, len(rs) * g_max)
 
 
-def _grow_feedback(w_r: np.ndarray, new_row: np.ndarray) -> np.ndarray:
-    n = w_r.shape[0]
-    grown = np.zeros((n + 1, n + 1))
-    grown[:n, :n] = w_r
-    grown[n, :] = new_row
-    return grown
+def _readout(state: BuildState) -> np.ndarray:
+    """Least-squares readout ``(L, n + K)``, states first, from ``R⁻¹Qᵀt``."""
+    p, k = len(state.basis), state.train.n_inputs
+    w = np.zeros((state.train.n_outputs, k + state.n))
+    w[:, state.basis] = (state.r_inv[:p, :p] @ state.qt[:p]).T
+    return np.roll(w, -k, axis=1)
 
 
-def _solve_and_score(state: BuildState) -> tuple[float, float]:
-    """Re-solve the readout and refresh the residual.
-
-    Returns the post-washout training and validation residual norms.
-    """
-    cfg = state.cfg
-    w_t = state.train.washout
-    w_v = state.val.washout
-    x_eff = state.train_seq.extended[:, w_t:]
-    t_eff = state.train.targets[:, w_t:]
-    w_out = solve_output_weights(x_eff, t_eff, cfg.ridge)
-    state.model = state.model.with_readout(w_out)
-    state.residual = t_eff - w_out @ x_eff
-    val_resid = state.val.targets[:, w_v:] - w_out @ state.val_seq.extended[:, w_v:]
+def _norms(state: BuildState) -> tuple[float, float]:
+    """Post-washout training and validation residual norms of the readout."""
+    n, w_v, w = state.n, state.val.washout, _readout(state)
+    val_resid = state.val.targets[:, w_v:] - w[:, :n] @ state.val_states[:n, 1 + w_v:]
+    val_resid -= w[:, n:] @ state.val.inputs[:, w_v:]
     return float(np.linalg.norm(state.residual)), float(np.linalg.norm(val_resid))
+
+
+def _append_column(state: BuildState, column: int, x: np.ndarray) -> None:
+    """Extend the factorisation by design column ``column`` (post-washout ``x``).
+
+    Two passes of classical Gram–Schmidt (Golub & Van Loan, *Matrix
+    Computations*, §5.2) give the new basis vector ``q``, a column of
+    ``R⁻¹`` and a row of ``Qᵀt``; the residual loses its part along
+    ``q``. A column whose part outside the basis is at rounding level (a
+    repeated input channel, say) adds no vector and keeps weight zero.
+    """
+    a = np.zeros(state.q.shape[1])
+    a[:x.size] = x
+    if state.cfg.ridge > 0.0:
+        a[x.size + column] = math.sqrt(state.cfg.ridge)
+    tol = a.size * np.finfo(float).eps * np.linalg.norm(a)
+    p = len(state.basis)
+    q = state.q[:p]
+    c = q @ a
+    a -= c @ q
+    c2 = q @ a
+    a -= c2 @ q
+    rho = float(np.linalg.norm(a))
+    if rho <= tol:
+        return
+    q_new = np.divide(a, rho, out=state.q[p])
+    state.r_inv[:p, p] = state.r_inv[:p, :p] @ (c + c2) / -rho
+    state.r_inv[p, p] = 1.0 / rho
+    e_q = state.resid @ q_new
+    state.resid -= e_q[:, None] * q_new
+    state.qt[p] = e_q
+    state.basis.append(column)
 
 
 def init_network(
@@ -424,7 +432,7 @@ def init_network(
     cfg: BuildConfig,
     rng: np.random.Generator,
 ) -> BuildState:
-    """Random initial reservoir of size ``n_init`` with a solved readout.
+    """Random initial reservoir of size ``n_init`` with a factorised readout.
 
     Input weights and biases are dense uniform on the first weight
     scale's interval; feedback entries are independently nonzero with
@@ -441,42 +449,36 @@ def init_network(
     vals = rng.uniform(-lam0, lam0, size=(n0, n0))
     w_r = np.where(mask, vals, 0.0)
     model = ReservoirModel(
-        input_weights=w_in,
-        feedback=w_r,
-        biases=b,
-        readout=np.zeros((ell, n0 + k)),
-        structure_tag=BLOCK_LOWER_TRIANGULAR,
-        initial_block_size=n0,
+        w_in, w_r, b, np.zeros((ell, n0 + k)),
+        structure_tag=BLOCK_LOWER_TRIANGULAR, initial_block_size=n0,
     )
     with warnings.catch_warnings():
         # an all-zero sparse draw is routine at 3% density; the no-op is fine
         warnings.simplefilter("ignore")
         model = scale_feedback(model, cfg.esp_alpha)
-    train_seq = run_reservoir(model, train.inputs)
-    val_seq = run_reservoir(model, val.inputs)
+    cap, w_t = max(cfg.n_max, n0), train.washout
+    rows = train.n_steps - w_t + (cap + k if cfg.ridge > 0.0 else 0)
     state = BuildState(
-        cfg=cfg,
-        train=train,
-        val=val,
-        model=model,
-        train_seq=train_seq,
-        val_seq=val_seq,
-        residual=np.zeros((ell, train.n_steps - train.washout)),
-        snapshots=deque(maxlen=cfg.n_step + 1),
+        cfg=cfg, train=train, val=val, n=n0,
+        input_weights=np.zeros((cap, k)), feedback=np.zeros((cap, cap)), biases=np.zeros(cap),
+        train_states=np.zeros((cap, train.n_steps + 1)),
+        val_states=np.zeros((cap, val.n_steps + 1)),
+        q=np.zeros((cap + k, rows)), r_inv=np.zeros((cap + k, cap + k)),
+        qt=np.zeros((cap + k, ell)), basis=[], resid=np.zeros((ell, rows)),
         history=BuildHistory(),
     )
-    train_norm, val_norm = _solve_and_score(state)
-    state.snapshots.append(state.model)
+    state.input_weights[:n0] = model.input_weights
+    state.feedback[:n0, :n0] = model.feedback
+    state.biases[:n0] = model.biases
+    state.train_states[:n0, 1:] = run_reservoir(model, train.inputs).states
+    state.val_states[:n0, 1:] = run_reservoir(model, val.inputs).states
+    state.resid[:, :train.n_steps - w_t] = train.targets[:, w_t:]
+    design = np.vstack([train.inputs, state.train_states[:n0, 1:]])
+    for column, x in enumerate(design[:, w_t:]):
+        _append_column(state, column, x)
+    train_norm, val_norm = _norms(state)
     state.history.record(n0, math.nan, math.nan, math.nan, train_norm, val_norm, 0, 0)
-    state.history.final_size = n0
     return state
-
-
-def _extend_sequence(
-    seq: StateSequence, inputs: np.ndarray, node_states: np.ndarray
-) -> StateSequence:
-    states = np.vstack([seq.states, node_states])
-    return StateSequence(states=states, extended=np.vstack([states, inputs]))
 
 
 def _accept_node(state: BuildState, cand: CandidateNode) -> tuple[float, float]:
@@ -484,34 +486,20 @@ def _accept_node(state: BuildState, cand: CandidateNode) -> tuple[float, float]:
 
     The old rows are untouched, so only the new node's validation states
     are computed; its training states came with the candidate. Returns
-    the re-solved readout's training and validation residual norms.
+    the extended factorisation's training and validation residual norms.
     """
-    model = state.model
-    act = activation_fn(model.activation)
-    w_in = np.vstack([model.input_weights, cand.input_row])
-    b = np.append(model.biases, cand.bias)
-    ell = model.n_outputs
-    k = model.n_inputs
-    n_new = model.n_nodes + 1
-    readout0 = np.zeros((ell, n_new + k))
-
-    grown = ReservoirModel(
-        input_weights=w_in,
-        feedback=_grow_feedback(model.feedback, cand.feedback_row),
-        biases=b, readout=readout0,
-        structure_tag=BLOCK_LOWER_TRIANGULAR,
-        initial_block_size=model.initial_block_size,
+    n = state.n
+    state.input_weights[n] = cand.input_row
+    state.feedback[n, :n + 1] = cand.feedback_row
+    state.biases[n] = cand.bias
+    state.train_states[n, 1:] = cand.state_seq
+    state.val_states[n, 1:] = _node_states(
+        state.val_states[:n, :-1], state.val.inputs, cand.input_row,
+        cand.feedback_row, cand.bias, activation_fn(TANH),
     )
-    state.model = grown
-    prev_val = _shifted_states(state.val_seq.states)
-    val_node = _node_states(
-        prev_val, state.val.inputs, cand.input_row, cand.feedback_row, cand.bias, act
-    )
-    state.train_seq = _extend_sequence(state.train_seq, state.train.inputs, cand.state_seq)
-    state.val_seq = _extend_sequence(state.val_seq, state.val.inputs, val_node)
-    norms = _solve_and_score(state)
-    state.snapshots.append(state.model)
-    return norms
+    state.n = n + 1
+    _append_column(state, state.train.n_inputs + n, cand.state_seq[state.train.washout:])
+    return _norms(state)
 
 
 def early_stop_triggered(val_norms: list[float], n_step: int) -> bool:
@@ -533,7 +521,8 @@ def build_rscn(
     improved over the last ``n_step + 1`` sizes, growth rolls back
     ``n_step`` nodes and returns. Exhausting every (scale, r) pair flags
     the history as stalled and returns the current model rather than
-    raising.
+    raising. The returned model's readout is solved once, on its own
+    design.
     """
     if train.n_inputs != val.n_inputs or train.n_outputs != val.n_outputs:
         raise ContractViolationError("train and val must share channel counts")
@@ -541,15 +530,13 @@ def build_rscn(
     rng_cand = substream(cfg.seed, "candidates")
     history = state.history
     while True:
-        n = state.model.n_nodes
+        n = state.n
         if history.train_norms[-1] <= cfg.epsilon or n >= cfg.n_max:
             break
         if early_stop_triggered(history.val_norms, cfg.n_step):
-            model = state.snapshots[0]
             history.early_stopped = True
-            history.rolled_back_to = model.n_nodes
-            history.final_size = model.n_nodes
-            return model, history
+            history.rolled_back_to = n - cfg.n_step
+            break
         pool_total = 0
         for lam in cfg.lambda_sequence:
             pool = configure_node(
@@ -563,8 +550,10 @@ def build_rscn(
             break
         train_norm, val_norm = _accept_node(state, pool.best)
         history.record(
-            state.model.n_nodes, lam, pool.r, pool.best.score,
+            state.n, lam, pool.r, pool.best.score,
             train_norm, val_norm, pool.n_accepted, pool_total,
         )
-    history.final_size = state.model.n_nodes
-    return state.model, history
+    n = history.final_size = history.rolled_back_to or state.n
+    x = np.vstack([state.train_states[:n, 1:], train.inputs])[:, train.washout:]
+    w_out = solve_output_weights(x, train.targets[:, train.washout:], cfg.ridge)
+    return state.network(n, w_out), history

@@ -100,8 +100,12 @@ class TrialResult:
     history: "BuildHistory | None" = None
 
 
-def run_single_trial(task_manifest: Mapping, spec, seed: int) -> TrialResult:
-    task = task_from_manifest({**task_manifest, "seed": seed})
+def run_single_trial(
+    task_manifest: Mapping, spec, seed: int, task: TaskData | None = None
+) -> TrialResult:
+    """Train and score one model; ``task`` is the manifest's task at ``seed`` if given."""
+    if task is None:
+        task = task_from_manifest({**task_manifest, "seed": seed})
     t0 = time.perf_counter()
     model, history = train_model(spec, task, seed)
     elapsed = time.perf_counter() - t0
@@ -123,21 +127,26 @@ def run_trials(
     base_seed: int = 0,
     model_name: str | None = None,
     keep_trials: bool = False,
+    tasks: dict[int, TaskData] | None = None,
 ) -> TrialReport | tuple[TrialReport, list[TrialResult]]:
     """Repeat train-and-score ``n_trials`` times with seeds ``base_seed + i``.
 
-    Each trial regenerates the task and the model from its own seed, so
-    trial ``i`` is paired across model specs. Failed trials are excluded
+    Each trial generates the task and the model from its own seed, so
+    trial ``i`` is paired across model specs; a seed's task is taken from
+    ``tasks`` or generated and added there. Failed trials are excluded
     with a warning and counted in the report.
     """
     if n_trials < 1:
         raise ContractViolationError("n_trials must be at least 1")
+    tasks = {} if tasks is None else tasks
     results: list[TrialResult] = []
     n_failed = 0
     for i in range(n_trials):
         seed = base_seed + i
         try:
-            results.append(run_single_trial(task_manifest, spec, seed))
+            if seed not in tasks:
+                tasks[seed] = task_from_manifest({**task_manifest, "seed": seed})
+            results.append(run_single_trial(task_manifest, spec, seed, tasks[seed]))
         except Exception as err:  # noqa: BLE001 - a failed trial is data
             n_failed += 1
             warnings.warn(f"trial with seed {seed} failed: {err}")
@@ -168,17 +177,19 @@ def grid_search(
     """Exhaustive search over a named-value grid, scored on validation.
 
     Returns the point with the lowest mean validation error (first in
-    iteration order on ties) and the full (point, report) table.
+    iteration order on ties) and the full (point, report) table. The
+    points share one generated task per seed.
     """
     if not grid:
         raise ContractViolationError("grid must not be empty")
     names = list(grid.keys())
     table: list[tuple[dict, TrialReport]] = []
     best_point, best_val = None, np.inf
+    tasks: dict[int, TaskData] = {}
     for combo in itertools.product(*(grid[k] for k in names)):
         point = dict(zip(names, combo))
         report = run_trials(
-            task_manifest, replace(spec, **point), n_trials_per_point, seed
+            task_manifest, replace(spec, **point), n_trials_per_point, seed, tasks=tasks
         )
         table.append((point, report))
         if report.val_nrmse.mean < best_val:

@@ -3,20 +3,70 @@ import math
 import numpy as np
 import pytest
 
+from rscn import build
 from rscn.build import (
+    INFEASIBLE,
     BuildConfig,
     CandidateNode,
+    _accept_node,
+    _node_states,
     build_rscn,
-    candidate_states,
     configure_node,
     early_stop_triggered,
     init_network,
-    score_candidate,
     solve_output_weights,
 )
 from rscn.errors import ContractViolationError
 from rscn.model import run_reservoir
-from rscn.tasks import SupervisedSequence
+from rscn.tasks import SupervisedSequence, task_from_manifest
+
+
+def score_candidate(residual, g, r, mu):
+    """Supervisory score of one candidate state sequence (scalar oracle).
+
+    Per output ``q`` the score is ``<e_q, g>^2 / <g, g>`` minus
+    ``(1 - r - mu) * ||e_q||^2``; the total is their sum. A candidate
+    whose state sequence has zero energy is infeasible and scores -inf.
+    """
+    e = np.atleast_2d(np.asarray(residual, dtype=float))
+    g = np.asarray(g, dtype=float).ravel()
+    if e.shape[1] != g.size:
+        raise ContractViolationError(
+            f"residual covers {e.shape[1]} steps but g covers {g.size}"
+        )
+    gg = float(g @ g)
+    if gg == 0.0:
+        per = np.full(e.shape[0], INFEASIBLE)
+        return INFEASIBLE, per
+    coef = 1.0 - r - mu
+    per = (e @ g) ** 2 / gg - coef * np.einsum("qt,qt->q", e, e)
+    return float(per.sum()), per
+
+
+def _shifted_states(states):
+    """Matrix whose column ``t`` is the state at ``t - 1``, from a zero start."""
+    return np.column_stack([np.zeros(states.shape[0]), states[:, :-1]])
+
+
+def candidate_states(state, cand, inputs):
+    """New-node state sequence over the build's training inputs (scalar oracle).
+
+    Valid because an appended row leaves the existing rows untouched:
+    the old states are read from the current training sequence rather
+    than recomputed.
+    """
+    inputs = np.asarray(inputs, dtype=float)
+    n = state.n
+    if cand.feedback_row.shape != (n + 1,):
+        raise ContractViolationError(
+            f"feedback_row has length {cand.feedback_row.size}, expected {n + 1}"
+        )
+    if inputs.shape != state.train.inputs.shape:
+        raise ContractViolationError(
+            "inputs must be the training inputs this build state was made from"
+        )
+    prev = _shifted_states(state.train_seq.states)
+    return _node_states(prev, inputs, cand.input_row, cand.feedback_row, cand.bias, np.tanh)
 
 
 def small_cfg(**kw):
@@ -479,3 +529,160 @@ class TestStoredSequences:
             want = run_reservoir(state.model, seq.inputs)
             np.testing.assert_allclose(stored.states, want.states, rtol=0, atol=1e-12)
             np.testing.assert_allclose(stored.extended, want.extended, rtol=0, atol=1e-12)
+
+
+def one_pool_at_a_time(state, lam, rs, g_max, rng):
+    """The r-ladder drawn and tested pool by pool, candidate by candidate.
+
+    Returns ``(w_in row, w_r row, bias, score)`` of the winner (or None),
+    its pool's ``r`` and passer count, and the candidates drawn.
+    """
+    n, k, alpha = state.n, state.train.n_inputs, state.cfg.esp_alpha
+    for j, r in enumerate(rs):
+        w_in = rng.uniform(-lam, lam, size=(g_max, k))
+        w_r = rng.uniform(-lam, lam, size=(g_max, n + 1))
+        b = rng.uniform(-lam, lam, size=g_max)
+        np.clip(w_r[:, -1], -alpha, alpha, out=w_r[:, -1])
+        mu = (1.0 - r) / (n + 1)
+        best, n_ok = None, 0
+        for i in range(g_max):
+            cand = CandidateNode(
+                input_row=w_in[i], feedback_row=w_r[i], bias=float(b[i]),
+                state_seq=np.empty(0), score=0.0, per_output_scores=np.empty(0),
+            )
+            g = candidate_states(state, cand, state.train.inputs)
+            score, per = score_candidate(state.residual, g[state.train.washout:], r, mu)
+            if np.all(per >= 0.0):
+                n_ok += 1
+                if best is None or score > best[3]:
+                    best = (w_in[i], w_r[i], float(b[i]), score)
+        if n_ok:
+            return best, r, n_ok, (j + 1) * g_max
+    return None, None, 0, len(rs) * g_max
+
+
+class TestLazyLastPool:
+    """The last pool of a ladder is drawn and recursed only when no other passes."""
+
+    @pytest.mark.parametrize(
+        "lam,g_max,seed,passing_r,widths",
+        [
+            (5.0, 1, 99, 0.9, [3]),  # the first pool passes: the last is never drawn
+            (5.0, 1, 2, 0.9999, [3, 1]),  # only the last pool passes
+            (5.0, 1, 257, None, [3, 1]),  # no pool passes
+            (0.5, 20, 5, 0.99, [60]),
+        ],
+    )
+    def test_matches_the_scalar_oracle(self, monkeypatch, lam, g_max, seed, passing_r, widths):
+        rs = (0.9, 0.99, 0.999, 0.9999)
+        state = init_network(toy_task(), toy_task(seed=1), small_cfg(), np.random.default_rng(0))
+        seen = []
+        recursion = build._pool_node_states
+
+        def recorded(prev, inputs, pools, act):
+            seen.append(sum(b.size for _, _, b in pools))
+            return recursion(prev, inputs, pools, act)
+
+        monkeypatch.setattr(build, "_pool_node_states", recorded)
+        rng = np.random.default_rng(seed)
+        pool = configure_node(state, state.train.inputs, lam, rs, g_max, rng)
+        twin = np.random.default_rng(seed)
+        best, r, n_ok, n_drawn = one_pool_at_a_time(state, lam, rs, g_max, twin)
+        assert seen == widths
+        assert pool.r == r == passing_r
+        assert (pool.n_accepted, pool.n_drawn) == (n_ok, n_drawn)
+        assert (pool.best is None) == (best is None)
+        if best is not None:
+            assert np.array_equal(pool.best.input_row, best[0])
+            assert np.array_equal(pool.best.feedback_row, best[1])
+            assert pool.best.bias == best[2]
+            assert pool.best.score == pytest.approx(best[3], rel=1e-12)
+        assert rng.random() == twin.random()
+
+
+def duplicated_channel_task(n_steps=160, seed=0):
+    """The toy task with its first input channel repeated: a rank-deficient design."""
+    task = toy_task(n_steps, seed=seed)
+    inputs = np.vstack([task.inputs[:1], task.inputs])
+    return SupervisedSequence(inputs, task.targets, washout=task.washout, name="dup")
+
+
+class TestFactorisation:
+    """The growth loop's QR factorisation against a fresh solve at every size."""
+
+    @staticmethod
+    def checked(monkeypatch, ridge):
+        """Run the build with every stored norm checked against a fresh solve."""
+        sizes = []
+
+        def check(state, norms):
+            w_t, w_v = state.train.washout, state.val.washout
+            x = state.train_seq.extended[:, w_t:]
+            t = state.train.targets[:, w_t:]
+            w = solve_output_weights(x, t, ridge)
+            val_resid = state.val.targets[:, w_v:] - w @ state.val_seq.extended[:, w_v:]
+            fresh = (np.linalg.norm(t - w @ x), np.linalg.norm(val_resid))
+            assert norms == pytest.approx(fresh, rel=1e-9)
+            q = state.q[:len(state.basis)]
+            np.testing.assert_allclose(q @ q.T, np.eye(len(q)), rtol=0, atol=1e-12)
+            sizes.append(state.n)
+
+        def init(train, val, cfg, rng):
+            state = init_network(train, val, cfg, rng)
+            check(state, (state.history.train_norms[-1], state.history.val_norms[-1]))
+            return state
+
+        def accept(state, cand):
+            norms = _accept_node(state, cand)
+            check(state, norms)
+            return norms
+
+        monkeypatch.setattr(build, "init_network", init)
+        monkeypatch.setattr(build, "_accept_node", accept)
+        return sizes
+
+    @pytest.mark.parametrize("ridge", [0.0, 1.0])
+    def test_toy_build_norms_match_a_fresh_solve(self, monkeypatch, ridge):
+        sizes = self.checked(monkeypatch, ridge)
+        cfg = small_cfg(n_max=15, n_step=14, ridge=ridge)
+        model, hist = build_rscn(toy_task(160), toy_task(160, seed=9), cfg)
+        assert sizes == hist.sizes == list(range(cfg.n_init, cfg.n_max + 1))
+
+    def test_mg_build_norms_match_a_fresh_solve(self, monkeypatch):
+        data = task_from_manifest({"task": "mg", "seed": 0})
+        sizes = self.checked(monkeypatch, 0.0)
+        model, hist = build_rscn(data.train, data.val, BuildConfig(n_max=40, seed=0))
+        assert sizes == hist.sizes and sizes[-1] == model.n_nodes
+
+    def test_repeated_input_channel_builds(self, monkeypatch):
+        sizes = self.checked(monkeypatch, 0.0)
+        task, val = duplicated_channel_task(), duplicated_channel_task(seed=9)
+        cfg = small_cfg(n_max=12, n_step=11)
+        state = init_network(task, val, cfg, np.random.default_rng(0))
+        assert len(state.basis) == state.n + task.n_inputs - 1
+        model, hist = build_rscn(task, val, cfg)
+        assert sizes[-1] == model.n_nodes == cfg.n_max
+        ext = run_reservoir(model, task.inputs).extended[:, task.washout:]
+        w = solve_output_weights(ext, task.targets[:, task.washout:])
+        np.testing.assert_allclose(model.readout, w, rtol=0, atol=1e-9)
+
+
+class TestHotPath:
+    def test_one_solve_and_two_model_constructions_per_build(self, monkeypatch):
+        counts = {"solve": 0, "model": 0}
+        solve, model_cls = build.solve_output_weights, build.ReservoirModel
+
+        def counted_solve(*args, **kwargs):
+            counts["solve"] += 1
+            return solve(*args, **kwargs)
+
+        def counted_model(*args, **kwargs):
+            counts["model"] += 1
+            return model_cls(*args, **kwargs)
+
+        monkeypatch.setattr(build, "solve_output_weights", counted_solve)
+        monkeypatch.setattr(build, "ReservoirModel", counted_model)
+        model, hist = build_rscn(toy_task(160), toy_task(160, seed=9), small_cfg(n_step=14))
+        assert model.n_nodes == 15 and len(hist.sizes) == 13
+        assert counts["solve"] == 1
+        assert counts["model"] <= 2

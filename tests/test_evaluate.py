@@ -169,6 +169,25 @@ class TestGridSearch:
         assert b1 == b2
         assert [(p, r.val_nrmse) for p, r in t1] == [(p, r.val_nrmse) for p, r in t2]
 
+    def test_each_seed_task_generated_once(self, tmp_path, monkeypatch):
+        import rscn.evaluate as evaluate
+
+        manifest, spec = tiny_manifest(tmp_path), BaselineConfig(n_nodes=8)
+        grid = {"esp_alpha": [0.3, 0.6, 0.9]}
+        seeds = []
+        generate = evaluate.task_from_manifest
+
+        def counted(m):
+            seeds.append(m["seed"])
+            return generate(m)
+
+        monkeypatch.setattr(evaluate, "task_from_manifest", counted)
+        _, table = grid_search(manifest, spec, grid, 2, seed=4)
+        assert seeds == [4, 5]
+        for point, report in table:
+            alone = run_trials(manifest, BaselineConfig(n_nodes=8, **point), 2, 4)
+            assert (report.val_nrmse, report.test_nrmse) == (alone.val_nrmse, alone.test_nrmse)
+
     def test_empty_grid_rejected(self, tmp_path):
         with pytest.raises(ContractViolationError):
             grid_search(tiny_manifest(tmp_path), tiny_build_cfg(), {}, 1)
