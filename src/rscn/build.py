@@ -168,6 +168,7 @@ class BuildState:
     ``r_inv`` and ``qt = Qᵀt`` factorise the post-washout training design
     (under ridge, with ``√ridge·I`` rows); ``basis`` names each vector's
     design column (inputs, then nodes) and ``resid`` is the residual.
+    ``work`` holds the candidate search's work arrays, reused across calls.
     """
 
     cfg: BuildConfig
@@ -185,6 +186,7 @@ class BuildState:
     basis: list[int]
     resid: np.ndarray
     history: BuildHistory
+    work: dict[str, np.ndarray] = field(default_factory=dict)
 
     @property
     def residual(self) -> np.ndarray:
@@ -265,6 +267,7 @@ def _pool_node_states(
     inputs: np.ndarray,
     pools: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
     act: Callable[[np.ndarray], np.ndarray],
+    work: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> np.ndarray:
     """Time-major state sequences ``(n_steps, n_pool)`` of stacked pools.
 
@@ -273,17 +276,19 @@ def _pool_node_states(
     pool's drive comes from its own matmuls (so its bits do not depend
     on the other pools) and is written transposed into one buffer,
     which the recursion, starting from a zero state, then updates in
-    place one contiguous row per step.
+    place one contiguous row per step. ``work`` holds the result's buffer
+    ``(n_steps, >= n_pool)`` and two for a pool's drive ``(pool size, n_steps)``.
     """
-    n_steps = inputs.shape[1]
+    out, drive, prod = work
     width = sum(b.size for _, _, b in pools)
-    g = np.empty((n_steps, width))
+    g = out[:, :width]
     self_w = np.empty(width)
     col = 0
     for w_in, w_r, b in pools:
-        drive = w_in @ inputs + b[:, None]
+        np.matmul(w_in, inputs, out=drive)
+        drive += b[:, None]
         if prev_states.shape[0]:
-            drive += w_r[:, :-1] @ prev_states
+            drive += np.matmul(w_r[:, :-1], prev_states, out=prod)
         g[:, col:col + b.size] = drive.T
         self_w[col:col + b.size] = w_r[:, -1]
         col += b.size
@@ -314,6 +319,13 @@ def _pool_scores(
     return scores, per
 
 
+def _work(state: BuildState, name: str, shape: tuple[int, int]) -> np.ndarray:
+    """Work array ``name`` of the build, allocated again only for a new shape."""
+    if state.work.get(name, np.empty(0)).shape != shape:
+        state.work[name] = np.empty(shape)
+    return state.work[name]
+
+
 def configure_node(
     state: BuildState,
     inputs: np.ndarray,
@@ -340,7 +352,9 @@ def configure_node(
     alpha, n, k = state.cfg.esp_alpha, state.n, state.train.n_inputs
     if g_max <= 0:
         return CandidatePool(None, None, 0, 0)
-    prev, washout = state.train_states[:n, :-1], state.train.washout
+    prev, washout, n_steps = state.train_states[:n, :-1], state.train.washout, inputs.shape[1]
+    work = (_work(state, "states", (n_steps, len(rs) * g_max)),
+            *(_work(state, name, (g_max, n_steps)) for name in ("drive", "prod")))
     last = max(len(rs) - 1, 0)
     for batch in filter(None, (range(last), range(last, len(rs)))):
         pools, rng_after = [], []
@@ -351,10 +365,11 @@ def configure_node(
             np.clip(w_r_pool[:, -1], -alpha, alpha, out=w_r_pool[:, -1])
             pools.append((w_in_pool, w_r_pool, b_pool))
             rng_after.append(rng.bit_generator.state)
-        g_all = _pool_node_states(prev, inputs, pools, activation_fn(TANH))
+        g_all = _pool_node_states(prev, inputs, pools, activation_fn(TANH), work)
         for i, j in enumerate(batch):
-            # score a C-contiguous (g_max, n_steps) copy: the layout fixes the bits
-            g = np.ascontiguousarray(g_all[:, i * g_max:(i + 1) * g_max].T)
+            # score a C-contiguous copy in the spent drive buffer: the layout fixes the bits
+            g = work[1]
+            g[:] = g_all[:, i * g_max:(i + 1) * g_max].T
             r = rs[j]
             mu = (1.0 - r) / (n + 1)
             scores, per = _pool_scores(state.residual, g[:, washout:], r, mu)

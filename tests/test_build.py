@@ -579,9 +579,9 @@ class TestLazyLastPool:
         seen = []
         recursion = build._pool_node_states
 
-        def recorded(prev, inputs, pools, act):
+        def recorded(prev, inputs, pools, *rest):
             seen.append(sum(b.size for _, _, b in pools))
-            return recursion(prev, inputs, pools, act)
+            return recursion(prev, inputs, pools, *rest)
 
         monkeypatch.setattr(build, "_pool_node_states", recorded)
         rng = np.random.default_rng(seed)
@@ -686,3 +686,22 @@ class TestHotPath:
         assert model.n_nodes == 15 and len(hist.sizes) == 13
         assert counts["solve"] == 1
         assert counts["model"] <= 2
+
+    def test_work_arrays_are_reused_and_never_aliased(self):
+        from rscn.build import _accept_node
+
+        cfg = small_cfg()
+        state = init_network(toy_task(), toy_task(seed=1), cfg, np.random.default_rng(0))
+        rng, arrays, kept = np.random.default_rng(1), None, []
+        for _ in range(6):
+            for lam in cfg.lambda_sequence:
+                pool = configure_node(state, state.train.inputs, lam, cfg.r_sequence, cfg.g_max, rng)
+                arrays = arrays or dict(state.work)
+                assert all(state.work[name] is a for name, a in arrays.items())
+                if pool.best is not None:
+                    break
+            kept.append((pool.best.state_seq, pool.best.state_seq.copy()))
+            _accept_node(state, pool.best)
+        assert len(arrays) == 3
+        # an accepted node's states survive every later search
+        assert all(np.array_equal(seq, copy) for seq, copy in kept)
