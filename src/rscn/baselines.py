@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .build import solve_output_weights
+from .build import draw_reservoir, solve_output_weights
 from .errors import ContractViolationError
 from .model import GENERAL, ReservoirModel, run_reservoir
 from .seeding import substream
@@ -32,7 +32,6 @@ class BaselineConfig:
     esp_alpha: float = 0.9
     topology: str = TOPOLOGY_ESN
     ring_weight: float = 0.9
-    ridge: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
@@ -44,18 +43,12 @@ class BaselineConfig:
             raise ContractViolationError(f"unknown topology {self.topology!r}")
         if not 0.0 <= self.sparsity <= 1.0:
             raise ContractViolationError("sparsity must lie in [0, 1]")
-        if self.ridge < 0.0:
-            raise ContractViolationError("ridge must be nonnegative")
 
 
-def _fit_readout(
-    model: ReservoirModel, train: SupervisedSequence, ridge: float
-) -> ReservoirModel:
+def _fit_readout(model: ReservoirModel, train: SupervisedSequence) -> ReservoirModel:
     seq = run_reservoir(model, train.inputs)
     w = train.washout
-    w_out = solve_output_weights(
-        seq.extended[:, w:], train.targets[:, w:], ridge
-    )
+    w_out = solve_output_weights(seq.extended[:, w:], train.targets[:, w:])
     return model.with_readout(w_out)
 
 
@@ -66,20 +59,16 @@ def build_esn(cfg: BaselineConfig, train: SupervisedSequence) -> ReservoirModel:
         raise ContractViolationError("build_esn needs topology 'esn_random'")
     rng = substream(cfg.seed, "init")
     n, k, ell = cfg.n_nodes, train.n_inputs, train.n_outputs
-    lam = cfg.weight_scale
-    w_in = rng.uniform(-lam, lam, size=(n, k))
-    b = rng.uniform(-lam, lam, size=n)
-    mask = rng.random(size=(n, n)) < cfg.sparsity
-    vals = rng.uniform(-lam, lam, size=(n, n))
+    w_in, w_r, b = draw_reservoir(rng, n, k, cfg.weight_scale, cfg.sparsity)
     model = ReservoirModel(
         input_weights=w_in,
-        feedback=np.where(mask, vals, 0.0),
+        feedback=w_r,
         biases=b,
         readout=np.zeros((ell, n + k)),
         structure_tag=GENERAL,
     )
     model = scale_feedback(model, cfg.esp_alpha)
-    return _fit_readout(model, train, cfg.ridge)
+    return _fit_readout(model, train)
 
 
 def build_scr(cfg: BaselineConfig, train: SupervisedSequence) -> ReservoirModel:
@@ -100,7 +89,7 @@ def build_scr(cfg: BaselineConfig, train: SupervisedSequence) -> ReservoirModel:
         readout=np.zeros((ell, n + k)),
         structure_tag=GENERAL,
     )
-    return _fit_readout(model, train, cfg.ridge)
+    return _fit_readout(model, train)
 
 
 def build_baseline(cfg: BaselineConfig, train: SupervisedSequence) -> ReservoirModel:

@@ -14,17 +14,15 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ContractViolationError
 from .model import (
     BLOCK_LOWER_TRIANGULAR,
-    TANH,
     ReservoirModel,
     StateSequence,
-    activation_fn,
     run_reservoir,
 )
 from .seeding import substream
@@ -65,7 +63,6 @@ class BuildConfig:
     epsilon: float = 1e-6
     sparsity: float = 0.03
     esp_alpha: float = 0.9
-    ridge: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
@@ -81,8 +78,6 @@ class BuildConfig:
             raise ContractViolationError("sparsity must lie in [0, 1]")
         if not 0.0 < self.esp_alpha < 1.0:
             raise ContractViolationError("esp_alpha must lie in (0, 1)")
-        if self.ridge < 0:
-            raise ContractViolationError("ridge must be nonnegative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,9 +160,9 @@ class BuildState:
     Rows ``[:n]`` of the ``n_max``-row buffers are in use and never change
     once grown. State buffers keep column 0 at zero, so ``[:n, 1:]`` are
     the states and ``[:n, :-1]`` the states one step earlier. ``q`` (rows),
-    ``r_inv`` and ``qt = Qᵀt`` factorise the post-washout training design
-    (under ridge, with ``√ridge·I`` rows); ``basis`` names each vector's
-    design column (inputs, then nodes) and ``resid`` is the residual.
+    ``r_inv`` and ``qt = Qᵀt`` factorise the post-washout training design;
+    ``basis`` names each vector's design column (inputs, then nodes) and
+    ``residual`` is the post-washout training residual ``(L, T)``.
     ``work`` holds the candidate search's work arrays, reused across calls.
     """
 
@@ -184,14 +179,9 @@ class BuildState:
     r_inv: np.ndarray
     qt: np.ndarray
     basis: list[int]
-    resid: np.ndarray
+    residual: np.ndarray
     history: BuildHistory
     work: dict[str, np.ndarray] = field(default_factory=dict)
-
-    @property
-    def residual(self) -> np.ndarray:
-        """Post-washout training residual ``(L, T)`` of the current readout."""
-        return self.resid[:, :self.train.n_steps - self.train.washout]
 
     @property
     def train_seq(self) -> StateSequence:
@@ -247,7 +237,6 @@ def _node_states(
     input_row: np.ndarray,
     feedback_row: np.ndarray,
     bias: float,
-    act: Callable[[np.ndarray], np.ndarray],
 ) -> np.ndarray:
     """State sequence of one appended node, starting from zero."""
     drive = input_row @ inputs + bias
@@ -257,7 +246,7 @@ def _node_states(
     g = np.empty(inputs.shape[1])
     gp = 0.0
     for t in range(g.size):
-        gp = float(act(drive[t] + self_w * gp))
+        gp = float(np.tanh(drive[t] + self_w * gp))
         g[t] = gp
     return g
 
@@ -266,7 +255,6 @@ def _pool_node_states(
     prev_states: np.ndarray,
     inputs: np.ndarray,
     pools: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
-    act: Callable[[np.ndarray], np.ndarray],
     work: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> np.ndarray:
     """Time-major state sequences ``(n_steps, n_pool)`` of stacked pools.
@@ -298,7 +286,7 @@ def _pool_node_states(
     for row in g:
         np.multiply(self_w, gp, fed)
         np.add(row, fed, row)
-        act(row, row)
+        np.tanh(row, row)
         gp = row
     return g
 
@@ -365,7 +353,7 @@ def configure_node(
             np.clip(w_r_pool[:, -1], -alpha, alpha, out=w_r_pool[:, -1])
             pools.append((w_in_pool, w_r_pool, b_pool))
             rng_after.append(rng.bit_generator.state)
-        g_all = _pool_node_states(prev, inputs, pools, activation_fn(TANH), work)
+        g_all = _pool_node_states(prev, inputs, pools, work)
         for i, j in enumerate(batch):
             # score a C-contiguous copy in the spent drive buffer: the layout fixes the bits
             g = work[1]
@@ -418,10 +406,7 @@ def _append_column(state: BuildState, column: int, x: np.ndarray) -> None:
     ``q``. A column whose part outside the basis is at rounding level (a
     repeated input channel, say) adds no vector and keeps weight zero.
     """
-    a = np.zeros(state.q.shape[1])
-    a[:x.size] = x
-    if state.cfg.ridge > 0.0:
-        a[x.size + column] = math.sqrt(state.cfg.ridge)
+    a = np.array(x)
     tol = a.size * np.finfo(float).eps * np.linalg.norm(a)
     p = len(state.basis)
     q = state.q[:p]
@@ -435,10 +420,24 @@ def _append_column(state: BuildState, column: int, x: np.ndarray) -> None:
     q_new = np.divide(a, rho, out=state.q[p])
     state.r_inv[:p, p] = state.r_inv[:p, :p] @ (c + c2) / -rho
     state.r_inv[p, p] = 1.0 / rho
-    e_q = state.resid @ q_new
-    state.resid -= e_q[:, None] * q_new
+    e_q = state.residual @ q_new
+    state.residual -= e_q[:, None] * q_new
     state.qt[p] = e_q
     state.basis.append(column)
+
+
+def draw_reservoir(
+    rng: np.random.Generator, n: int, k: int, lam: float, sparsity: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Input weights ``(n, k)``, feedback ``(n, n)`` and biases, uniform on ``[-lam, lam]``.
+
+    Feedback entries are nonzero with probability ``sparsity``. Seeded
+    models rely on the draw order: input weights, biases, mask, values.
+    """
+    w_in = rng.uniform(-lam, lam, size=(n, k))
+    b = rng.uniform(-lam, lam, size=n)
+    mask = rng.random(size=(n, n)) < sparsity
+    return w_in, np.where(mask, rng.uniform(-lam, lam, size=(n, n)), 0.0), b
 
 
 def init_network(
@@ -449,20 +448,14 @@ def init_network(
 ) -> BuildState:
     """Random initial reservoir of size ``n_init`` with a factorised readout.
 
-    Input weights and biases are dense uniform on the first weight
-    scale's interval; feedback entries are independently nonzero with
-    probability ``sparsity``. The initial block is contracted to largest
-    singular value ``esp_alpha`` before any state is computed.
+    The reservoir is drawn by :func:`draw_reservoir` on the first weight
+    scale. The initial block is contracted to largest singular value
+    ``esp_alpha`` before any state is computed.
     """
     if train.n_inputs != val.n_inputs or train.n_outputs != val.n_outputs:
         raise ContractViolationError("train and val must share channel counts")
-    lam0 = cfg.lambda_sequence[0]
     n0, k, ell = cfg.n_init, train.n_inputs, train.n_outputs
-    w_in = rng.uniform(-lam0, lam0, size=(n0, k))
-    b = rng.uniform(-lam0, lam0, size=n0)
-    mask = rng.random(size=(n0, n0)) < cfg.sparsity
-    vals = rng.uniform(-lam0, lam0, size=(n0, n0))
-    w_r = np.where(mask, vals, 0.0)
+    w_in, w_r, b = draw_reservoir(rng, n0, k, cfg.lambda_sequence[0], cfg.sparsity)
     model = ReservoirModel(
         w_in, w_r, b, np.zeros((ell, n0 + k)),
         structure_tag=BLOCK_LOWER_TRIANGULAR, initial_block_size=n0,
@@ -472,14 +465,13 @@ def init_network(
         warnings.simplefilter("ignore")
         model = scale_feedback(model, cfg.esp_alpha)
     cap, w_t = max(cfg.n_max, n0), train.washout
-    rows = train.n_steps - w_t + (cap + k if cfg.ridge > 0.0 else 0)
     state = BuildState(
         cfg=cfg, train=train, val=val, n=n0,
         input_weights=np.zeros((cap, k)), feedback=np.zeros((cap, cap)), biases=np.zeros(cap),
         train_states=np.zeros((cap, train.n_steps + 1)),
         val_states=np.zeros((cap, val.n_steps + 1)),
-        q=np.zeros((cap + k, rows)), r_inv=np.zeros((cap + k, cap + k)),
-        qt=np.zeros((cap + k, ell)), basis=[], resid=np.zeros((ell, rows)),
+        q=np.zeros((cap + k, train.n_steps - w_t)), r_inv=np.zeros((cap + k, cap + k)),
+        qt=np.zeros((cap + k, ell)), basis=[], residual=np.array(train.targets[:, w_t:]),
         history=BuildHistory(),
     )
     state.input_weights[:n0] = model.input_weights
@@ -487,7 +479,6 @@ def init_network(
     state.biases[:n0] = model.biases
     state.train_states[:n0, 1:] = run_reservoir(model, train.inputs).states
     state.val_states[:n0, 1:] = run_reservoir(model, val.inputs).states
-    state.resid[:, :train.n_steps - w_t] = train.targets[:, w_t:]
     design = np.vstack([train.inputs, state.train_states[:n0, 1:]])
     for column, x in enumerate(design[:, w_t:]):
         _append_column(state, column, x)
@@ -510,7 +501,7 @@ def _accept_node(state: BuildState, cand: CandidateNode) -> tuple[float, float]:
     state.train_states[n, 1:] = cand.state_seq
     state.val_states[n, 1:] = _node_states(
         state.val_states[:n, :-1], state.val.inputs, cand.input_row,
-        cand.feedback_row, cand.bias, activation_fn(TANH),
+        cand.feedback_row, cand.bias,
     )
     state.n = n + 1
     _append_column(state, state.train.n_inputs + n, cand.state_seq[state.train.washout:])
@@ -539,8 +530,6 @@ def build_rscn(
     raising. The returned model's readout is solved once, on its own
     design.
     """
-    if train.n_inputs != val.n_inputs or train.n_outputs != val.n_outputs:
-        raise ContractViolationError("train and val must share channel counts")
     state = init_network(train, val, cfg, substream(cfg.seed, "init"))
     rng_cand = substream(cfg.seed, "candidates")
     history = state.history
@@ -570,5 +559,5 @@ def build_rscn(
         )
     n = history.final_size = history.rolled_back_to or state.n
     x = np.vstack([state.train_states[:n, 1:], train.inputs])[:, train.washout:]
-    w_out = solve_output_weights(x, train.targets[:, train.washout:], cfg.ridge)
+    w_out = solve_output_weights(x, train.targets[:, train.washout:])
     return state.network(n, w_out), history

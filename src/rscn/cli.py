@@ -192,11 +192,9 @@ def _effective_task(args, run_manifest: dict, seed: int) -> dict:
 def cmd_gen(args) -> int:
     run_manifest = _load_run_manifest(args)
     seed = _merged(args, run_manifest, "seed", 0, int)
-    task_arg = args.positional_task or _merged(args, run_manifest, "task", None)
+    task_arg = _merged(args, run_manifest, "task", None)
     if task_arg is None:
         raise SchemaError("gen needs a task")
-    if args.variant is not None:
-        task_arg = args.variant
     if isinstance(task_arg, str) and task_arg.startswith("csv:"):
         raise SchemaError("gen produces generator tasks only (mg, mg1, mg2, plant)")
     manifest = (
@@ -315,7 +313,7 @@ def cmd_bench(args) -> int:
             else _resolve_task_manifest(str(task_arg), seed)
         )
         task_name = _task_name(task_manifest)
-        reports = []
+        reports, shared = [], {}  # every model's trials share one task per seed
         for kind in models:
             spec = _model_spec(str(kind).lower(), task_name, run_manifest, args.alpha)
             if isinstance(spec, BaselineConfig) and spec.topology == "scr_ring":
@@ -324,7 +322,7 @@ def cmd_bench(args) -> int:
                     n_trials_per_point=1, seed=seed,
                 )
                 spec = replace(spec, **best)
-            reports.append(run_trials(task_manifest, spec, trials, base_seed=seed))
+            reports.append(run_trials(task_manifest, spec, trials, base_seed=seed, tasks=shared))
         text = emit_report(reports, "text")
         atomic_write_text(os.path.join(out, f"report_{task_name}.csv"),
                           emit_report(reports, "csv"))
@@ -374,10 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="write task CSVs from the generators")
     common(p_gen)
-    p_gen.add_argument("positional_task", nargs="?", default=None,
-                       metavar="TASK", help="same as --task")
-    p_gen.add_argument("--variant", default=None, choices=list(GENERATOR_TASKS),
-                       help="overrides the task variant")
     p_gen.set_defaults(func=cmd_gen)
 
     p_train = sub.add_parser("train", help="build a model, write model + history")

@@ -14,9 +14,10 @@ class NumericOverflowError(RscnError, ArithmeticError):
 
 
 class EstimationFailureError(RscnError, RuntimeError):
-    """An iterative estimator did not converge within its iteration cap.
+    """LAPACK's eigenvalue solver did not converge on a matrix.
 
-    ``best_bound`` holds the tightest bound achieved before giving up.
+    ``best_bound`` holds the matrix's largest singular value, an upper
+    bound on its spectral radius.
     """
 
     def __init__(self, message: str, best_bound: float):

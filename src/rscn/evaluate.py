@@ -125,7 +125,6 @@ def run_trials(
     spec,
     n_trials: int,
     base_seed: int = 0,
-    model_name: str | None = None,
     keep_trials: bool = False,
     tasks: dict[int, TaskData] | None = None,
 ) -> TrialReport | tuple[TrialReport, list[TrialResult]]:
@@ -153,7 +152,7 @@ def run_trials(
     if not results:
         raise ContractViolationError("every trial failed")
     report = TrialReport(
-        model_name=model_name or spec_name(spec),
+        model_name=spec_name(spec),
         reservoir_size=float(np.mean([r.size for r in results])),
         train_time_s=MeanStd.of([r.train_time_s for r in results]),
         train_nrmse=MeanStd.of([r.train_nrmse for r in results]),

@@ -10,38 +10,21 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ContractViolationError, NumericOverflowError, SchemaError
 
 TANH = "tanh"
-SIGMOID = "sigmoid"
 
 BLOCK_LOWER_TRIANGULAR = "block_lower_triangular"
 GENERAL = "general"
 
-_ACTIVATIONS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
-    TANH: np.tanh,
-    SIGMOID: expit,
-}
-
 SERIALIZATION_VERSION = 1
 
 
-def activation_fn(name: str) -> Callable[[np.ndarray], np.ndarray]:
-    try:
-        return _ACTIVATIONS[name]
-    except KeyError:
-        raise ContractViolationError(
-            f"unknown activation {name!r}; expected one of {sorted(_ACTIVATIONS)}"
-        ) from None
-
-
-def _frozen(a, dtype=float) -> np.ndarray:
-    out = np.array(a, dtype=dtype)
+def _frozen(a) -> np.ndarray:
+    out = np.array(a, dtype=float)
     out.flags.writeable = False
     return out
 
@@ -52,7 +35,7 @@ class ReservoirModel:
 
     ``input_weights`` is ``(N, K)``, ``feedback`` is ``(N, N)``, ``biases``
     is ``(N,)`` and ``readout`` maps the extended state ``(x(n), u(n))`` to
-    the ``L`` outputs, so it is ``(L, N + K)``.
+    the ``L`` outputs, so it is ``(L, N + K)``. Every node applies tanh.
 
     With ``structure_tag == "block_lower_triangular"`` the feedback matrix
     consists of a dense ``initial_block_size`` block followed by grown rows
@@ -64,9 +47,9 @@ class ReservoirModel:
     feedback: np.ndarray
     biases: np.ndarray
     readout: np.ndarray
-    activation: str = TANH
     structure_tag: str = GENERAL
     initial_block_size: int = 0
+    activation = TANH  # not a field: the one activation, named in model documents
 
     def __post_init__(self):
         object.__setattr__(self, "input_weights", _frozen(self.input_weights))
@@ -95,8 +78,6 @@ class ReservoirModel:
             raise ContractViolationError(
                 f"readout has {w_out.shape[1]} columns, expected {n + k}"
             )
-        if self.activation not in _ACTIVATIONS:
-            raise ContractViolationError(f"unknown activation {self.activation!r}")
         if self.structure_tag not in (BLOCK_LOWER_TRIANGULAR, GENERAL):
             raise ContractViolationError(
                 f"unknown structure_tag {self.structure_tag!r}"
@@ -188,7 +169,7 @@ def run_reservoir(
     """Drive the reservoir over ``inputs`` (shape ``(K, n)``).
 
     Column ``t`` of the result is
-    ``act(W_in u(t) + W_r x(t-1) + b)`` with ``x(0) = initial_state``
+    ``tanh(W_in u(t) + W_r x(t-1) + b)`` with ``x(0) = initial_state``
     (zeros by default), computed in place into row ``t`` of an ``(n, N)``
     buffer and returned C-contiguous. Finiteness is checked once, after
     the last step. Deterministic: identical arguments give a
@@ -200,10 +181,10 @@ def run_reservoir(
     x = np.zeros(n) if initial_state is None else np.asarray(initial_state, dtype=float)
     if x.shape != (n,):
         raise ContractViolationError(f"initial_state shape {x.shape}, expected ({n},)")
-    act, w_r, rows = activation_fn(model.activation), model.feedback, np.empty_like(drive)
+    w_r, rows = model.feedback, np.empty_like(drive)
     for drive_t, row in zip(drive, rows):
         np.add(drive_t, w_r @ x, out=row)
-        x = act(row, out=row)
+        x = np.tanh(row, out=row)
     check_finite_steps(rows)
     states = np.ascontiguousarray(rows.T)
     return StateSequence(states=states, extended=np.vstack([states, inputs]))
@@ -248,6 +229,8 @@ def model_from_dict(doc: dict) -> ReservoirModel:
             f"unsupported model document version {doc.get('version')!r}"
         )
     try:
+        if doc["activation"] != TANH:
+            raise SchemaError(f"model document has activation {doc['activation']!r}, not {TANH!r}")
         return ReservoirModel(
             input_weights=np.array(doc["input_weights"], dtype=float).reshape(
                 doc["n_nodes"], doc["n_inputs"]
@@ -259,7 +242,6 @@ def model_from_dict(doc: dict) -> ReservoirModel:
             readout=np.array(doc["readout"], dtype=float).reshape(
                 doc["n_outputs"], doc["n_nodes"] + doc["n_inputs"]
             ),
-            activation=doc["activation"],
             structure_tag=doc["structure_tag"],
             initial_block_size=doc["initial_block_size"],
         )

@@ -208,7 +208,6 @@ def online_run(
     stream: SupervisedSequence,
     cfg: OnlineConfig,
     w_ref: np.ndarray | None = None,
-    initial_state: np.ndarray | None = None,
 ) -> tuple[np.ndarray, OnlineState]:
     """Run the frozen reservoir over a stream, adapting only the readout.
 
@@ -223,7 +222,7 @@ def online_run(
         w_ref = np.asarray(w_ref, dtype=float)
         if w_ref.shape != model.readout.shape:
             raise ContractViolationError("w_ref shape does not match the readout")
-    seq = run_reservoir(model, stream.inputs, initial_state)
+    seq = run_reservoir(model, stream.inputs)
     # one contiguous vector per step, so every product sees identical bytes
     features = np.ascontiguousarray(seq.extended.T)
     targets = np.ascontiguousarray(stream.targets.T)

@@ -3,7 +3,7 @@
 The echo state property (asymptotic independence of the reservoir state
 from its initial condition) is guaranteed whenever the feedback matrix
 has largest singular value below one, since the state map is then a
-contraction for tanh/sigmoid activations. Feedback is therefore scaled
+contraction for the tanh activation. Feedback is therefore scaled
 by its largest singular value (computed by LAPACK's SVD), which
 certifies the property unconditionally. The spectral radius, which that
 value upper-bounds, is offered as a diagnostic.
@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ContractViolationError, EstimationFailureError
 from .model import BLOCK_LOWER_TRIANGULAR, GENERAL, ReservoirModel
-from .model import activation_fn, check_finite_steps, input_drive
+from .model import check_finite_steps, input_drive
 
 SIGMA_MAX = "sigma_max"
 EIGEN = "eigen"
@@ -164,10 +164,10 @@ def esp_check(
         if gap0 > 2.0:
             x2 = x1 + delta * (2.0 / gap0)
         starts[:, p], starts[:, n_pairs + p] = x1, x2
-    x, w_r, act = starts, model.feedback, activation_fn(model.activation)
+    x, w_r = starts, model.feedback
     gaps = np.empty((len(drive), n_pairs))
     for drive_t, gap in zip(drive, gaps):
-        x = act(w_r @ x + drive_t[:, None])
+        x = np.tanh(w_r @ x + drive_t[:, None])
         gap[:] = np.linalg.norm(x[:, :n_pairs] - x[:, n_pairs:], axis=0)
     check_finite_steps(gaps)
     below = gaps < tol

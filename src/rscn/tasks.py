@@ -16,14 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractViolationError, CsvParseError, SchemaError
-from .model import atomic_write_text
+from .model import _frozen, atomic_write_text
 from .seeding import substream
-
-
-def _frozen(a, dtype=float) -> np.ndarray:
-    out = np.array(a, dtype=dtype)
-    out.flags.writeable = False
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,7 +294,6 @@ def load_csv(
     y_column: str,
     lag_spec: LagSpec | None = None,
     washout: int = 0,
-    name: str | None = None,
 ) -> SupervisedSequence:
     """Build a supervised sequence from a headed CSV file.
 
@@ -363,7 +356,7 @@ def load_csv(
     targets = series[y_column][t][None, :]
     return SupervisedSequence(
         inputs, targets, washout=washout,
-        name=name or os.path.splitext(os.path.basename(path))[0],
+        name=os.path.splitext(os.path.basename(path))[0],
     )
 
 

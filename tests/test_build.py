@@ -66,7 +66,7 @@ def candidate_states(state, cand, inputs):
             "inputs must be the training inputs this build state was made from"
         )
     prev = _shifted_states(state.train_seq.states)
-    return _node_states(prev, inputs, cand.input_row, cand.feedback_row, cand.bias, np.tanh)
+    return _node_states(prev, inputs, cand.input_row, cand.feedback_row, cand.bias)
 
 
 def small_cfg(**kw):
@@ -611,7 +611,7 @@ class TestFactorisation:
     """The growth loop's QR factorisation against a fresh solve at every size."""
 
     @staticmethod
-    def checked(monkeypatch, ridge):
+    def checked(monkeypatch):
         """Run the build with every stored norm checked against a fresh solve."""
         sizes = []
 
@@ -619,7 +619,7 @@ class TestFactorisation:
             w_t, w_v = state.train.washout, state.val.washout
             x = state.train_seq.extended[:, w_t:]
             t = state.train.targets[:, w_t:]
-            w = solve_output_weights(x, t, ridge)
+            w = solve_output_weights(x, t)
             val_resid = state.val.targets[:, w_v:] - w @ state.val_seq.extended[:, w_v:]
             fresh = (np.linalg.norm(t - w @ x), np.linalg.norm(val_resid))
             assert norms == pytest.approx(fresh, rel=1e-9)
@@ -641,21 +641,20 @@ class TestFactorisation:
         monkeypatch.setattr(build, "_accept_node", accept)
         return sizes
 
-    @pytest.mark.parametrize("ridge", [0.0, 1.0])
-    def test_toy_build_norms_match_a_fresh_solve(self, monkeypatch, ridge):
-        sizes = self.checked(monkeypatch, ridge)
-        cfg = small_cfg(n_max=15, n_step=14, ridge=ridge)
+    def test_toy_build_norms_match_a_fresh_solve(self, monkeypatch):
+        sizes = self.checked(monkeypatch)
+        cfg = small_cfg(n_max=15, n_step=14)
         model, hist = build_rscn(toy_task(160), toy_task(160, seed=9), cfg)
         assert sizes == hist.sizes == list(range(cfg.n_init, cfg.n_max + 1))
 
     def test_mg_build_norms_match_a_fresh_solve(self, monkeypatch):
         data = task_from_manifest({"task": "mg", "seed": 0})
-        sizes = self.checked(monkeypatch, 0.0)
+        sizes = self.checked(monkeypatch)
         model, hist = build_rscn(data.train, data.val, BuildConfig(n_max=40, seed=0))
         assert sizes == hist.sizes and sizes[-1] == model.n_nodes
 
     def test_repeated_input_channel_builds(self, monkeypatch):
-        sizes = self.checked(monkeypatch, 0.0)
+        sizes = self.checked(monkeypatch)
         task, val = duplicated_channel_task(), duplicated_channel_task(seed=9)
         cfg = small_cfg(n_max=12, n_step=11)
         state = init_network(task, val, cfg, np.random.default_rng(0))

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from rscn import evaluate
 from rscn.cli import cmd_dispatch
 from rscn.model import ReservoirModel, load_model, model_to_dict
 from rscn.tasks import load_manifest
@@ -58,7 +59,7 @@ def fast_manifest(tmp_path, toy_csv):
 class TestGen:
     def test_variant_flag_controls_input_columns(self, tmp_path):
         out = tmp_path / "gen"
-        assert run("gen", "mg", "--variant", "mg2", "--seed", "1",
+        assert run("gen", "--task", "mg2", "--seed", "1",
                    "--out", str(out)) == 0
         header = (out / "mg2_train.csv").read_text().splitlines()[0]
         assert header == "u1,u2,y"
@@ -150,6 +151,17 @@ class TestBench:
         assert csv_text.splitlines()[0] == "Models,N,Training time,Training NRMSE,Testing NRMSE"
         assert len(csv_text.strip().splitlines()) == 3  # two models
 
+    def test_models_share_each_trial_task(self, tmp_path, toy_csv, monkeypatch):
+        calls = []
+        generate = evaluate.task_from_manifest
+        monkeypatch.setattr(evaluate, "task_from_manifest",
+                            lambda manifest: calls.append(manifest["seed"]) or generate(manifest))
+        assert run("bench", "--tasks", f"csv:{toy_csv}", "--models", "esn", "scr", "rscn",
+                   "--trials", "2", "--seed", "0", "--out", str(tmp_path)) == 0
+        # ESN's trials generate seeds 0 and 1, which SCR and RSCN reuse; the
+        # ring-weight grid search generates its own seed 0
+        assert calls == [0, 1, 0]
+
 
 class TestEspCheck:
     def test_contractive_model_reports_converged(self, tmp_path, fast_manifest, capsys):
@@ -181,13 +193,13 @@ class TestErrorPaths:
     def test_unknown_model_params_key_is_a_schema_error(self, tmp_path, fast_manifest,
                                                         capsys):
         doc = load_manifest(fast_manifest)
-        doc["model_params"].update({"esp_mode": "none", "washout": 5})
+        doc["model_params"].update({"esp_mode": "none", "washout": 5, "ridge": 1.0})
         path = tmp_path / "old.json"
         path.write_text(json.dumps(doc))
         assert run("train", "--manifest", str(path), "--out", str(tmp_path)) == 3
         err = capsys.readouterr().err
         assert "kind=SchemaError" in err
-        assert "esp_mode" in err and "washout" in err
+        assert "esp_mode" in err and "washout" in err and "ridge" in err
         assert not any(f.endswith(".model.json") for f in os.listdir(tmp_path))
 
     def test_wrongly_typed_model_params_value_is_a_schema_error(self, tmp_path,
@@ -200,12 +212,13 @@ class TestErrorPaths:
         assert "kind=SchemaError" in capsys.readouterr().err
 
     def test_unknown_grid_name_is_a_schema_error(self, tmp_path, fast_manifest, capsys):
-        assert run("train", "--manifest", fast_manifest, "--grid", "washout=1,2",
-                   "--out", str(tmp_path)) == 3
-        err = capsys.readouterr().err
-        assert "kind=SchemaError" in err
-        assert "washout" in err
-        assert not any(f.endswith(".model.json") for f in os.listdir(tmp_path))
+        for name in ("washout", "ridge"):
+            assert run("train", "--manifest", fast_manifest, "--grid", f"{name}=0,1",
+                       "--out", str(tmp_path)) == 3
+            err = capsys.readouterr().err
+            assert "kind=SchemaError" in err
+            assert name in err
+            assert not any(f.endswith(".model.json") for f in os.listdir(tmp_path))
 
     def test_csv_task_without_csv_section_is_a_schema_error(self, tmp_path,
                                                              fast_manifest, capsys):
@@ -240,6 +253,20 @@ class TestErrorPaths:
         assert run(command, "--model-file", str(path), "--task", "mg") == 3
         err = capsys.readouterr().err
         assert "kind=SchemaError" in err and "input_weights" in err
+
+    @pytest.mark.parametrize("command", ["eval", "esp-check"])
+    def test_model_document_with_another_activation_is_a_schema_error(self, tmp_path, capsys,
+                                                                      command):
+        doc = model_to_dict(ReservoirModel(
+            input_weights=np.ones((2, 1)), feedback=np.zeros((2, 2)),
+            biases=np.zeros(2), readout=np.zeros((1, 3)),
+        ))
+        doc["activation"] = "sigmoid"
+        path = tmp_path / "sigmoid.model.json"
+        path.write_text(json.dumps(doc))
+        assert run(command, "--model-file", str(path), "--task", "mg") == 3
+        err = capsys.readouterr().err
+        assert "kind=SchemaError" in err and "sigmoid" in err
 
     @pytest.mark.parametrize("command,section,key", [
         ("eval", None, "seed"),

@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rscn
 from rscn.errors import ContractViolationError, NumericOverflowError
 from rscn.model import (
     BLOCK_LOWER_TRIANGULAR,
@@ -227,3 +231,13 @@ class TestSerialization:
         doc["version"] = 99
         with pytest.raises(ContractViolationError):
             model_from_dict(doc)
+
+
+def test_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(rscn.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, rscn; print([m for m in sys.modules if m.startswith('scipy')])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
