@@ -208,6 +208,7 @@ class TestEspCheckBatched:
     CASES = [
         (random_model(0, 5), {}),
         (random_model(1, 12, gain=0.99), {"n_steps": 80}),
+        (random_model(2, 8), {"n_pairs": 9, "n_steps": 120}),
         (random_model(3, 6, k=1), {"n_pairs": 3, "tol": 1e-3, "n_steps": 7}),
         # bistable: tanh(3x) has fixed points near +-1, so pairs that start
         # on opposite signs in some node never meet
