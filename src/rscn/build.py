@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import math
 import warnings
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -153,6 +155,15 @@ class BuildHistory:
         return "\n".join(lines) + "\n"
 
 
+class _Inline(Executor):
+    """Executor that runs each job at once, in the submitting thread."""
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future = Future()
+        future.set_result(fn(*args, **kwargs))
+        return future
+
+
 @dataclass
 class BuildState:
     """Mutable working state of one growth run (single-owner).
@@ -164,6 +175,11 @@ class BuildState:
     ``basis`` names each vector's design column (inputs, then nodes) and
     ``residual`` is the post-washout training residual ``(L, T)``.
     ``work`` holds the candidate search's work arrays, reused across calls.
+    ``executor`` runs the search's second thread, which computes the
+    second half of each batch of pools (their drives, then their scores)
+    while the calling thread does the first. :func:`build_rscn` gives it
+    one worker thread for the growth loop; any other state runs that half
+    inline, in the calling thread, with the same results.
     """
 
     cfg: BuildConfig
@@ -182,6 +198,7 @@ class BuildState:
     residual: np.ndarray
     history: BuildHistory
     work: dict[str, np.ndarray] = field(default_factory=dict)
+    executor: Executor = field(default_factory=_Inline)
 
     @property
     def train_seq(self) -> StateSequence:
@@ -251,38 +268,63 @@ def _node_states(
     return g
 
 
+def _halves(executor: Executor, job, n_items: int) -> tuple:
+    """Results of ``job(lo, hi, thread)`` over two halves of ``range(n_items)``.
+
+    The executor's worker (thread 1) takes the second half while the
+    calling thread (thread 0) does the first. The worker is joined
+    before this returns or raises, so no job outlives the call.
+    """
+    half = (n_items + 1) // 2
+    later = executor.submit(job, half, n_items, 1)
+    try:
+        first = job(0, half, 0)
+    finally:
+        second = later.result()
+    return first, second
+
+
 def _pool_node_states(
     prev_states: np.ndarray,
     inputs: np.ndarray,
     pools: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
-    work: tuple[np.ndarray, np.ndarray, np.ndarray],
+    work: tuple,
+    executor: Executor,
 ) -> np.ndarray:
     """Time-major state sequences ``(n_steps, n_pool)`` of stacked pools.
 
     ``pools`` holds ``(input rows, feedback rows, biases)`` per pool;
     the columns of the result follow the pools' rows in order. Each
     pool's drive comes from its own matmuls (so its bits do not depend
-    on the other pools) and is written transposed into one buffer,
-    which the recursion, starting from a zero state, then updates in
-    place one contiguous row per step. ``work`` holds the result's buffer
-    ``(n_steps, >= n_pool)`` and two for a pool's drive ``(pool size, n_steps)``.
+    on the other pools, or on the thread) and is written transposed into
+    one buffer; the executor's worker computes the second half of the
+    pools. The recursion then updates that buffer in place, starting from
+    a zero state, one contiguous row per step. ``work`` holds the result's
+    buffer ``(n_steps, >= n_pool)`` and, for each of the two threads, two
+    for a pool's drive ``(pool size, n_steps)``.
     """
-    out, drive, prod = work
-    width = sum(b.size for _, _, b in pools)
-    g = out[:, :width]
-    self_w = np.empty(width)
-    col = 0
-    for w_in, w_r, b in pools:
-        np.matmul(w_in, inputs, out=drive)
-        drive += b[:, None]
-        if prev_states.shape[0]:
-            drive += np.matmul(w_r[:, :-1], prev_states, out=prod)
-        g[:, col:col + b.size] = drive.T
-        self_w[col:col + b.size] = w_r[:, -1]
-        col += b.size
-    gp = np.zeros(width)
-    fed = np.empty(width)
-    # per-step call overhead dominates, so outputs are passed positionally
+    out, *buffers = work
+    starts = list(accumulate((b.size for _, _, b in pools), initial=0))
+    g = out[:, :starts[-1]]
+    self_w = np.empty(starts[-1])
+
+    def drives(lo, hi, thread):
+        drive, prod = buffers[thread]
+        for (w_in, w_r, b), col in zip(pools[lo:hi], starts[lo:hi]):
+            np.matmul(w_in, inputs, out=drive)
+            drive += b[:, None]
+            if prev_states.shape[0]:
+                drive += np.matmul(w_r[:, :-1], prev_states, out=prod)
+            g[:, col:col + b.size] = drive.T
+            self_w[col:col + b.size] = w_r[:, -1]
+
+    _halves(executor, drives, len(pools))
+    gp = np.zeros(starts[-1])
+    fed = np.empty(starts[-1])
+    # One thread: the per-step ufuncs are one pool batch wide (a few
+    # hundred columns), below the 500 elements at which NumPy releases
+    # the GIL. Per-step call overhead dominates, so outputs are passed
+    # positionally.
     for row in g:
         np.multiply(self_w, gp, fed)
         np.add(row, fed, row)
@@ -336,13 +378,21 @@ def configure_node(
     state just after that pool's draws, so the stream continues exactly
     as if the pools had been drawn and tested one at a time. A result
     without a node tells the caller to advance the weight scale.
+
+    Each batch of pools is split in two: ``state.executor``'s worker
+    computes the drives of the second half and then scores it, while the
+    calling thread does the first half, runs the recursion and draws.
+    Every pool's arithmetic is the same in either thread, so the result
+    does not depend on the split.
     """
     alpha, n, k = state.cfg.esp_alpha, state.n, state.train.n_inputs
     if g_max <= 0:
         return CandidatePool(None, None, 0, 0)
     prev, washout, n_steps = state.train_states[:n, :-1], state.train.washout, inputs.shape[1]
-    work = (_work(state, "states", (n_steps, len(rs) * g_max)),
-            *(_work(state, name, (g_max, n_steps)) for name in ("drive", "prod")))
+    # per thread (caller, then worker): a drive buffer, which scoring reuses, and a product buffer
+    shape = (g_max, n_steps)
+    buffers = [(_work(state, f"drive {t}", shape), _work(state, f"prod {t}", shape)) for t in range(2)]
+    work = (_work(state, "states", (n_steps, len(rs) * g_max)), *buffers)
     last = max(len(rs) - 1, 0)
     for batch in filter(None, (range(last), range(last, len(rs)))):
         pools, rng_after = [], []
@@ -353,31 +403,38 @@ def configure_node(
             np.clip(w_r_pool[:, -1], -alpha, alpha, out=w_r_pool[:, -1])
             pools.append((w_in_pool, w_r_pool, b_pool))
             rng_after.append(rng.bit_generator.state)
-        g_all = _pool_node_states(prev, inputs, pools, work)
-        for i, j in enumerate(batch):
-            # score a C-contiguous copy in the spent drive buffer: the layout fixes the bits
-            g = work[1]
-            g[:] = g_all[:, i * g_max:(i + 1) * g_max].T
-            r = rs[j]
-            mu = (1.0 - r) / (n + 1)
-            scores, per = _pool_scores(state.residual, g[:, washout:], r, mu)
-            ok = np.all(per >= 0.0, axis=0)
-            n_accepted = int(ok.sum())
-            if n_accepted == 0:
-                continue
-            rng.bit_generator.state = rng_after[i]
-            ok_idx = np.nonzero(ok)[0]
-            best = ok_idx[int(np.argmax(scores[ok_idx]))]
-            w_in_pool, w_r_pool, b_pool = pools[i]
-            cand = CandidateNode(
-                input_row=w_in_pool[best].copy(),
-                feedback_row=w_r_pool[best].copy(),
-                bias=float(b_pool[best]),
-                state_seq=g[best].copy(),
-                score=float(scores[best]),
-                per_output_scores=per[:, best].copy(),
-            )
-            return CandidatePool(cand, r, n_accepted, (j + 1) * g_max)
+        g_all = _pool_node_states(prev, inputs, pools, work, state.executor)
+
+        def first_pass(lo, hi, thread):
+            """The first pool of ``lo:hi`` with a passer, and its scores."""
+            g = buffers[thread][0]
+            for i in range(lo, hi):
+                # score a C-contiguous copy in the spent drive buffer: the layout fixes the bits
+                g[:] = g_all[:, i * g_max:(i + 1) * g_max].T
+                r = rs[batch[i]]
+                scores, per = _pool_scores(state.residual, g[:, washout:], r, (1.0 - r) / (n + 1))
+                ok = np.all(per >= 0.0, axis=0)
+                if ok.any():
+                    return i, g, scores, per, ok
+            return None
+
+        found = next(filter(None, _halves(state.executor, first_pass, len(batch))), None)
+        if found is None:
+            continue
+        i, g, scores, per, ok = found
+        rng.bit_generator.state = rng_after[i]
+        ok_idx = np.nonzero(ok)[0]
+        best = ok_idx[int(np.argmax(scores[ok_idx]))]
+        w_in_pool, w_r_pool, b_pool = pools[i]
+        cand = CandidateNode(
+            input_row=w_in_pool[best].copy(),
+            feedback_row=w_r_pool[best].copy(),
+            bias=float(b_pool[best]),
+            state_seq=g[best].copy(),
+            score=float(scores[best]),
+            per_output_scores=per[:, best].copy(),
+        )
+        return CandidatePool(cand, rs[batch[i]], ok_idx.size, (batch[i] + 1) * g_max)
     return CandidatePool(None, None, 0, len(rs) * g_max)
 
 
@@ -528,35 +585,38 @@ def build_rscn(
     ``n_step`` nodes and returns. Exhausting every (scale, r) pair flags
     the history as stalled and returns the current model rather than
     raising. The returned model's readout is solved once, on its own
-    design.
+    design. The candidate search gets one worker thread for the growth
+    loop, which is shut down before the function returns or raises.
     """
     state = init_network(train, val, cfg, substream(cfg.seed, "init"))
     rng_cand = substream(cfg.seed, "candidates")
     history = state.history
-    while True:
-        n = state.n
-        if history.train_norms[-1] <= cfg.epsilon or n >= cfg.n_max:
-            break
-        if early_stop_triggered(history.val_norms, cfg.n_step):
-            history.early_stopped = True
-            history.rolled_back_to = n - cfg.n_step
-            break
-        pool_total = 0
-        for lam in cfg.lambda_sequence:
-            pool = configure_node(
-                state, train.inputs, lam, cfg.r_sequence, cfg.g_max, rng_cand
-            )
-            pool_total += pool.n_drawn
-            if pool.best is not None:
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="rscn-search") as worker:
+        state.executor = worker
+        while True:
+            n = state.n
+            if history.train_norms[-1] <= cfg.epsilon or n >= cfg.n_max:
                 break
-        else:
-            history.stalled = True
-            break
-        train_norm, val_norm = _accept_node(state, pool.best)
-        history.record(
-            state.n, lam, pool.r, pool.best.score,
-            train_norm, val_norm, pool.n_accepted, pool_total,
-        )
+            if early_stop_triggered(history.val_norms, cfg.n_step):
+                history.early_stopped = True
+                history.rolled_back_to = n - cfg.n_step
+                break
+            pool_total = 0
+            for lam in cfg.lambda_sequence:
+                pool = configure_node(
+                    state, train.inputs, lam, cfg.r_sequence, cfg.g_max, rng_cand
+                )
+                pool_total += pool.n_drawn
+                if pool.best is not None:
+                    break
+            else:
+                history.stalled = True
+                break
+            train_norm, val_norm = _accept_node(state, pool.best)
+            history.record(
+                state.n, lam, pool.r, pool.best.score,
+                train_norm, val_norm, pool.n_accepted, pool_total,
+            )
     n = history.final_size = history.rolled_back_to or state.n
     x = np.vstack([state.train_states[:n, 1:], train.inputs])[:, train.washout:]
     w_out = solve_output_weights(x, train.targets[:, train.washout:])

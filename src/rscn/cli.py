@@ -193,14 +193,9 @@ def cmd_gen(args) -> int:
     run_manifest = _load_run_manifest(args)
     seed = _merged(args, run_manifest, "seed", 0, int)
     task_arg = _merged(args, run_manifest, "task", None)
-    if task_arg is None:
-        raise SchemaError("gen needs a task")
     if isinstance(task_arg, str) and task_arg.startswith("csv:"):
         raise SchemaError("gen produces generator tasks only (mg, mg1, mg2, plant)")
-    manifest = (
-        {**task_arg, "seed": seed} if isinstance(task_arg, dict)
-        else _resolve_task_manifest(task_arg, seed)
-    )
+    manifest = _effective_task(args, run_manifest, seed)
     task = task_from_manifest(manifest)
     out = _ensure_out(args)
     for split_name in ("train", "val", "test"):

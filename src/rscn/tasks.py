@@ -113,20 +113,21 @@ def mackey_glass(p: MGParams, rng: np.random.Generator) -> np.ndarray:
     knots = rng.uniform(lo, hi, size=p.tau + 1)
     # generated points start where the random history ends
     n_fine = delay + (p.length - 1) * spu + 1
-    buf = np.empty(n_fine)
     fine_t = np.arange(delay + 1) * p.dt
-    buf[: delay + 1] = np.interp(fine_t, np.arange(p.tau + 1, dtype=float), knots)
+    # stepped on Python floats, which cost far less per operation than NumPy scalars
+    buf = np.interp(fine_t, np.arange(p.tau + 1, dtype=float), knots).tolist()
+    upsilon, alpha, exponent, dt = p.upsilon, p.alpha, p.exponent, p.dt
 
     def rate(y, y_tau):
-        return p.upsilon * y + p.alpha * y_tau / (1.0 + y_tau**p.exponent)
+        return upsilon * y + alpha * y_tau / (1.0 + y_tau**exponent)
 
     for i in range(delay, n_fine - 1):
         y = buf[i]
         k1 = rate(y, buf[i - delay])
         y_tau_mid = 0.5 * (buf[i - delay] + buf[i - delay + 1])
-        k2 = rate(y + 0.5 * p.dt * k1, y_tau_mid)
-        buf[i + 1] = y + p.dt * k2
-    return buf[delay::spu][: p.length].copy()
+        k2 = rate(y + 0.5 * dt * k1, y_tau_mid)
+        buf.append(y + dt * k2)
+    return np.array(buf[delay::spu][: p.length], dtype=float)
 
 
 MG_VARIANT_LAGS = {
@@ -201,14 +202,12 @@ def plant_response(u: np.ndarray, p: PlantParams = PlantParams()) -> np.ndarray:
     ``y(n+1) = c0 y(n) + c1 y(n-1) u(n) + c2 u(n-2)^2 + c3 u(n-3)``
     with the first four outputs fixed by ``initial_outputs``.
     """
-    u = np.asarray(u, dtype=float)
+    u = np.asarray(u, dtype=float).tolist()
     c0, c1, c2, c3 = p.coefficients
-    n = u.size
-    y = np.empty(n + 1)
-    y[:4] = p.initial_outputs
-    for j in range(4, n + 1):
-        y[j] = c0 * y[j - 1] + c1 * y[j - 2] * u[j - 1] + c2 * u[j - 3] ** 2 + c3 * u[j - 4]
-    return y
+    y = [float(v) for v in p.initial_outputs]
+    for j in range(4, len(u) + 1):
+        y.append(c0 * y[j - 1] + c1 * y[j - 2] * u[j - 1] + c2 * u[j - 3] ** 2 + c3 * u[j - 4])
+    return np.array(y, dtype=float)
 
 
 def plant_test_input(n: np.ndarray) -> np.ndarray:

@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -17,7 +20,7 @@ from rscn.build import (
     solve_output_weights,
 )
 from rscn.errors import ContractViolationError
-from rscn.model import run_reservoir
+from rscn.model import run_reservoir, save_model
 from rscn.tasks import SupervisedSequence, task_from_manifest
 
 
@@ -600,6 +603,85 @@ class TestLazyLastPool:
         assert rng.random() == twin.random()
 
 
+class TestSearchWorker:
+    """The search's worker thread changes no bit and outlives no build."""
+
+    @staticmethod
+    def search_threads():
+        return [t for t in threading.enumerate() if t.name.startswith("rscn-search")]
+
+    @pytest.mark.parametrize(
+        "lam,g_max,seed,task",
+        [
+            (5.0, 1, 99, "toy"),
+            (5.0, 1, 2, "toy"),
+            (5.0, 1, 257, "toy"),
+            (0.5, 20, 5, "toy"),
+            (0.5, 100, 0, "mg"),
+        ],
+    )
+    def test_worker_matches_inline(self, lam, g_max, seed, task):
+        rs = (0.9, 0.99, 0.999, 0.9999)
+        if task == "mg":
+            data = task_from_manifest({"task": "mg", "seed": 0})
+            train, val, cfg = data.train, data.val, BuildConfig()
+        else:
+            train, val, cfg = toy_task(), toy_task(seed=1), small_cfg()
+        state = init_network(train, val, cfg, np.random.default_rng(0))
+        rng_inline, rng_worker = np.random.default_rng(seed), np.random.default_rng(seed)
+        inline = configure_node(state, state.train.inputs, lam, rs, g_max, rng_inline)
+        with ThreadPoolExecutor(max_workers=1) as worker:
+            state.executor = worker
+            threaded = configure_node(state, state.train.inputs, lam, rs, g_max, rng_worker)
+        assert (threaded.r, threaded.n_accepted, threaded.n_drawn) == (
+            inline.r, inline.n_accepted, inline.n_drawn)
+        assert (threaded.best is None) == (inline.best is None)
+        if inline.best is not None:
+            a, b = threaded.best, inline.best
+            assert np.array_equal(a.input_row, b.input_row)
+            assert np.array_equal(a.feedback_row, b.feedback_row)
+            assert a.bias == b.bias and a.score == b.score
+            assert np.array_equal(a.state_seq, b.state_seq)
+            assert np.array_equal(a.per_output_scores, b.per_output_scores)
+        assert rng_worker.random() == rng_inline.random()
+
+    def test_concurrent_builds_are_byte_identical(self, tmp_path):
+        # three builds at once run six threads on fewer cores, and a short
+        # switch interval interleaves them finely
+        data = task_from_manifest({"task": "mg", "seed": 0})
+        cfg = BuildConfig(n_max=30, seed=3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=3) as pool:
+                runs = list(pool.map(lambda _: build_rscn(data.train, data.val, cfg),
+                                     range(3), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        runs.append(build_rscn(data.train, data.val, cfg))  # alone, for reference
+        docs = []
+        for i, (model, history) in enumerate(runs):
+            save_model(model, str(tmp_path / f"{i}.json"))
+            docs.append(((tmp_path / f"{i}.json").read_bytes(), history.to_csv()))
+        assert all(doc == docs[-1] for doc in docs)
+        assert runs[-1][0].n_nodes > cfg.n_init
+
+    def test_no_worker_thread_outlives_a_build(self, monkeypatch):
+        model, hist = build_rscn(toy_task(), toy_task(seed=1), small_cfg())
+        assert model.n_nodes > small_cfg().n_init
+        assert self.search_threads() == []
+        seen = []
+
+        def failing(state, cand):
+            seen.extend(self.search_threads())
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(build, "_accept_node", failing)
+        with pytest.raises(RuntimeError, match="injected"):
+            build_rscn(toy_task(), toy_task(seed=1), small_cfg())
+        assert seen and self.search_threads() == []
+
+
 def duplicated_channel_task(n_steps=160, seed=0):
     """The toy task with its first input channel repeated: a rank-deficient design."""
     task = toy_task(n_steps, seed=seed)
@@ -701,6 +783,6 @@ class TestHotPath:
                     break
             kept.append((pool.best.state_seq, pool.best.state_seq.copy()))
             _accept_node(state, pool.best)
-        assert len(arrays) == 3
+        assert len(arrays) == 5
         # an accepted node's states survive every later search
         assert all(np.array_equal(seq, copy) for seq, copy in kept)

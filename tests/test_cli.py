@@ -79,6 +79,17 @@ class TestGen:
         assert manifest["task"] == "plant"
         assert manifest["seed"] == 4
 
+    def test_run_manifest_task_keeps_its_own_seed(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"task": {"task": "mg", "seed": 5}}))
+        out = tmp_path / "gen"
+        assert run("gen", "--manifest", str(path), "--out", str(out)) == 0
+        assert load_manifest(str(out / "mg_manifest.json"))["seed"] == 5
+        ref = tmp_path / "ref"
+        assert run("gen", "--task", "mg", "--seed", "5", "--out", str(ref)) == 0
+        for name in ("mg_train.csv", "mg_val.csv", "mg_test.csv"):
+            assert (out / name).read_bytes() == (ref / name).read_bytes()
+
     def test_csv_task_rejected(self, tmp_path, toy_csv):
         assert run("gen", "--task", f"csv:{toy_csv}", "--out", str(tmp_path)) == 3
 

@@ -48,6 +48,62 @@ class TestMackeyGlass:
         assert np.array_equal(a, b)
 
 
+def mackey_glass_oracle(p, rng):
+    """The integration stepped on NumPy scalars in a preallocated buffer."""
+    spu = round(1.0 / p.dt)
+    delay = p.tau * spu
+    lo, hi = p.init_range
+    knots = rng.uniform(lo, hi, size=p.tau + 1)
+    n_fine = delay + (p.length - 1) * spu + 1
+    buf = np.empty(n_fine)
+    fine_t = np.arange(delay + 1) * p.dt
+    buf[: delay + 1] = np.interp(fine_t, np.arange(p.tau + 1, dtype=float), knots)
+
+    def rate(y, y_tau):
+        return p.upsilon * y + p.alpha * y_tau / (1.0 + y_tau**p.exponent)
+
+    for i in range(delay, n_fine - 1):
+        y = buf[i]
+        k1 = rate(y, buf[i - delay])
+        y_tau_mid = 0.5 * (buf[i - delay] + buf[i - delay + 1])
+        k2 = rate(y + 0.5 * p.dt * k1, y_tau_mid)
+        buf[i + 1] = y + p.dt * k2
+    return buf[delay::spu][: p.length].copy()
+
+
+def plant_response_oracle(u, p=PlantParams()):
+    """The plant recursion stepped on NumPy scalars in a preallocated buffer."""
+    u = np.asarray(u, dtype=float)
+    c0, c1, c2, c3 = p.coefficients
+    y = np.empty(u.size + 1)
+    y[:4] = p.initial_outputs
+    for j in range(4, u.size + 1):
+        y[j] = c0 * y[j - 1] + c1 * y[j - 2] * u[j - 1] + c2 * u[j - 3] ** 2 + c3 * u[j - 4]
+    return y
+
+
+class TestGeneratorsMatchNumpyScalarLoops:
+    """The generators step on Python floats; the bits must not move."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("params", [
+        MGParams(), MGParams(length=10000), MGParams(tau=30, exponent=8, length=600),
+    ], ids=["default", "long", "tau30-exp8"])
+    def test_mackey_glass(self, params, seed):
+        got = mackey_glass(params, np.random.default_rng(seed))
+        want = mackey_glass_oracle(params, np.random.default_rng(seed))
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n", [50, 5000])
+    def test_plant_response(self, n, seed):
+        u = np.random.default_rng(seed).uniform(-1, 1, n)
+        p = PlantParams(coefficients=(0.5, 0.1, 0.3, -0.2), initial_outputs=(0, 1, 0, 0.5))
+        for params in (PlantParams(), p):
+            got, want = plant_response(u, params), plant_response_oracle(u, params)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 @pytest.fixture(scope="module")
 def series():
     return mackey_glass(MGParams(), np.random.default_rng(3))
