@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -41,10 +39,9 @@ class BuildConfig:
     ``lambda_sequence`` is the ladder of weight scales tried for the
     random draws and ``r_sequence`` the contraction factors of the
     acceptance test. Scales are swept outermost. For one scale, one pool
-    of ``g_max`` candidates is drawn per r and the first pool (in ladder
-    order) with an acceptable candidate supplies the node; the draws of
-    later pools are taken back, so the random stream is the same as
-    drawing and testing the pools one at a time.
+    of ``g_max`` candidates is drawn and tested against the r's in order;
+    the first r at which a candidate passes supplies the node. The paper
+    draws a fresh pool for every r instead (see the README).
 
     ``esp_alpha`` fixes the echo-state handling. The initial block is
     contracted to largest singular value ``esp_alpha`` and each appended
@@ -104,11 +101,10 @@ class CandidateNode:
 class CandidatePool:
     """Outcome of one configuration attempt over an r-ladder at one scale.
 
-    ``r`` is the contraction factor of the pool that supplied ``best``
-    and ``n_accepted`` counts that pool's acceptable candidates; both are
-    ``None``/0 when no pool passed. ``n_drawn`` counts the candidates of
-    every pool up to and including the passing one (all pools if none
-    passed).
+    ``r`` is the first contraction factor at which the pool had an
+    acceptable candidate and ``n_accepted`` counts the pool's acceptable
+    candidates at that ``r``; both are ``None``/0 when none passed.
+    ``n_drawn`` is the pool's size, ``g_max``.
     """
 
     best: CandidateNode | None
@@ -119,7 +115,11 @@ class CandidatePool:
 
 @dataclass
 class BuildHistory:
-    """Per-size records of one growth run plus terminal flags."""
+    """Per-size records of one growth run plus terminal flags.
+
+    ``pool_total`` counts the candidates drawn for a node: ``g_max`` per
+    weight scale tried.
+    """
 
     sizes: list[int] = field(default_factory=list)
     lambdas: list[float] = field(default_factory=list)
@@ -155,15 +155,6 @@ class BuildHistory:
         return "\n".join(lines) + "\n"
 
 
-class _Inline(Executor):
-    """Executor that runs each job at once, in the submitting thread."""
-
-    def submit(self, fn, /, *args, **kwargs) -> Future:
-        future = Future()
-        future.set_result(fn(*args, **kwargs))
-        return future
-
-
 @dataclass
 class BuildState:
     """Mutable working state of one growth run (single-owner).
@@ -175,11 +166,6 @@ class BuildState:
     ``basis`` names each vector's design column (inputs, then nodes) and
     ``residual`` is the post-washout training residual ``(L, T)``.
     ``work`` holds the candidate search's work arrays, reused across calls.
-    ``executor`` runs the search's second thread, which computes the
-    second half of each batch of pools (their drives, then their scores)
-    while the calling thread does the first. :func:`build_rscn` gives it
-    one worker thread for the growth loop; any other state runs that half
-    inline, in the calling thread, with the same results.
     """
 
     cfg: BuildConfig
@@ -198,7 +184,6 @@ class BuildState:
     residual: np.ndarray
     history: BuildHistory
     work: dict[str, np.ndarray] = field(default_factory=dict)
-    executor: Executor = field(default_factory=_Inline)
 
     @property
     def train_seq(self) -> StateSequence:
@@ -268,63 +253,31 @@ def _node_states(
     return g
 
 
-def _halves(executor: Executor, job, n_items: int) -> tuple:
-    """Results of ``job(lo, hi, thread)`` over two halves of ``range(n_items)``.
-
-    The executor's worker (thread 1) takes the second half while the
-    calling thread (thread 0) does the first. The worker is joined
-    before this returns or raises, so no job outlives the call.
-    """
-    half = (n_items + 1) // 2
-    later = executor.submit(job, half, n_items, 1)
-    try:
-        first = job(0, half, 0)
-    finally:
-        second = later.result()
-    return first, second
-
-
 def _pool_node_states(
     prev_states: np.ndarray,
     inputs: np.ndarray,
-    pools: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
-    work: tuple,
-    executor: Executor,
+    pool: tuple[np.ndarray, np.ndarray, np.ndarray],
+    work: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> np.ndarray:
-    """Time-major state sequences ``(n_steps, n_pool)`` of stacked pools.
+    """Time-major state sequences ``(n_steps, pool size)`` of one pool.
 
-    ``pools`` holds ``(input rows, feedback rows, biases)`` per pool;
-    the columns of the result follow the pools' rows in order. Each
-    pool's drive comes from its own matmuls (so its bits do not depend
-    on the other pools, or on the thread) and is written transposed into
-    one buffer; the executor's worker computes the second half of the
-    pools. The recursion then updates that buffer in place, starting from
-    a zero state, one contiguous row per step. ``work`` holds the result's
-    buffer ``(n_steps, >= n_pool)`` and, for each of the two threads, two
-    for a pool's drive ``(pool size, n_steps)``.
+    ``pool`` holds the ``(input rows, feedback rows, biases)``. The drive
+    is written transposed into the result's buffer, which the recursion
+    then updates in place, starting from a zero state, one contiguous row
+    per step. ``work`` holds that buffer ``(n_steps, pool size)`` and two
+    for the drive ``(pool size, n_steps)``.
     """
-    out, *buffers = work
-    starts = list(accumulate((b.size for _, _, b in pools), initial=0))
-    g = out[:, :starts[-1]]
-    self_w = np.empty(starts[-1])
-
-    def drives(lo, hi, thread):
-        drive, prod = buffers[thread]
-        for (w_in, w_r, b), col in zip(pools[lo:hi], starts[lo:hi]):
-            np.matmul(w_in, inputs, out=drive)
-            drive += b[:, None]
-            if prev_states.shape[0]:
-                drive += np.matmul(w_r[:, :-1], prev_states, out=prod)
-            g[:, col:col + b.size] = drive.T
-            self_w[col:col + b.size] = w_r[:, -1]
-
-    _halves(executor, drives, len(pools))
-    gp = np.zeros(starts[-1])
-    fed = np.empty(starts[-1])
-    # One thread: the per-step ufuncs are one pool batch wide (a few
-    # hundred columns), below the 500 elements at which NumPy releases
-    # the GIL. Per-step call overhead dominates, so outputs are passed
-    # positionally.
+    g, drive, prod = work
+    w_in, w_r, b = pool
+    np.matmul(w_in, inputs, out=drive)
+    drive += b[:, None]
+    if prev_states.shape[0]:
+        drive += np.matmul(w_r[:, :-1], prev_states, out=prod)
+    g[:] = drive.T
+    self_w = w_r[:, -1].copy()
+    gp = np.zeros(b.size)
+    fed = np.empty(b.size)
+    # per-step call overhead dominates, so outputs are passed positionally
     for row in g:
         np.multiply(self_w, gp, fed)
         np.add(row, fed, row)
@@ -334,19 +287,29 @@ def _pool_node_states(
 
 
 def _pool_scores(
-    residual: np.ndarray, g_eff: np.ndarray, r: float, mu: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Scores (n_pool,) and per-output scores (L, n_pool) for a pool."""
+    residual: np.ndarray, g_eff: np.ndarray, rs: Sequence[float], n: int
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray] | None:
+    """The first r of ``rs`` with a passer, with its scores and passers.
+
+    At each r, ``mu = (1 - r) / (n + 1)`` and output ``q`` scores
+    ``<e_q, g>^2 / <g, g> - (1 - r - mu) ||e_q||^2``; a candidate passes
+    when every output scores nonnegative. Returns that r, the scores
+    ``(n_pool,)``, the per-output scores ``(L, n_pool)`` and the passer
+    mask; a zero-energy candidate scores ``INFEASIBLE``. ``None`` when no
+    r has a passer.
+    """
     gg = np.einsum("gt,gt->g", g_eff, g_eff)
     eg = residual @ g_eff.T
     ee = np.einsum("qt,qt->q", residual, residual)
-    coef = 1.0 - r - mu
     feasible = gg > 0.0
-    safe_gg = np.where(feasible, gg, 1.0)
-    per = eg**2 / safe_gg - coef * ee[:, None]
-    per[:, ~feasible] = INFEASIBLE
-    scores = np.where(feasible, per.sum(axis=0), INFEASIBLE)
-    return scores, per
+    gain = eg**2 / np.where(feasible, gg, 1.0)
+    gain[:, ~feasible] = INFEASIBLE
+    for r in rs:
+        per = gain - (1.0 - r - (1.0 - r) / (n + 1)) * ee[:, None]
+        ok = np.all(per >= 0.0, axis=0)
+        if ok.any():
+            return r, per.sum(axis=0), per, ok
+    return None
 
 
 def _work(state: BuildState, name: str, shape: tuple[int, int]) -> np.ndarray:
@@ -364,78 +327,44 @@ def configure_node(
     g_max: int,
     rng: np.random.Generator,
 ) -> CandidatePool:
-    """Try the r-ladder ``rs`` at weight scale ``lam``; return the first pass.
+    """Draw one pool at weight scale ``lam`` and test it against the r-ladder ``rs``.
 
-    One pool of ``g_max`` candidates is drawn per r, pool after pool, in
-    a fixed order within each (input rows, then feedback rows, then
-    biases); each self-weight is clamped to ``[-esp_alpha, esp_alpha]``.
-    Every pool but the last shares one state recursion; the last pool is
-    drawn and recursed only if none of them passes. Pool ``j`` is scored
-    with its own ``r`` and ``mu = (1 - r) / (n + 1)``: a candidate passes
-    when its worst per-output score is nonnegative, and among passers
-    the largest total score wins, first drawn winning ties. The first
-    pool with a passer supplies the node, and ``rng`` is set back to its
-    state just after that pool's draws, so the stream continues exactly
-    as if the pools had been drawn and tested one at a time. A result
-    without a node tells the caller to advance the weight scale.
-
-    Each batch of pools is split in two: ``state.executor``'s worker
-    computes the drives of the second half and then scores it, while the
-    calling thread does the first half, runs the recursion and draws.
-    Every pool's arithmetic is the same in either thread, so the result
-    does not depend on the split.
+    The pool's ``g_max`` candidates are drawn in a fixed order (input
+    rows, then feedback rows, then biases); each self-weight is clamped
+    to ``[-esp_alpha, esp_alpha]``. One state recursion runs over the
+    whole pool, which is then scored at each r in order (see
+    :func:`_pool_scores`). The first r with a passer supplies the node:
+    among its passers the largest total score wins, first drawn winning
+    ties. A result without a node tells the caller to advance the weight
+    scale.
     """
     alpha, n, k = state.cfg.esp_alpha, state.n, state.train.n_inputs
     if g_max <= 0:
         return CandidatePool(None, None, 0, 0)
-    prev, washout, n_steps = state.train_states[:n, :-1], state.train.washout, inputs.shape[1]
-    # per thread (caller, then worker): a drive buffer, which scoring reuses, and a product buffer
-    shape = (g_max, n_steps)
-    buffers = [(_work(state, f"drive {t}", shape), _work(state, f"prod {t}", shape)) for t in range(2)]
-    work = (_work(state, "states", (n_steps, len(rs) * g_max)), *buffers)
-    last = max(len(rs) - 1, 0)
-    for batch in filter(None, (range(last), range(last, len(rs)))):
-        pools, rng_after = [], []
-        for _ in batch:
-            w_in_pool = rng.uniform(-lam, lam, size=(g_max, k))
-            w_r_pool = rng.uniform(-lam, lam, size=(g_max, n + 1))
-            b_pool = rng.uniform(-lam, lam, size=g_max)
-            np.clip(w_r_pool[:, -1], -alpha, alpha, out=w_r_pool[:, -1])
-            pools.append((w_in_pool, w_r_pool, b_pool))
-            rng_after.append(rng.bit_generator.state)
-        g_all = _pool_node_states(prev, inputs, pools, work, state.executor)
-
-        def first_pass(lo, hi, thread):
-            """The first pool of ``lo:hi`` with a passer, and its scores."""
-            g = buffers[thread][0]
-            for i in range(lo, hi):
-                # score a C-contiguous copy in the spent drive buffer: the layout fixes the bits
-                g[:] = g_all[:, i * g_max:(i + 1) * g_max].T
-                r = rs[batch[i]]
-                scores, per = _pool_scores(state.residual, g[:, washout:], r, (1.0 - r) / (n + 1))
-                ok = np.all(per >= 0.0, axis=0)
-                if ok.any():
-                    return i, g, scores, per, ok
-            return None
-
-        found = next(filter(None, _halves(state.executor, first_pass, len(batch))), None)
-        if found is None:
-            continue
-        i, g, scores, per, ok = found
-        rng.bit_generator.state = rng_after[i]
-        ok_idx = np.nonzero(ok)[0]
-        best = ok_idx[int(np.argmax(scores[ok_idx]))]
-        w_in_pool, w_r_pool, b_pool = pools[i]
-        cand = CandidateNode(
-            input_row=w_in_pool[best].copy(),
-            feedback_row=w_r_pool[best].copy(),
-            bias=float(b_pool[best]),
-            state_seq=g[best].copy(),
-            score=float(scores[best]),
-            per_output_scores=per[:, best].copy(),
-        )
-        return CandidatePool(cand, rs[batch[i]], ok_idx.size, (batch[i] + 1) * g_max)
-    return CandidatePool(None, None, 0, len(rs) * g_max)
+    w_in = rng.uniform(-lam, lam, size=(g_max, k))
+    w_r = rng.uniform(-lam, lam, size=(g_max, n + 1))
+    b = rng.uniform(-lam, lam, size=g_max)
+    np.clip(w_r[:, -1], -alpha, alpha, out=w_r[:, -1])
+    shape = (g_max, inputs.shape[1])
+    g = _work(state, "drive", shape)
+    work = (_work(state, "states", shape[::-1]), g, _work(state, "prod", shape))
+    # score a C-contiguous copy in the spent drive buffer: the layout fixes the bits
+    g[:] = _pool_node_states(state.train_states[:n, :-1], inputs, (w_in, w_r, b), work).T
+    found = _pool_scores(state.residual, g[:, state.train.washout:], rs, n)
+    if found is None:
+        return CandidatePool(None, None, 0, g_max)
+    r, scores, per, ok = found
+    ok_idx = np.nonzero(ok)[0]
+    best = ok_idx[int(np.argmax(scores[ok_idx]))]
+    cand = CandidateNode(
+        input_row=w_in[best].copy(),
+        feedback_row=w_r[best].copy(),
+        bias=float(b[best]),
+        state_seq=g[best].copy(),
+        score=float(scores[best]),
+        per_output_scores=per[:, best].copy(),
+    )
+    return CandidatePool(cand, r, ok_idx.size, g_max)
 
 
 def _readout(state: BuildState) -> np.ndarray:
@@ -580,43 +509,40 @@ def build_rscn(
 
     Candidate search sweeps the weight-scale ladder, trying the whole
     r-ladder at each scale in one :func:`configure_node` call and moving
-    on when no pool passes. When the validation residual has not
+    on when its pool has no passer. When the validation residual has not
     improved over the last ``n_step + 1`` sizes, growth rolls back
     ``n_step`` nodes and returns. Exhausting every (scale, r) pair flags
     the history as stalled and returns the current model rather than
     raising. The returned model's readout is solved once, on its own
-    design. The candidate search gets one worker thread for the growth
-    loop, which is shut down before the function returns or raises.
+    design.
     """
     state = init_network(train, val, cfg, substream(cfg.seed, "init"))
     rng_cand = substream(cfg.seed, "candidates")
     history = state.history
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="rscn-search") as worker:
-        state.executor = worker
-        while True:
-            n = state.n
-            if history.train_norms[-1] <= cfg.epsilon or n >= cfg.n_max:
-                break
-            if early_stop_triggered(history.val_norms, cfg.n_step):
-                history.early_stopped = True
-                history.rolled_back_to = n - cfg.n_step
-                break
-            pool_total = 0
-            for lam in cfg.lambda_sequence:
-                pool = configure_node(
-                    state, train.inputs, lam, cfg.r_sequence, cfg.g_max, rng_cand
-                )
-                pool_total += pool.n_drawn
-                if pool.best is not None:
-                    break
-            else:
-                history.stalled = True
-                break
-            train_norm, val_norm = _accept_node(state, pool.best)
-            history.record(
-                state.n, lam, pool.r, pool.best.score,
-                train_norm, val_norm, pool.n_accepted, pool_total,
+    while True:
+        n = state.n
+        if history.train_norms[-1] <= cfg.epsilon or n >= cfg.n_max:
+            break
+        if early_stop_triggered(history.val_norms, cfg.n_step):
+            history.early_stopped = True
+            history.rolled_back_to = n - cfg.n_step
+            break
+        pool_total = 0
+        for lam in cfg.lambda_sequence:
+            pool = configure_node(
+                state, train.inputs, lam, cfg.r_sequence, cfg.g_max, rng_cand
             )
+            pool_total += pool.n_drawn
+            if pool.best is not None:
+                break
+        else:
+            history.stalled = True
+            break
+        train_norm, val_norm = _accept_node(state, pool.best)
+        history.record(
+            state.n, lam, pool.r, pool.best.score,
+            train_norm, val_norm, pool.n_accepted, pool_total,
+        )
     n = history.final_size = history.rolled_back_to or state.n
     x = np.vstack([state.train_states[:n, 1:], train.inputs])[:, train.washout:]
     w_out = solve_output_weights(x, train.targets[:, train.washout:])

@@ -233,17 +233,3 @@ def emit_report(reports: Sequence[TrialReport], fmt: str = "text") -> str:
         return "\n".join(lines) + "\n"
     raise ContractViolationError(f"unknown report format {fmt!r}")
 
-
-def parse_report_csv(text: str) -> list[dict]:
-    """Re-parse an emitted CSV report into numeric rows."""
-    lines = [ln for ln in text.strip().split("\n") if ln]
-    header = lines[0].split(",")
-    rows = []
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        row: dict = {"Models": cells[0], "N": int(cells[1])}
-        for name, cell in zip(header[2:], cells[2:]):
-            mean, std = cell.split("±")
-            row[name] = (float(mean), float(std))
-        rows.append(row)
-    return rows

@@ -372,12 +372,6 @@ def write_sequence_csv(seq: SupervisedSequence, path: str) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def read_sequence_csv(path: str, n_inputs: int, washout: int = 0) -> SupervisedSequence:
-    """Reload a sequence written by :func:`write_sequence_csv`."""
-    u_cols = [f"u{i + 1}" for i in range(n_inputs)]
-    return load_csv(path, u_cols, "y", washout=washout)
-
-
 def add_gaussian_noise(
     seq: SupervisedSequence, sigma: float, rng: np.random.Generator
 ) -> SupervisedSequence:

@@ -1,6 +1,5 @@
 import math
 import sys
-import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -333,42 +332,64 @@ class TestConfigureNode:
             assert pool.best.score == pytest.approx(best_score, rel=1e-12)
             assert np.array_equal(pool.best.input_row, w_in[best_idx])
 
+    @staticmethod
+    def one_pool_oracle(state, lam, rs, g_max, rng):
+        """One pool drawn, then tested candidate by candidate at each r in order.
+
+        Returns ``(w_in row, w_r row, bias, score)`` of the winner (or
+        None), the first r with a passer and that r's passer count.
+        """
+        n, k, alpha = state.n, state.train.n_inputs, state.cfg.esp_alpha
+        w_in = rng.uniform(-lam, lam, size=(g_max, k))
+        w_r = rng.uniform(-lam, lam, size=(g_max, n + 1))
+        b = rng.uniform(-lam, lam, size=g_max)
+        np.clip(w_r[:, -1], -alpha, alpha, out=w_r[:, -1])
+        states = []
+        for i in range(g_max):
+            cand = CandidateNode(
+                input_row=w_in[i], feedback_row=w_r[i], bias=float(b[i]),
+                state_seq=np.empty(0), score=0.0, per_output_scores=np.empty(0),
+            )
+            states.append(candidate_states(state, cand, state.train.inputs)[state.train.washout:])
+        for r in rs:
+            best, n_ok = None, 0
+            for i, g in enumerate(states):
+                score, per = score_candidate(state.residual, g, r, (1.0 - r) / (n + 1))
+                if np.all(per >= 0.0):
+                    n_ok += 1
+                    if best is None or score > best[3]:
+                        best = (w_in[i], w_r[i], float(b[i]), score)
+            if n_ok:
+                return best, r, n_ok
+        return None, None, 0
+
     @pytest.mark.parametrize(
         "lam,g_max,seed,passing_r",
         [
-            (5.0, 1, 99, 0.9),  # first pool
-            (5.0, 1, 7, 0.999),  # a later pool
-            (5.0, 1, 2, 0.9999),  # the last pool
-            (0.5, 20, 5, 0.99),  # a later pool with several passers
-            (5.0, 1, 257, None),  # no pool passes
+            (5.0, 1, 99, 0.9),  # the first r
+            (5.0, 1, 1, 0.999),  # a middle r
+            (5.0, 1, 8, 0.9999),  # the last r
+            (0.5, 20, 5, 0.99),  # several passers
+            (5.0, 3, 173, 0.9999),  # several passers at the last r
+            (5.0, 1, 4, None),  # no passer
         ],
     )
-    def test_ladder_matches_one_pool_per_call(self, lam, g_max, seed, passing_r):
+    def test_one_pool_matches_the_scalar_oracle(self, lam, g_max, seed, passing_r):
         rs = (0.9, 0.99, 0.999, 0.9999)
         state = self.make_state()
         rng = np.random.default_rng(seed)
-        ladder = configure_node(state, state.train.inputs, lam, rs, g_max, rng)
-
+        pool = configure_node(state, state.train.inputs, lam, rs, g_max, rng)
         twin = np.random.default_rng(seed)
-        n_drawn = 0
-        for r in rs:
-            single = configure_node(state, state.train.inputs, lam, (r,), g_max, twin)
-            n_drawn += single.n_drawn
-            if single.best is not None:
-                break
-        assert ladder.r == single.r == passing_r
-        assert ladder.n_accepted == single.n_accepted
-        assert ladder.n_drawn == n_drawn
-        assert (ladder.best is None) == (single.best is None)
-        if ladder.best is not None:
-            a, b = ladder.best, single.best
-            assert np.array_equal(a.input_row, b.input_row)
-            assert np.array_equal(a.feedback_row, b.feedback_row)
-            assert a.bias == b.bias
-            assert np.array_equal(a.state_seq, b.state_seq)
-            assert a.score == b.score
-            assert np.array_equal(a.per_output_scores, b.per_output_scores)
-        # the generator resumes where one-pool-at-a-time drawing would leave it
+        best, r, n_ok = self.one_pool_oracle(state, lam, rs, g_max, twin)
+        assert pool.r == r == passing_r
+        assert (pool.n_accepted, pool.n_drawn) == (n_ok, g_max)
+        assert (pool.best is None) == (best is None)
+        if best is not None:
+            assert np.array_equal(pool.best.input_row, best[0])
+            assert np.array_equal(pool.best.feedback_row, best[1])
+            assert pool.best.bias == best[2]
+            assert pool.best.score == pytest.approx(best[3], rel=1e-12)
+        # the generator advanced by exactly one pool's draws
         assert rng.random() == twin.random()
 
 
@@ -534,119 +555,11 @@ class TestStoredSequences:
             np.testing.assert_allclose(stored.extended, want.extended, rtol=0, atol=1e-12)
 
 
-def one_pool_at_a_time(state, lam, rs, g_max, rng):
-    """The r-ladder drawn and tested pool by pool, candidate by candidate.
-
-    Returns ``(w_in row, w_r row, bias, score)`` of the winner (or None),
-    its pool's ``r`` and passer count, and the candidates drawn.
-    """
-    n, k, alpha = state.n, state.train.n_inputs, state.cfg.esp_alpha
-    for j, r in enumerate(rs):
-        w_in = rng.uniform(-lam, lam, size=(g_max, k))
-        w_r = rng.uniform(-lam, lam, size=(g_max, n + 1))
-        b = rng.uniform(-lam, lam, size=g_max)
-        np.clip(w_r[:, -1], -alpha, alpha, out=w_r[:, -1])
-        mu = (1.0 - r) / (n + 1)
-        best, n_ok = None, 0
-        for i in range(g_max):
-            cand = CandidateNode(
-                input_row=w_in[i], feedback_row=w_r[i], bias=float(b[i]),
-                state_seq=np.empty(0), score=0.0, per_output_scores=np.empty(0),
-            )
-            g = candidate_states(state, cand, state.train.inputs)
-            score, per = score_candidate(state.residual, g[state.train.washout:], r, mu)
-            if np.all(per >= 0.0):
-                n_ok += 1
-                if best is None or score > best[3]:
-                    best = (w_in[i], w_r[i], float(b[i]), score)
-        if n_ok:
-            return best, r, n_ok, (j + 1) * g_max
-    return None, None, 0, len(rs) * g_max
-
-
-class TestLazyLastPool:
-    """The last pool of a ladder is drawn and recursed only when no other passes."""
-
-    @pytest.mark.parametrize(
-        "lam,g_max,seed,passing_r,widths",
-        [
-            (5.0, 1, 99, 0.9, [3]),  # the first pool passes: the last is never drawn
-            (5.0, 1, 2, 0.9999, [3, 1]),  # only the last pool passes
-            (5.0, 1, 257, None, [3, 1]),  # no pool passes
-            (0.5, 20, 5, 0.99, [60]),
-        ],
-    )
-    def test_matches_the_scalar_oracle(self, monkeypatch, lam, g_max, seed, passing_r, widths):
-        rs = (0.9, 0.99, 0.999, 0.9999)
-        state = init_network(toy_task(), toy_task(seed=1), small_cfg(), np.random.default_rng(0))
-        seen = []
-        recursion = build._pool_node_states
-
-        def recorded(prev, inputs, pools, *rest):
-            seen.append(sum(b.size for _, _, b in pools))
-            return recursion(prev, inputs, pools, *rest)
-
-        monkeypatch.setattr(build, "_pool_node_states", recorded)
-        rng = np.random.default_rng(seed)
-        pool = configure_node(state, state.train.inputs, lam, rs, g_max, rng)
-        twin = np.random.default_rng(seed)
-        best, r, n_ok, n_drawn = one_pool_at_a_time(state, lam, rs, g_max, twin)
-        assert seen == widths
-        assert pool.r == r == passing_r
-        assert (pool.n_accepted, pool.n_drawn) == (n_ok, n_drawn)
-        assert (pool.best is None) == (best is None)
-        if best is not None:
-            assert np.array_equal(pool.best.input_row, best[0])
-            assert np.array_equal(pool.best.feedback_row, best[1])
-            assert pool.best.bias == best[2]
-            assert pool.best.score == pytest.approx(best[3], rel=1e-12)
-        assert rng.random() == twin.random()
-
-
 class TestSearchWorker:
-    """The search's worker thread changes no bit and outlives no build."""
-
-    @staticmethod
-    def search_threads():
-        return [t for t in threading.enumerate() if t.name.startswith("rscn-search")]
-
-    @pytest.mark.parametrize(
-        "lam,g_max,seed,task",
-        [
-            (5.0, 1, 99, "toy"),
-            (5.0, 1, 2, "toy"),
-            (5.0, 1, 257, "toy"),
-            (0.5, 20, 5, "toy"),
-            (0.5, 100, 0, "mg"),
-        ],
-    )
-    def test_worker_matches_inline(self, lam, g_max, seed, task):
-        rs = (0.9, 0.99, 0.999, 0.9999)
-        if task == "mg":
-            data = task_from_manifest({"task": "mg", "seed": 0})
-            train, val, cfg = data.train, data.val, BuildConfig()
-        else:
-            train, val, cfg = toy_task(), toy_task(seed=1), small_cfg()
-        state = init_network(train, val, cfg, np.random.default_rng(0))
-        rng_inline, rng_worker = np.random.default_rng(seed), np.random.default_rng(seed)
-        inline = configure_node(state, state.train.inputs, lam, rs, g_max, rng_inline)
-        with ThreadPoolExecutor(max_workers=1) as worker:
-            state.executor = worker
-            threaded = configure_node(state, state.train.inputs, lam, rs, g_max, rng_worker)
-        assert (threaded.r, threaded.n_accepted, threaded.n_drawn) == (
-            inline.r, inline.n_accepted, inline.n_drawn)
-        assert (threaded.best is None) == (inline.best is None)
-        if inline.best is not None:
-            a, b = threaded.best, inline.best
-            assert np.array_equal(a.input_row, b.input_row)
-            assert np.array_equal(a.feedback_row, b.feedback_row)
-            assert a.bias == b.bias and a.score == b.score
-            assert np.array_equal(a.state_seq, b.state_seq)
-            assert np.array_equal(a.per_output_scores, b.per_output_scores)
-        assert rng_worker.random() == rng_inline.random()
+    """Builds run at once in worker threads share no search state."""
 
     def test_concurrent_builds_are_byte_identical(self, tmp_path):
-        # three builds at once run six threads on fewer cores, and a short
+        # three builds at once run three threads on fewer cores, and a short
         # switch interval interleaves them finely
         data = task_from_manifest({"task": "mg", "seed": 0})
         cfg = BuildConfig(n_max=30, seed=3)
@@ -665,21 +578,6 @@ class TestSearchWorker:
             docs.append(((tmp_path / f"{i}.json").read_bytes(), history.to_csv()))
         assert all(doc == docs[-1] for doc in docs)
         assert runs[-1][0].n_nodes > cfg.n_init
-
-    def test_no_worker_thread_outlives_a_build(self, monkeypatch):
-        model, hist = build_rscn(toy_task(), toy_task(seed=1), small_cfg())
-        assert model.n_nodes > small_cfg().n_init
-        assert self.search_threads() == []
-        seen = []
-
-        def failing(state, cand):
-            seen.extend(self.search_threads())
-            raise RuntimeError("injected")
-
-        monkeypatch.setattr(build, "_accept_node", failing)
-        with pytest.raises(RuntimeError, match="injected"):
-            build_rscn(toy_task(), toy_task(seed=1), small_cfg())
-        assert seen and self.search_threads() == []
 
 
 def duplicated_channel_task(n_steps=160, seed=0):
@@ -783,6 +681,6 @@ class TestHotPath:
                     break
             kept.append((pool.best.state_seq, pool.best.state_seq.copy()))
             _accept_node(state, pool.best)
-        assert len(arrays) == 5
+        assert len(arrays) == 3
         # an accepted node's states survive every later search
         assert all(np.array_equal(seq, copy) for seq, copy in kept)

@@ -17,7 +17,6 @@ from rscn.tasks import (
     plant_simulate,
     plant_task,
     plant_test_input,
-    read_sequence_csv,
     task_from_manifest,
     write_sequence_csv,
 )
@@ -190,7 +189,7 @@ class TestLoadCsv:
         )
         path = tmp_path / "seq.csv"
         write_sequence_csv(seq, str(path))
-        back = read_sequence_csv(str(path), n_inputs=3, washout=4)
+        back = load_csv(str(path), ["u1", "u2", "u3"], "y", washout=4)
         assert np.array_equal(back.inputs, seq.inputs)
         assert np.array_equal(back.targets, seq.targets)
 
