@@ -1,5 +1,6 @@
 import math
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -374,7 +375,7 @@ class TestConfigureNode:
             (5.0, 1, 4, None),  # no passer
         ],
     )
-    def test_one_pool_matches_the_scalar_oracle(self, lam, g_max, seed, passing_r):
+    def test_ladder_matches_one_pool_per_call(self, lam, g_max, seed, passing_r):
         rs = (0.9, 0.99, 0.999, 0.9999)
         state = self.make_state()
         rng = np.random.default_rng(seed)
@@ -556,7 +557,43 @@ class TestStoredSequences:
 
 
 class TestSearchWorker:
-    """Builds run at once in worker threads share no search state."""
+    """The search starts no thread, and worker threads share no search state."""
+
+    @pytest.mark.parametrize(
+        "lam,g_max,seed,task",
+        [
+            (5.0, 1, 99, "toy"),
+            (5.0, 1, 2, "toy"),
+            (5.0, 1, 257, "toy"),
+            (0.5, 20, 5, "toy"),
+            (0.5, 100, 0, "mg"),
+        ],
+    )
+    def test_worker_matches_inline(self, lam, g_max, seed, task):
+        rs = (0.9, 0.99, 0.999, 0.9999)
+        if task == "mg":
+            data = task_from_manifest({"task": "mg", "seed": 0})
+            train, val, cfg = data.train, data.val, BuildConfig()
+        else:
+            train, val, cfg = toy_task(), toy_task(seed=1), small_cfg()
+        state = init_network(train, val, cfg, np.random.default_rng(0))
+        rng_inline, rng_worker = np.random.default_rng(seed), np.random.default_rng(seed)
+        inline = configure_node(state, state.train.inputs, lam, rs, g_max, rng_inline)
+        with ThreadPoolExecutor(max_workers=1) as worker:
+            threaded = worker.submit(
+                configure_node, state, state.train.inputs, lam, rs, g_max, rng_worker
+            ).result(timeout=120)
+        assert (threaded.r, threaded.n_accepted, threaded.n_drawn) == (
+            inline.r, inline.n_accepted, inline.n_drawn)
+        assert (threaded.best is None) == (inline.best is None)
+        if inline.best is not None:
+            a, b = threaded.best, inline.best
+            assert np.array_equal(a.input_row, b.input_row)
+            assert np.array_equal(a.feedback_row, b.feedback_row)
+            assert a.bias == b.bias and a.score == b.score
+            assert np.array_equal(a.state_seq, b.state_seq)
+            assert np.array_equal(a.per_output_scores, b.per_output_scores)
+        assert rng_worker.random() == rng_inline.random()
 
     def test_concurrent_builds_are_byte_identical(self, tmp_path):
         # three builds at once run three threads on fewer cores, and a short
@@ -578,6 +615,24 @@ class TestSearchWorker:
             docs.append(((tmp_path / f"{i}.json").read_bytes(), history.to_csv()))
         assert all(doc == docs[-1] for doc in docs)
         assert runs[-1][0].n_nodes > cfg.n_init
+
+    def test_no_worker_thread_outlives_a_build(self, monkeypatch):
+        # a build starts no thread: none is running mid-build, and none is
+        # left after it returns or raises
+        before = set(threading.enumerate())
+        model, hist = build_rscn(toy_task(), toy_task(seed=1), small_cfg())
+        assert model.n_nodes > small_cfg().n_init
+        assert set(threading.enumerate()) == before
+        seen = []
+
+        def failing(state, cand):
+            seen.append(set(threading.enumerate()))
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(build, "_accept_node", failing)
+        with pytest.raises(RuntimeError, match="injected"):
+            build_rscn(toy_task(), toy_task(seed=1), small_cfg())
+        assert seen == [before] and set(threading.enumerate()) == before
 
 
 def duplicated_channel_task(n_steps=160, seed=0):
