@@ -14,12 +14,7 @@ from .model import (
     save_model,
 )
 from .online import OnlineConfig, OnlineState, online_run
-from .spectral import (
-    esp_check,
-    max_singular_value,
-    scale_feedback,
-    spectral_radius,
-)
+from .spectral import esp_check, max_singular_value, scale_feedback
 from .tasks import (
     MGParams,
     PlantParams,
@@ -67,6 +62,5 @@ __all__ = [
     "save_model",
     "scale_feedback",
     "solve_output_weights",
-    "spectral_radius",
     "task_from_manifest",
 ]

@@ -257,33 +257,97 @@ def _pool_node_states(
     prev_states: np.ndarray,
     inputs: np.ndarray,
     pool: tuple[np.ndarray, np.ndarray, np.ndarray],
-    work: tuple[np.ndarray, np.ndarray, np.ndarray],
+    work: dict[str, np.ndarray],
+    bound: float,
 ) -> np.ndarray:
-    """Time-major state sequences ``(n_steps, pool size)`` of one pool.
+    """State sequences ``(pool size, n_steps)`` of one pool, from a zero state.
 
-    ``pool`` holds the ``(input rows, feedback rows, biases)``. The drive
-    is written transposed into the result's buffer, which the recursion
-    then updates in place, starting from a zero state, one contiguous row
-    per step. ``work`` holds that buffer ``(n_steps, pool size)`` and two
-    for the drive ``(pool size, n_steps)``.
+    ``pool`` holds the ``(input rows, feedback rows, biases)`` and
+    ``bound`` the self-weight bound ``min(lam, esp_alpha)``. The drive is
+    formed in the C-contiguous work array ``"drive"`` and turned into the
+    states in place by :func:`_chunked_recursion`, which equals the plain
+    step-by-step recursion bit for bit.
     """
-    g, drive, prod = work
     w_in, w_r, b = pool
+    shape = (b.size, inputs.shape[1])
+    drive = _work(work, "drive", shape)
     np.matmul(w_in, inputs, out=drive)
     drive += b[:, None]
     if prev_states.shape[0]:
-        drive += np.matmul(w_r[:, :-1], prev_states, out=prod)
-    g[:] = drive.T
-    self_w = w_r[:, -1].copy()
-    gp = np.zeros(b.size)
-    fed = np.empty(b.size)
+        drive += np.matmul(w_r[:, :-1], prev_states, out=_work(work, "prod", shape))
+    _chunked_recursion(drive, w_r[:, -1].copy(), _warmup_steps(bound), work)
+    return drive
+
+
+def _warmup_steps(bound: float) -> int:
+    """Steps over which self-weights of magnitude at most ``bound`` shrink a gap by 2⁻⁶⁴."""
+    return math.ceil(64 / -math.log2(bound))
+
+
+def _chunked_recursion(
+    drive: np.ndarray, self_w: np.ndarray, warmup: int, work: dict[str, np.ndarray]
+) -> None:
+    """Turn ``drive`` ``(pool size, n_steps)`` into ``tanh`` states in place.
+
+    The steps are cut into ``c = n_steps // (2 warmup)`` chunks that run
+    side by side, one row of ``c`` · pool size per step. Each chunk
+    starts from a zero state ``warmup`` steps before its own first step;
+    the first chunk's warm-up sees zero drive and stays zero, so that
+    chunk is exact. Two runs of a node
+    whose bits agree at some step agree from then on, so a chunk column
+    whose last warm-up state equals the exact state before the chunk is
+    exact; any other column is recomputed from that exact state by
+    :func:`_fix_up`. With one chunk there is no warm-up and the loop is
+    the plain recursion.
+    """
+    size, n_steps = drive.shape
+    c = max(1, n_steps // (2 * warmup))
+    span = -(-n_steps // c)
+    c = -(-n_steps // span)  # rounding the span up may leave chunks empty
+    if c == 1:
+        warmup = 0
+    x = _work(work, "chunks", (warmup + span, c, size))
+    for i in range(c):
+        lo = i * span - warmup
+        t0, t1 = max(lo, 0), min(lo + warmup + span, n_steps)
+        x[:t0 - lo, i] = 0.0
+        x[t0 - lo:t1 - lo, i] = drive[:, t0:t1].T
+        x[t1 - lo:, i] = 0.0
+    wide_w = np.tile(self_w, c)
+    gp, fed = np.zeros(wide_w.size), np.empty(wide_w.size)
     # per-step call overhead dominates, so outputs are passed positionally
-    for row in g:
-        np.multiply(self_w, gp, fed)
+    for row in x.reshape(warmup + span, -1):
+        np.multiply(wide_w, gp, fed)
         np.add(row, fed, row)
         np.tanh(row, row)
         gp = row
-    return g
+    for i in range(c):
+        t0, t1 = i * span, min((i + 1) * span, n_steps)
+        states = x[warmup:warmup + t1 - t0, i]
+        if i:
+            exact = drive[:, t0 - 1]
+            cols = np.flatnonzero(x[warmup - 1, i].view(np.int64) != exact.view(np.int64))
+            if cols.size:
+                _fix_up(states, drive[:, t0:t1], self_w, exact, cols)
+        drive[:, t0:t1] = states.T
+
+
+def _fix_up(states: np.ndarray, drive: np.ndarray, self_w: np.ndarray,
+            exact: np.ndarray, cols: np.ndarray) -> None:
+    """Recompute chunk columns ``cols`` of ``states`` ``(steps, pool size)`` exactly.
+
+    Each column restarts from its exact state before the chunk and runs
+    until its bits meet the chunk's value (exact from then on) or the
+    chunk ends.
+    """
+    g, w = exact[cols], self_w[cols]
+    for t, row in enumerate(states):
+        g = np.tanh(drive[cols, t] + w * g)
+        same = g.view(np.int64) == row[cols].view(np.int64)
+        row[cols] = g
+        if same.all():
+            return
+        cols, g, w = cols[~same], g[~same], w[~same]
 
 
 def _pool_scores(
@@ -312,11 +376,11 @@ def _pool_scores(
     return None
 
 
-def _work(state: BuildState, name: str, shape: tuple[int, int]) -> np.ndarray:
-    """Work array ``name`` of the build, allocated again only for a new shape."""
-    if state.work.get(name, np.empty(0)).shape != shape:
-        state.work[name] = np.empty(shape)
-    return state.work[name]
+def _work(work: dict[str, np.ndarray], name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """Work array ``name``, allocated again only for a new shape."""
+    if work.get(name, np.empty(0)).shape != shape:
+        work[name] = np.empty(shape)
+    return work[name]
 
 
 def configure_node(
@@ -331,9 +395,9 @@ def configure_node(
 
     The pool's ``g_max`` candidates are drawn in a fixed order (input
     rows, then feedback rows, then biases); each self-weight is clamped
-    to ``[-esp_alpha, esp_alpha]``. One state recursion runs over the
-    whole pool, which is then scored at each r in order (see
-    :func:`_pool_scores`). The first r with a passer supplies the node:
+    to ``[-esp_alpha, esp_alpha]``. One time-chunked state recursion
+    runs over the whole pool (:func:`_pool_node_states`), which is then
+    scored at each r in order (see :func:`_pool_scores`). The first r with a passer supplies the node:
     among its passers the largest total score wins, first drawn winning
     ties. A result without a node tells the caller to advance the weight
     scale.
@@ -345,11 +409,9 @@ def configure_node(
     w_r = rng.uniform(-lam, lam, size=(g_max, n + 1))
     b = rng.uniform(-lam, lam, size=g_max)
     np.clip(w_r[:, -1], -alpha, alpha, out=w_r[:, -1])
-    shape = (g_max, inputs.shape[1])
-    g = _work(state, "drive", shape)
-    work = (_work(state, "states", shape[::-1]), g, _work(state, "prod", shape))
-    # score a C-contiguous copy in the spent drive buffer: the layout fixes the bits
-    g[:] = _pool_node_states(state.train_states[:n, :-1], inputs, (w_in, w_r, b), work).T
+    g = _pool_node_states(
+        state.train_states[:n, :-1], inputs, (w_in, w_r, b), state.work, min(lam, alpha)
+    )
     found = _pool_scores(state.residual, g[:, state.train.washout:], rs, n)
     if found is None:
         return CandidatePool(None, None, 0, g_max)

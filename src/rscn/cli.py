@@ -23,7 +23,6 @@ from .build import BuildConfig
 from .errors import (
     ContractViolationError,
     CsvParseError,
-    EstimationFailureError,
     MetricUndefinedError,
     NumericOverflowError,
     SchemaError,
@@ -429,8 +428,7 @@ def cmd_dispatch(argv: list[str]) -> int:
     ) as err:
         print(f"error: kind={type(err).__name__} msg={err}", file=sys.stderr)
         return 3
-    except (NumericOverflowError, EstimationFailureError, MetricUndefinedError,
-            np.linalg.LinAlgError) as err:
+    except (NumericOverflowError, MetricUndefinedError, np.linalg.LinAlgError) as err:
         print(f"error: kind={type(err).__name__} msg={err}", file=sys.stderr)
         return 4
 

@@ -13,18 +13,6 @@ class NumericOverflowError(RscnError, ArithmeticError):
     """A computation produced a non-finite value."""
 
 
-class EstimationFailureError(RscnError, RuntimeError):
-    """LAPACK's eigenvalue solver did not converge on a matrix.
-
-    ``best_bound`` holds the matrix's largest singular value, an upper
-    bound on its spectral radius.
-    """
-
-    def __init__(self, message: str, best_bound: float):
-        super().__init__(f"{message} (best bound achieved: {best_bound:.6g})")
-        self.best_bound = best_bound
-
-
 class MetricUndefinedError(RscnError, ValueError):
     """A metric is undefined for the given data (e.g. zero target variance)."""
 

@@ -6,7 +6,7 @@ import itertools
 import time
 import warnings
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -51,9 +51,21 @@ class MeanStd:
         return MeanStd(float(np.mean(values)), float(np.std(values)))
 
 
+class TrialFailure(NamedTuple):
+    """A trial that raised: its seed, the error's type name and message."""
+
+    seed: int
+    kind: str
+    message: str
+
+
 @dataclass(frozen=True)
 class TrialReport:
-    """Mean and spread of one model's trials on one task."""
+    """Mean and spread of one model's trials on one task.
+
+    The statistics cover the ``n_trials`` trials that succeeded;
+    ``failures`` records the others in seed order.
+    """
 
     model_name: str
     reservoir_size: float
@@ -62,7 +74,11 @@ class TrialReport:
     test_nrmse: MeanStd
     val_nrmse: MeanStd
     n_trials: int
-    n_failed: int = 0
+    failures: tuple[TrialFailure, ...] = ()
+
+    @property
+    def n_failed(self) -> int:
+        return len(self.failures)
 
 
 def spec_name(spec) -> str:
@@ -132,14 +148,14 @@ def run_trials(
 
     Each trial generates the task and the model from its own seed, so
     trial ``i`` is paired across model specs; a seed's task is taken from
-    ``tasks`` or generated and added there. Failed trials are excluded
-    with a warning and counted in the report.
+    ``tasks`` or generated and added there. A failed trial is excluded
+    with a warning and recorded in the report's ``failures``.
     """
     if n_trials < 1:
         raise ContractViolationError("n_trials must be at least 1")
     tasks = {} if tasks is None else tasks
     results: list[TrialResult] = []
-    n_failed = 0
+    failures: list[TrialFailure] = []
     for i in range(n_trials):
         seed = base_seed + i
         try:
@@ -147,10 +163,10 @@ def run_trials(
                 tasks[seed] = task_from_manifest({**task_manifest, "seed": seed})
             results.append(run_single_trial(task_manifest, spec, seed, tasks[seed]))
         except Exception as err:  # noqa: BLE001 - a failed trial is data
-            n_failed += 1
+            failures.append(TrialFailure(seed, type(err).__name__, str(err)))
             warnings.warn(f"trial with seed {seed} failed: {err}")
     if not results:
-        raise ContractViolationError("every trial failed")
+        raise ContractViolationError(f"every trial failed, first {failures[0]}")
     report = TrialReport(
         model_name=spec_name(spec),
         reservoir_size=float(np.mean([r.size for r in results])),
@@ -159,7 +175,7 @@ def run_trials(
         test_nrmse=MeanStd.of([r.test_nrmse for r in results]),
         val_nrmse=MeanStd.of([r.val_nrmse for r in results]),
         n_trials=len(results),
-        n_failed=n_failed,
+        failures=tuple(failures),
     )
     if keep_trials:
         return report, results
@@ -201,7 +217,10 @@ REPORT_COLUMNS = ("Models", "N", "Training time", "Training NRMSE", "Testing NRM
 
 
 def emit_report(reports: Sequence[TrialReport], fmt: str = "text") -> str:
-    """Comparison table over models; same numbers in both formats."""
+    """Comparison table over models; same numbers in both formats.
+
+    The text format adds one line per failed trial under the table.
+    """
     if not reports:
         raise ContractViolationError("no reports to emit")
     rows = [
@@ -229,6 +248,10 @@ def emit_report(reports: Sequence[TrialReport], fmt: str = "text") -> str:
         lines += [
             "  ".join(cell.ljust(widths[j]) for j, cell in enumerate(row))
             for row in rows
+        ]
+        lines += [
+            f"{r.model_name} trial with seed {f.seed} failed: {f.kind}: {f.message}"
+            for r in reports for f in r.failures
         ]
         return "\n".join(lines) + "\n"
     raise ContractViolationError(f"unknown report format {fmt!r}")

@@ -5,8 +5,7 @@ from its initial condition) is guaranteed whenever the feedback matrix
 has largest singular value below one, since the state map is then a
 contraction for the tanh activation. Feedback is therefore scaled
 by its largest singular value (computed by LAPACK's SVD), which
-certifies the property unconditionally. The spectral radius, which that
-value upper-bounds, is offered as a diagnostic.
+certifies the property unconditionally.
 """
 
 from __future__ import annotations
@@ -16,12 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError, EstimationFailureError
-from .model import BLOCK_LOWER_TRIANGULAR, GENERAL, ReservoirModel
-from .model import check_finite_steps, input_drive
-
-SIGMA_MAX = "sigma_max"
-EIGEN = "eigen"
+from .errors import ContractViolationError
+from .model import ReservoirModel, check_finite_steps, input_drive
 
 
 def max_singular_value(w: np.ndarray) -> float:
@@ -39,66 +34,6 @@ def max_singular_value(w: np.ndarray) -> float:
     if w.shape[0] == 0 or not np.any(w):
         return 0.0
     return float(np.linalg.norm(w, 2))
-
-
-def _eigen_radius(a: np.ndarray) -> float:
-    """Spectral radius of a small dense matrix via shifted-QR eigenvalues.
-
-    Backed by LAPACK's Hessenberg-plus-shifted-QR solver: the unshifted
-    iteration stalls whenever several eigenvalues share one magnitude
-    (e.g. a ring's circulant spectrum), which the matrices here routinely
-    have. A solver non-convergence is surfaced as an estimation failure
-    carrying the singular-value upper bound.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.shape[0] == 0:
-        return 0.0
-    if a.shape[0] == 1:
-        return abs(float(a[0, 0]))
-    if not np.any(a):
-        return 0.0
-    try:
-        eigenvalues = np.linalg.eigvals(a)
-    except np.linalg.LinAlgError as err:
-        raise EstimationFailureError(
-            f"eigenvalue iteration did not converge: {err}",
-            best_bound=max_singular_value(a),
-        ) from None
-    return float(np.max(np.abs(eigenvalues)))
-
-
-def spectral_radius(
-    w: np.ndarray,
-    structure_tag: str = GENERAL,
-    initial_block_size: int = 0,
-    estimator: str = SIGMA_MAX,
-) -> float:
-    """Spectral radius estimate of a feedback matrix.
-
-    For the grown lower-triangular structure the spectrum is the initial
-    block's spectrum plus the appended diagonal entries, so only the
-    small block needs an estimator. ``estimator`` selects how that block
-    (or a general matrix) is handled: ``"sigma_max"`` returns the safe
-    singular-value upper bound, ``"eigen"`` the literal spectral radius.
-    """
-    w = np.asarray(w, dtype=float)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ContractViolationError(f"expected a square matrix, got {w.shape}")
-    if estimator not in (SIGMA_MAX, EIGEN):
-        raise ContractViolationError(f"unknown estimator {estimator!r}")
-    if structure_tag == BLOCK_LOWER_TRIANGULAR:
-        n0 = min(initial_block_size, w.shape[0])
-        block = w[:n0, :n0]
-        block_rho = (
-            max_singular_value(block) if estimator == SIGMA_MAX
-            else _eigen_radius(block)
-        )
-        appended = np.abs(np.diag(w)[n0:])
-        tail = float(appended.max()) if appended.size else 0.0
-        return max(block_rho, tail)
-    if estimator == SIGMA_MAX:
-        return max_singular_value(w)
-    return _eigen_radius(w)
 
 
 def scale_feedback(model: ReservoirModel, alpha: float) -> ReservoirModel:

@@ -12,7 +12,10 @@ from rscn.build import (
     BuildConfig,
     CandidateNode,
     _accept_node,
+    _chunked_recursion,
     _node_states,
+    _pool_node_states,
+    _warmup_steps,
     build_rscn,
     configure_node,
     early_stop_triggered,
@@ -70,6 +73,31 @@ def candidate_states(state, cand, inputs):
         )
     prev = _shifted_states(state.train_seq.states)
     return _node_states(prev, inputs, cand.input_row, cand.feedback_row, cand.bias)
+
+
+def sequential_pool_states(prev_states, inputs, pool, work, bound):
+    """Pool state sequences by the plain step-by-step recursion (oracle).
+
+    Takes :func:`rscn.build._pool_node_states`'s arguments and forms the
+    drive as it does, so only the recursion differs: each candidate runs
+    alone through :func:`rscn.build._node_states`, with its drive as the
+    only input channel. ``work`` and ``bound`` are unused.
+    """
+    w_in, w_r, b = pool
+    drive = np.matmul(w_in, inputs)
+    drive += b[:, None]
+    if prev_states.shape[0]:
+        drive += np.matmul(w_r[:, :-1], prev_states)
+    return sequential_states(drive, w_r[:, -1])
+
+
+def sequential_states(drive, self_w):
+    """``tanh`` states of each drive row ``(pool size, n_steps)`` from zero."""
+    none = np.empty((0, drive.shape[1]))
+    return np.array([
+        _node_states(none, d[None, :], np.ones(1), np.array([w]), 0.0)
+        for d, w in zip(drive, self_w)
+    ]).reshape(drive.shape)
 
 
 def small_cfg(**kw):
@@ -392,6 +420,90 @@ class TestConfigureNode:
             assert pool.best.score == pytest.approx(best[3], rel=1e-12)
         # the generator advanced by exactly one pool's draws
         assert rng.random() == twin.random()
+
+
+class TestChunkedRecursion:
+    """The time-chunked pool recursion against the sequential oracle, bit for bit."""
+
+    @staticmethod
+    def pool(seed, g_max, n, k, lam):
+        rng = np.random.default_rng(seed)
+        w_r = rng.uniform(-lam, lam, size=(g_max, n + 1))
+        np.clip(w_r[:, -1], -0.9, 0.9, out=w_r[:, -1])
+        return rng.uniform(-lam, lam, size=(g_max, k)), w_r, rng.uniform(-lam, lam, size=g_max)
+
+    @pytest.mark.parametrize(
+        "n_steps,n,g_max,lam",
+        [
+            (100, 4, 20, 0.5),  # shorter than one chunk: the plain loop
+            (1000, 6, 30, 0.5),  # 7 chunks of 143 steps, the last one shorter
+            (777, 0, 25, 0.5),  # no earlier nodes
+            (600, 5, 1, 0.5),  # a single candidate
+            (2000, 3, 40, 5.0),  # self-weights at +-esp_alpha: two long chunks
+            (482, 3, 40, 5.0),  # the same bound on a short series: one chunk
+        ],
+    )
+    def test_matches_the_sequential_oracle(self, n_steps, n, g_max, lam):
+        rng = np.random.default_rng(n_steps)
+        inputs, prev = rng.uniform(-1, 1, (2, n_steps)), rng.uniform(-1, 1, (n, n_steps))
+        pool = self.pool(n_steps + n, g_max, n, 2, lam)
+        bound = min(lam, 0.9)
+        got = _pool_node_states(prev, inputs, pool, {}, bound)
+        want = sequential_pool_states(prev, inputs, pool, None, bound)
+        assert got.flags.c_contiguous and got.shape == (g_max, n_steps)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        if lam > 0.9:
+            assert np.all(np.abs(pool[1][:, -1]) <= 0.9)
+            assert np.mean(np.abs(pool[1][:, -1]) == 0.9) > 0.5
+
+    def test_warmup_follows_the_self_weight_bound(self):
+        assert _warmup_steps(0.5) == 64
+        assert _warmup_steps(0.9) == 422
+        assert _warmup_steps(1e-30) == 1
+
+    @pytest.mark.parametrize("n_steps", [5, 7, 120, 501, 5000])
+    def test_one_step_warmup_is_fixed_up_exactly(self, n_steps, monkeypatch):
+        # one warm-up step leaves most chunk columns inexact at their
+        # boundary, so nearly every column goes through the fix-up
+        calls = []
+        fix_up = build._fix_up
+
+        def counted(states, drive, self_w, exact, cols):
+            calls.append(cols.size)
+            return fix_up(states, drive, self_w, exact, cols)
+
+        monkeypatch.setattr(build, "_fix_up", counted)
+        rng = np.random.default_rng(n_steps)
+        drive = rng.uniform(-2, 2, (15, n_steps))
+        self_w = rng.uniform(-0.9, 0.9, 15)
+        self_w[:3] = (0.0, 0.9, -0.9)
+        want = sequential_states(drive, self_w)
+        work = {}
+        _chunked_recursion(drive, self_w, 1, work)
+        span = -(-n_steps // (n_steps // 2))
+        c = -(-n_steps // span)  # 501 steps: 167 chunks of 3, not 250
+        assert work["chunks"].shape == (1 + span, c, 15)
+        assert np.array_equal(drive.view(np.int64), want.view(np.int64))
+        # every boundary is fixed up; a memoryless column never needs it
+        assert len(calls) == c - 1 and 10 <= max(calls) and all(n <= 14 for n in calls)
+
+    @pytest.mark.parametrize(
+        "task,n_max",
+        [("mg", 40), ("plant", 25)],
+    )
+    def test_seeded_builds_match_the_sequential_build(self, task, n_max, monkeypatch, tmp_path):
+        data = task_from_manifest({"task": task, "seed": 1})
+        cfg = BuildConfig(n_max=n_max, seed=1)
+        docs = []
+        for kernel in (_pool_node_states, sequential_pool_states):
+            monkeypatch.setattr(build, "_pool_node_states", kernel)
+            model, history = build_rscn(data.train, data.val, cfg)
+            path = tmp_path / f"{kernel.__name__}.json"
+            save_model(model, str(path))
+            arrays = (model.input_weights, model.feedback, model.biases, model.readout)
+            docs.append((path.read_bytes(), history.to_csv(), [a.tobytes() for a in arrays]))
+        assert docs[0] == docs[1]
+        assert len(history.sizes) == n_max - cfg.n_init + 1
 
 
 class TestEarlyStop:

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from rscn.baselines import BaselineConfig
 from rscn.build import BuildConfig
-from rscn.errors import ContractViolationError, MetricUndefinedError
+from rscn import evaluate
+from rscn.errors import ContractViolationError, MetricUndefinedError, NumericOverflowError
 from rscn.evaluate import (
     MeanStd,
     emit_report,
@@ -139,6 +140,29 @@ class TestRunTrials:
         report = run_trials(tiny_manifest(tmp_path), cfg, 2, base_seed=0)
         assert report.model_name == "ESN"
         assert report.reservoir_size == 12.0
+
+    def test_failed_trial_records_seed_and_error(self, tmp_path, monkeypatch):
+        run_single_trial = evaluate.run_single_trial
+
+        def failing_seed_5(task_manifest, spec, seed, task=None):
+            if seed == 5:
+                raise NumericOverflowError("state went non-finite")
+            return run_single_trial(task_manifest, spec, seed, task)
+
+        monkeypatch.setattr(evaluate, "run_single_trial", failing_seed_5)
+        cfg = BaselineConfig(n_nodes=6)
+        with pytest.warns(UserWarning, match="seed 5 failed"):
+            report = run_trials(tiny_manifest(tmp_path), cfg, 3, base_seed=4)
+        assert report.n_trials == 2 and report.n_failed == 1
+        assert report.failures == (
+            evaluate.TrialFailure(5, "NumericOverflowError", "state went non-finite"),)
+        text = emit_report([report], "text")
+        assert "ESN trial with seed 5 failed: NumericOverflowError: state went non-finite" in text
+        assert "failed" not in emit_report([report], "csv")
+        # with no trial left, the error names the first failure
+        first = "seed=5, kind='NumericOverflowError'"
+        with pytest.warns(UserWarning), pytest.raises(ContractViolationError, match=first):
+            run_trials(tiny_manifest(tmp_path), cfg, 1, base_seed=5)
 
 
 class TestGridSearch:

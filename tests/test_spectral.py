@@ -4,16 +4,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from rscn.build import BuildConfig, build_rscn
 from rscn.errors import ContractViolationError, NumericOverflowError
-from rscn.model import BLOCK_LOWER_TRIANGULAR, GENERAL, ReservoirModel, run_reservoir
-from rscn.spectral import (
-    EIGEN,
-    SIGMA_MAX,
-    esp_check,
-    max_singular_value,
-    scale_feedback,
-    spectral_radius,
-)
+from rscn.model import GENERAL, ReservoirModel, run_reservoir
+from rscn.spectral import esp_check, max_singular_value, scale_feedback
+from rscn.tasks import SupervisedSequence
 
 GOLDEN = 1.618033988749895  # larger root of x^2 = x + 1
 
@@ -57,53 +52,60 @@ class TestMaxSingularValue:
 
 
 class TestSpectralRadius:
-    def test_triangular_growth_rows_with_zero_initial_block(self):
-        w = np.zeros((3, 3))
-        w[1, 1] = 0.5
-        w[2, 2] = -0.8
-        w[1, 0] = 2.0
-        w[2, 0] = -3.0
-        got = spectral_radius(w, BLOCK_LOWER_TRIANGULAR, initial_block_size=1)
-        assert got == pytest.approx(0.8, abs=1e-12)
+    """Spectral radii, read with ``np.linalg.eigvals``, of what the package certifies."""
 
-    def test_zero_matrix(self):
-        assert spectral_radius(np.zeros((3, 3))) == 0.0
+    @staticmethod
+    def radius(w):
+        return float(np.max(np.abs(np.linalg.eigvals(w))))
+
+    @staticmethod
+    def grown(sparsity):
+        rng = np.random.default_rng(3)
+        u = rng.uniform(-1, 1, (2, 150))
+        seq = SupervisedSequence(u, np.tanh(u[:1] + 0.5 * np.roll(u[1:], 1)), washout=5)
+        cfg = BuildConfig(n_init=4, n_max=14, n_step=13, g_max=20, sparsity=sparsity,
+                          lambda_sequence=(0.5, 5.0), r_sequence=(0.9, 0.99, 0.999))
+        model, _ = build_rscn(seq, seq, cfg)
+        assert model.n_nodes > cfg.n_init
+        w = model.feedback
+        assert np.all(np.triu(w, 1)[:, cfg.n_init:] == 0.0)  # no row feeds back
+        return w, cfg.n_init, cfg.esp_alpha
+
+    def test_triangular_growth_rows_with_zero_initial_block(self):
+        # only the appended self-weights are eigenvalues, each clamped
+        w, n0, alpha = self.grown(sparsity=0.0)
+        assert np.all(w[:n0, :n0] == 0.0)
+        tail = np.abs(np.diag(w)[n0:]).max()
+        assert self.radius(w) == pytest.approx(tail, rel=1e-12) and tail <= alpha
+
+    def test_block_structure_matches_dense_eigen(self):
+        # the spectrum is the contracted initial block's plus the self-weights
+        w, n0, alpha = self.grown(sparsity=1.0)
+        want = max(self.radius(w[:n0, :n0]), np.abs(np.diag(w)[n0:]).max())
+        assert self.radius(w) == pytest.approx(want, rel=1e-9)
+        assert self.radius(w) <= alpha + 1e-12
 
     def test_rotation_pair_magnitude(self):
-        # characteristic polynomial x^2 + 0.81 has roots +-0.9i
+        # characteristic polynomial x^2 + 0.81 has roots +-0.9i; a normal
+        # matrix's singular-value bound is tight
         w = np.array([[0.0, -0.9], [0.9, 0.0]])
-        assert spectral_radius(w, estimator=EIGEN) == pytest.approx(0.9, rel=1e-9)
+        assert self.radius(w) == pytest.approx(0.9, rel=1e-9)
+        assert max_singular_value(w) == pytest.approx(0.9, rel=1e-9)
 
     def test_sigma_estimator_upper_bounds_eigen(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
             w = rng.normal(size=(5, 5))
-            rho = spectral_radius(w, estimator=EIGEN)
-            assert rho <= max_singular_value(w) + 1e-9
-
-    @settings(max_examples=60, deadline=None)
-    @given(small_matrices(5))
-    def test_eigen_estimator_matches_numpy_oracle(self, w):
-        want = np.max(np.abs(np.linalg.eigvals(w))) if w.size else 0.0
-        got = spectral_radius(w, estimator=EIGEN)
-        assert got == pytest.approx(want, rel=1e-7, abs=1e-9)
+            assert self.radius(w) <= max_singular_value(w) + 1e-9
 
     @settings(max_examples=40, deadline=None)
     @given(small_matrices(4))
     def test_radius_never_exceeds_singular_bound(self, w):
-        got = spectral_radius(w, estimator=EIGEN)
-        assert got <= max_singular_value(w) + 1e-9
-
-    def test_block_structure_matches_dense_eigen(self):
-        rng = np.random.default_rng(8)
-        n0, n = 3, 6
-        w = np.zeros((n, n))
-        w[:n0, :n0] = rng.normal(size=(n0, n0))
-        for i in range(n0, n):
-            w[i, : i + 1] = rng.normal(size=i + 1)
-        got = spectral_radius(w, BLOCK_LOWER_TRIANGULAR, n0, estimator=EIGEN)
-        want = np.max(np.abs(np.linalg.eigvals(w)))
-        assert got == pytest.approx(want, rel=1e-9)
+        # contraction scaling certifies a spectral radius of at most alpha
+        if not np.any(w):
+            return
+        scaled = scale_feedback(tiny_model(w), 0.8)
+        assert self.radius(scaled.feedback) <= 0.8 * (1 + 1e-9)
 
 
 def tiny_model(w_r, structure_tag=GENERAL, n0=0):
