@@ -45,43 +45,34 @@ class BaselineConfig:
             raise ContractViolationError("sparsity must lie in [0, 1]")
 
 
-def _fit_readout(model: ReservoirModel, train: SupervisedSequence) -> ReservoirModel:
-    seq = run_reservoir(model, train.inputs)
-    w = train.washout
-    w_out = solve_output_weights(seq.extended[:, w:], train.targets[:, w:])
-    return model.with_readout(w_out)
-
-
 def build_esn(cfg: BaselineConfig, train: SupervisedSequence) -> ReservoirModel:
     """Random sparse reservoir contracted to ``esp_alpha``, readout by
     least squares on the post-washout extended states."""
     if cfg.topology != TOPOLOGY_ESN:
         raise ContractViolationError("build_esn needs topology 'esn_random'")
-    rng = substream(cfg.seed, "init")
-    n, k, ell = cfg.n_nodes, train.n_inputs, train.n_outputs
-    w_in, w_r, b = draw_reservoir(rng, n, k, cfg.weight_scale, cfg.sparsity)
-    model = ReservoirModel(
-        input_weights=w_in,
-        feedback=w_r,
-        biases=b,
-        readout=np.zeros((ell, n + k)),
-        structure_tag=GENERAL,
-    )
-    model = scale_feedback(model, cfg.esp_alpha)
-    return _fit_readout(model, train)
+    return build_baseline(cfg, train)
 
 
 def build_scr(cfg: BaselineConfig, train: SupervisedSequence) -> ReservoirModel:
     """Simple cycle reservoir: one directed ring with a single weight."""
     if cfg.topology != TOPOLOGY_SCR:
         raise ContractViolationError("build_scr needs topology 'scr_ring'")
+    return build_baseline(cfg, train)
+
+
+def build_baseline(cfg: BaselineConfig, train: SupervisedSequence) -> ReservoirModel:
+    """Fixed reservoir of ``cfg.topology``; input weights, then biases, come
+    first from the ``init`` substream, and the readout is fitted by least
+    squares on the post-washout extended states."""
     rng = substream(cfg.seed, "init")
-    n, k, ell = cfg.n_nodes, train.n_inputs, train.n_outputs
-    lam = cfg.weight_scale
-    w_in = rng.uniform(-lam, lam, size=(n, k))
-    b = rng.uniform(-lam, lam, size=n)
-    w_r = np.zeros((n, n))
-    w_r[np.arange(n), (np.arange(n) - 1) % n] = cfg.ring_weight
+    n, k, ell, lam = cfg.n_nodes, train.n_inputs, train.n_outputs, cfg.weight_scale
+    if cfg.topology == TOPOLOGY_ESN:
+        w_in, w_r, b = draw_reservoir(rng, n, k, lam, cfg.sparsity)
+    else:
+        w_in = rng.uniform(-lam, lam, size=(n, k))
+        b = rng.uniform(-lam, lam, size=n)
+        w_r = np.zeros((n, n))
+        w_r[np.arange(n), (np.arange(n) - 1) % n] = cfg.ring_weight
     model = ReservoirModel(
         input_weights=w_in,
         feedback=w_r,
@@ -89,10 +80,8 @@ def build_scr(cfg: BaselineConfig, train: SupervisedSequence) -> ReservoirModel:
         readout=np.zeros((ell, n + k)),
         structure_tag=GENERAL,
     )
-    return _fit_readout(model, train)
-
-
-def build_baseline(cfg: BaselineConfig, train: SupervisedSequence) -> ReservoirModel:
     if cfg.topology == TOPOLOGY_ESN:
-        return build_esn(cfg, train)
-    return build_scr(cfg, train)
+        model = scale_feedback(model, cfg.esp_alpha)
+    w = train.washout
+    x = run_reservoir(model, train.inputs).extended[:, w:]
+    return model.with_readout(solve_output_weights(x, train.targets[:, w:]))

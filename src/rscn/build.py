@@ -65,8 +65,8 @@ class BuildConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.n_step < self.n_max:
-            raise ContractViolationError("n_step must be smaller than n_max")
+        if not 1 <= self.n_step < self.n_max:
+            raise ContractViolationError("n_step must lie in [1, n_max)")
         if self.n_init < 1 or self.g_max < 0:
             raise ContractViolationError("n_init must be positive, g_max nonnegative")
         if not all(r_i > 0 and r_i < 1 for r_i in self.r_sequence):
@@ -403,8 +403,6 @@ def configure_node(
     scale.
     """
     alpha, n, k = state.cfg.esp_alpha, state.n, state.train.n_inputs
-    if g_max <= 0:
-        return CandidatePool(None, None, 0, 0)
     w_in = rng.uniform(-lam, lam, size=(g_max, k))
     w_r = rng.uniform(-lam, lam, size=(g_max, n + 1))
     b = rng.uniform(-lam, lam, size=g_max)

@@ -188,13 +188,19 @@ def _effective_task(args, run_manifest: dict, seed: int) -> dict:
     return _resolve_task_manifest(str(task), seed)
 
 
+def _load_model_file(args, run_manifest: dict, command: str):
+    model_file = _merged(args, run_manifest, "model_file", None)
+    if model_file is None:
+        raise SchemaError(f"{command} needs --model-file")
+    return load_model(model_file)
+
+
 def cmd_gen(args) -> int:
     run_manifest = _load_run_manifest(args)
     seed = _merged(args, run_manifest, "seed", 0, int)
-    task_arg = _merged(args, run_manifest, "task", None)
-    if isinstance(task_arg, str) and task_arg.startswith("csv:"):
-        raise SchemaError("gen produces generator tasks only (mg, mg1, mg2, plant)")
     manifest = _effective_task(args, run_manifest, seed)
+    if manifest.get("task") == "csv":
+        raise SchemaError("gen produces generator tasks only (mg, mg1, mg2, plant)")
     task = task_from_manifest(manifest)
     out = _ensure_out(args)
     for split_name in ("train", "val", "test"):
@@ -241,15 +247,10 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     run_manifest = _load_run_manifest(args)
     seed = _merged(args, run_manifest, "seed", 0, int)
-    model_file = _merged(args, run_manifest, "model_file", None)
-    if model_file is None:
-        raise SchemaError("eval needs --model-file")
-    model = load_model(model_file)
+    model = _load_model_file(args, run_manifest, "eval")
     task_manifest = _effective_task(args, run_manifest, seed)
     task = task_from_manifest(task_manifest)
     split = args.split or "test"
-    if split not in ("train", "val", "test"):
-        raise SchemaError(f"unknown split {split!r}")
     value = evaluate_model(model, getattr(task, split))
     print(f"task={_task_name(task_manifest)} split={split} nrmse={value!r}")
     return 0
@@ -258,10 +259,7 @@ def cmd_eval(args) -> int:
 def cmd_online(args) -> int:
     run_manifest = _load_run_manifest(args)
     seed = _merged(args, run_manifest, "seed", 0, int)
-    model_file = _merged(args, run_manifest, "model_file", None)
-    if model_file is None:
-        raise SchemaError("online needs --model-file")
-    model = load_model(model_file)
+    model = _load_model_file(args, run_manifest, "online")
     task_manifest = _effective_task(args, run_manifest, seed)
     task = task_from_manifest(task_manifest)
     split = args.split or "test"
@@ -329,10 +327,7 @@ def cmd_bench(args) -> int:
 def cmd_esp_check(args) -> int:
     run_manifest = _load_run_manifest(args)
     seed = _merged(args, run_manifest, "seed", 0, int)
-    model_file = _merged(args, run_manifest, "model_file", None)
-    if model_file is None:
-        raise SchemaError("esp-check needs --model-file")
-    model = load_model(model_file)
+    model = _load_model_file(args, run_manifest, "esp-check")
     if args.alpha is not None:
         model = scale_feedback(model, args.alpha)
     report = esp_check(model, rng=substream(seed, "esp"))
@@ -352,14 +347,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, model_file=False):
+    def common(p, model_file=False, task=True):
         p.add_argument("--manifest", help="JSON run manifest; flags override it")
         p.add_argument("--seed", type=int, default=None, help="root seed")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument(
-            "--task", default=None,
-            help="mg|mg1|mg2|plant or csv:PATH (header row, target last)",
-        )
+        if task:
+            p.add_argument(
+                "--task", default=None,
+                help="mg|mg1|mg2|plant or csv:PATH (header row, target last)",
+            )
         if model_file:
             p.add_argument("--model-file", dest="model_file", default=None,
                            help="serialized model JSON")
@@ -394,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_online.set_defaults(func=cmd_online)
 
     p_bench = sub.add_parser("bench", help="comparison table across models and tasks")
-    common(p_bench)
+    common(p_bench, task=False)
     p_bench.add_argument("--trials", type=int, default=None)
     p_bench.add_argument("--alpha", type=float, default=None)
     p_bench.add_argument("--tasks", dest="task_list", nargs="+", default=None,
@@ -423,7 +419,7 @@ def cmd_dispatch(argv: list[str]) -> int:
         SchemaError,
         CsvParseError,
         ContractViolationError,
-        FileNotFoundError,
+        OSError,
         json.JSONDecodeError,
     ) as err:
         print(f"error: kind={type(err).__name__} msg={err}", file=sys.stderr)

@@ -46,8 +46,8 @@ class OnlineConfig:
         if self.mode == MODE_BASIC and not (0.0 < self.a <= 1.0 and self.c > 0.0):
             raise ContractViolationError("basic mode needs 0 < a <= 1 and c > 0")
         phi = np.asarray(self.phi, dtype=float)
-        if np.any(phi < 0.0):
-            raise ContractViolationError("phi must be nonnegative")
+        if not np.all(phi >= 0.0):
+            raise ContractViolationError("phi must be a nonnegative number")
 
     def phi_series(self, n_steps: int) -> np.ndarray:
         """``phi`` at steps ``1..n_steps``; a constant bound is repeated."""
@@ -199,7 +199,7 @@ def project_step_deadzone(
     basic projection with ``a = 1`` and ``c = 1``.
     """
     if phi_n < 0:
-        raise ContractViolationError("phi must be nonnegative")
+        raise ContractViolationError("phi must be a nonnegative number")
     return _step(state, _deadzone, g, y, phi_n)
 
 

@@ -517,7 +517,20 @@ class TestEarlyStop:
         assert not early_stop_triggered([5.0, 1.0, 1.2, 1.1, 2.0], 3)
 
 
+class TestBuildConfig:
+    @pytest.mark.parametrize("n_step", [-1, 0, 15])
+    def test_n_step_must_lie_between_one_and_n_max(self, n_step):
+        with pytest.raises(ContractViolationError, match="n_step"):
+            small_cfg(n_max=15, n_step=n_step)
+
+
 class TestBuildRscn:
+    def test_empty_pools_stall_at_initial_size(self):
+        model, hist = build_rscn(toy_task(), toy_task(seed=1), small_cfg(g_max=0))
+        assert hist.stalled and not hist.early_stopped
+        assert hist.sizes == [small_cfg().n_init]
+        assert model.n_nodes == hist.final_size == small_cfg().n_init
+
     def test_zero_targets_return_at_initial_size(self):
         task = toy_task()
         zero = SupervisedSequence(task.inputs, np.zeros_like(task.targets), washout=5)

@@ -93,6 +93,12 @@ class TestGen:
     def test_csv_task_rejected(self, tmp_path, toy_csv):
         assert run("gen", "--task", f"csv:{toy_csv}", "--out", str(tmp_path)) == 3
 
+    def test_csv_task_manifest_rejected(self, tmp_path, fast_manifest, capsys):
+        out = tmp_path / "gen"
+        assert run("gen", "--manifest", fast_manifest, "--out", str(out)) == 3
+        assert "generator tasks only" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrainEvalOnline:
     def test_train_writes_model_and_history(self, tmp_path, fast_manifest):
@@ -136,6 +142,28 @@ class TestTrainEvalOnline:
         fields = dict(f.split("=", 1) for f in capsys.readouterr().out.split() if "=" in f)
         assert 0.0 <= float(fields["nrmse"]) <= float(fields["apriori_nrmse"])
 
+    def test_train_grid_prints_best_point_and_writes_model(self, tmp_path, fast_manifest,
+                                                           capsys):
+        out = tmp_path / "grid"
+        assert run("train", "--manifest", fast_manifest, "--grid", "esp_alpha=0.5,0.9",
+                   "--out", str(out)) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[0].startswith("grid best point: {'esp_alpha': ")
+        assert float(lines[0].split(": ")[-1].rstrip("}")) in (0.5, 0.9)
+        assert [f for f in os.listdir(out) if f.endswith(".model.json")]
+
+    def test_online_against_itself_logs_a_zero_first_gap(self, tmp_path, fast_manifest):
+        out = tmp_path / "m"
+        run("train", "--manifest", fast_manifest, "--out", str(out))
+        model_file = next(str(out / f) for f in os.listdir(out) if f.endswith("model.json"))
+        assert run("online", "--manifest", fast_manifest, "--model-file", model_file,
+                   "--ref-model", model_file, "--out", str(out)) == 0
+        diag = next(out / f for f in os.listdir(out) if f.startswith("online_"))
+        header, *rows = diag.read_text().strip().splitlines()
+        gaps = [row.split(",")[header.split(",").index("weight_gap")] for row in rows]
+        assert float(gaps[0]) == 0.0
+        assert all(gap != "" for gap in gaps)
+
     def test_flag_overrides_manifest_seed(self, tmp_path, fast_manifest):
         out1, out2 = tmp_path / "s1", tmp_path / "s2"
         assert run("train", "--manifest", fast_manifest, "--seed", "11",
@@ -161,6 +189,13 @@ class TestBench:
         )
         assert csv_text.splitlines()[0] == "Models,N,Training time,Training NRMSE,Testing NRMSE"
         assert len(csv_text.strip().splitlines()) == 3  # two models
+
+    def test_task_prefix_selects_only_that_task(self, tmp_path, toy_csv):
+        # bench has no --task of its own, so argparse reads it as --tasks
+        out = tmp_path / "bench"
+        assert run("bench", "--task", f"csv:{toy_csv}", "--models", "esn",
+                   "--trials", "1", "--out", str(out)) == 0
+        assert sorted(os.listdir(out)) == ["report_toy.csv", "report_toy.txt"]
 
     def test_models_share_each_trial_task(self, tmp_path, toy_csv, monkeypatch):
         calls = []
@@ -192,6 +227,32 @@ class TestErrorPaths:
     def test_missing_file_exits_3(self, tmp_path):
         assert run("eval", "--model-file", str(tmp_path / "nope.json"),
                    "--task", "mg") == 3
+
+    def test_directory_as_model_file_exits_3(self, tmp_path, capsys):
+        assert run("eval", "--model-file", str(tmp_path), "--task", "mg") == 3
+        assert "kind=IsADirectoryError" in capsys.readouterr().err
+
+    def test_constant_target_exits_4(self, tmp_path, capsys):
+        model_file = tmp_path / "tiny.model.json"
+        model_file.write_text(json.dumps(model_to_dict(ReservoirModel(
+            input_weights=np.ones((2, 1)), feedback=np.zeros((2, 2)),
+            biases=np.zeros(2), readout=np.zeros((1, 3)),
+        ))))
+        const = tmp_path / "const.csv"
+        const.write_text("u1,y\n" + "".join(f"{0.01 * i!r},1.0\n" for i in range(60)))
+        assert run("eval", "--model-file", str(model_file), "--task", f"csv:{const}") == 4
+        assert "kind=MetricUndefinedError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_step", [-1, 0])
+    def test_n_step_below_one_exits_3(self, tmp_path, fast_manifest, capsys, n_step):
+        doc = load_manifest(fast_manifest)
+        doc["model_params"]["n_step"] = n_step
+        path = tmp_path / "nstep.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert run("train", "--manifest", str(path), "--out", str(out)) == 3
+        assert "kind=ContractViolationError" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_csv_exits_3(self, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -278,6 +278,12 @@ class TestOnlineRun:
         with pytest.raises(ContractViolationError):
             OnlineConfig(mode="basic", c=0.0)
 
+    @pytest.mark.parametrize("phi", [-0.1, float("nan"), [0.1, -0.1], [0.1, float("nan")]],
+                             ids=["negative", "nan", "negative-series", "nan-series"])
+    def test_phi_must_be_a_nonnegative_number(self, phi):
+        with pytest.raises(ContractViolationError, match="phi"):
+            OnlineConfig(mode="dead_zone", phi=phi)
+
 
 def legacy_diagnostics_csv(stream, preds, state):
     """The row-by-row formatter the column export replaced, kept as an oracle."""
