@@ -40,13 +40,13 @@ def scale_feedback(model: ReservoirModel, alpha: float) -> ReservoirModel:
     """Contract the feedback matrix to largest singular value ``alpha``.
 
     With ``alpha`` in (0, 1) the state map of the result is a certain
-    contraction. A zero feedback matrix is returned unchanged.
+    contraction. A zero or subnormal one is returned unchanged.
     """
     if not 0.0 < alpha < 1.0:
         raise ContractViolationError(f"alpha must lie in (0, 1), got {alpha}")
     sigma = max_singular_value(model.feedback)
-    if sigma == 0.0:
-        warnings.warn("feedback matrix is zero; contraction scaling is a no-op")
+    if sigma < np.finfo(float).tiny:  # alpha / sigma could overflow to inf
+        warnings.warn("feedback matrix is zero or subnormal; contraction scaling is a no-op")
         return model
     return model.with_feedback(model.feedback * (alpha / sigma))
 

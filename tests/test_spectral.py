@@ -138,6 +138,13 @@ class TestScaleFeedback:
             scaled = scale_feedback(m, 0.5)
         assert np.array_equal(scaled.feedback, m.feedback)
 
+    def test_subnormal_matrix_is_noop_with_warning(self):
+        # sigma = 4 * 2.2e-313 is subnormal and 0.8 / sigma overflows to inf
+        m = tiny_model(np.full((4, 4), 2.22507386e-313))
+        with pytest.warns(UserWarning):
+            scaled = scale_feedback(m, 0.8)
+        assert np.array_equal(scaled.feedback, m.feedback)
+
 
 class TestEspContraction:
     def test_state_gap_collapses_for_contractive_feedback(self):
