@@ -400,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.set_defaults(func=cmd_bench)
 
     p_esp = sub.add_parser("esp-check", help="two-trajectory convergence report")
-    common(p_esp, model_file=True)
+    common(p_esp, model_file=True, task=False)
     p_esp.add_argument("--alpha", type=float, default=None,
                        help="contract the feedback to this gain first")
     p_esp.set_defaults(func=cmd_esp_check)

@@ -46,6 +46,8 @@ class OnlineConfig:
         if self.mode == MODE_BASIC and not (0.0 < self.a <= 1.0 and self.c > 0.0):
             raise ContractViolationError("basic mode needs 0 < a <= 1 and c > 0")
         phi = np.asarray(self.phi, dtype=float)
+        if phi.ndim > 1:
+            raise ContractViolationError("phi must be a number or a series of numbers")
         if not np.all(phi >= 0.0):
             raise ContractViolationError("phi must be a nonnegative number")
 
@@ -92,10 +94,10 @@ class _Diagnostics(Sequence):
 class OnlineState:
     """Current readout and accumulated quantities of one online run.
 
-    Single-owner and mutated sequentially by the step functions. Each step
-    logs one row of preallocated columns (grown when a step function is
-    called on its own): prior and posterior errors, eta, and the gap to
-    ``w_ref`` (NaN without one).
+    Single-owner and mutated sequentially, one step or one block of steps
+    at a time. Each step logs one row of preallocated columns (grown when
+    a step function is called on its own): prior and posterior errors,
+    eta, and the gap to ``w_ref`` (NaN without one).
     """
 
     readout: np.ndarray
@@ -138,55 +140,90 @@ def _check_samples(state: OnlineState, g: np.ndarray, y: np.ndarray) -> None:
         raise ContractViolationError("non-finite online sample")
 
 
-# Update kernels: each moves ``state.readout`` for one checked sample with feature energy
-# ``gg = g @ g`` and returns the prior error and eta; ``e[:, None] * g`` is ``np.outer(e, g)``.
+BLOCK = 64  # steps per block of online_run; 32 times alike, 128 slower (its solve costs 7x)
+_BELOW = np.tri(BLOCK, k=-1)  # strictly lower triangle of a block's Gram matrix
 
 
-def _basic(state: OnlineState, g, gg: float, y, a: float, c: float):
-    prior = y - state.readout @ g
-    state.readout = state.readout + (a * prior)[:, None] * g / (c + gg)
-    return prior, a
+def _block(state: OnlineState, mode: str, g, y, gg, a=1.0, c=1.0, phi=None) -> np.ndarray:
+    """Apply rule ``mode`` to the checked rows ``g (B, N + K)``, ``y (B, L)``.
+
+    Each step ``W += kappa e g^T`` is linear in the previous weights, so
+    the block's prior errors ``p`` solve ``(I + tril(G G^T, -1) diag(kappa))
+    p = Y - G W^T`` and the weights move once by ``(kappa p)^T G``: the
+    step-by-step loop in exact arithmetic. ``gg`` holds each row's
+    ``g @ g`` and ``phi`` the dead zone's bound per row. Logs the B steps
+    and returns their predictions ``(B, L)``.
+    """
+    w0 = state.readout
+    p = y - np.matmul(w0, g[:, :, None])[:, :, 0]  # each row's residual is y - W @ g bit for bit
+    if mode == MODE_DEAD_ZONE:
+        kappa = _open_gates(p, g, gg, 2.0 * np.asarray(phi))
+        etas = (kappa > 0.0) * 1.0
+    else:
+        if mode == MODE_BASIC:
+            kappa, etas = a / (c + gg), np.full(len(gg), float(a))
+        else:
+            # a sequential sum, so each gain is the step loop's bit for bit
+            gain = np.cumsum(np.concatenate(([state.accumulated_gain], gg)))[1:]
+            state.accumulated_gain = float(gain[-1])
+            etas = (gain > 0.0) * 1.0
+            kappa = np.divide(1.0, gain, out=np.zeros_like(gain), where=gain > 0.0)
+        if len(g) > 1:
+            m = (g @ g.T) * kappa * _BELOW[: len(g), : len(g)]
+            np.fill_diagonal(m, 1.0)
+            p = np.linalg.solve(m, p)
+    kp = kappa[:, None] * p
+    if kappa.any():
+        state.readout = w0 + kp.T @ g
+    preds = y - p + gg[:, None] * kp
+    i, j = state._n, state._n + len(g)
+    state._prior[i:j], state._posterior[i:j], state._eta[i:j] = p, y - preds, etas
+    if state.w_ref is None:
+        state._gap[i:j] = np.nan
+    else:
+        steps = np.cumsum(kp[:, :, None] * g[:, None, :], axis=0)
+        state._gap[i:j] = np.linalg.norm(w0 - state.w_ref + steps, axis=(1, 2))
+    state._n, state.step = j, state.step + len(g)
+    return preds
 
 
-def _decreasing(state: OnlineState, g, gg: float, y):
-    state.accumulated_gain += float(gg)
-    prior = y - state.readout @ g
-    if state.accumulated_gain > 0.0:
-        state.readout = state.readout + prior[:, None] * g / state.accumulated_gain
-        return prior, 1.0
-    return prior, 0.0
+def _open_gates(p, g, gg, bound) -> np.ndarray:
+    """Dead-zone gains of one block, deciding the gates in step order.
+
+    ``p`` enters as the residuals against the block's first weights. Each
+    open gate's correction is subtracted from the later rows at once, so
+    ``p`` leaves as the prior errors.
+    """
+    kappa = np.zeros(len(g))
+    t = 0
+    while True:
+        opened = np.flatnonzero((np.abs(p[t:]) > bound[t:, None]).any(axis=1))
+        if not opened.size:
+            return kappa
+        t += opened[0]
+        kappa[t] = 1.0 / (1.0 + gg[t])
+        p[t + 1:] -= (g[t + 1:] @ g[t])[:, None] * (kappa[t] * p[t])
+        t += 1
 
 
-def _deadzone(state: OnlineState, g, gg: float, y, phi_n: float):
-    prior = y - state.readout @ g
-    if (np.abs(prior) > 2.0 * phi_n).any():
-        state.readout = state.readout + prior[:, None] * g / (1.0 + gg)
-        return prior, 1.0
-    return prior, 0.0
-
-
-def _step(state: OnlineState, kernel, g, y, *args) -> OnlineState:
-    """Check one sample, apply ``kernel`` and log the step, growing the columns."""
-    g, y = (np.asarray(v, dtype=float).ravel() for v in (g, y))
-    _check_samples(state, g[None], y[None])
-    prior, eta = kernel(state, g, g @ g, y, *args)
-    i = state._n
-    if i == len(state._eta):
-        state._reserve(max(16, 2 * i))
-    state._prior[i], state._posterior[i] = prior, y - state.readout @ g
-    state._eta[i], state._gap[i] = eta, state._weight_gap()
-    state._n, state.step = i + 1, state.step + 1
+def _step(state: OnlineState, g, y, mode: str, **rule) -> OnlineState:
+    """Check one sample and apply ``mode`` to it as a one-row block, growing the columns."""
+    g, y = (np.asarray(v, dtype=float).reshape(1, -1) for v in (g, y))
+    _check_samples(state, g, y)
+    if state._n == len(state._eta):
+        state._reserve(max(16, 2 * state._n))
+    _block(state, mode, g, y, _row_dots(g), **rule)
     return state
 
 
 def project_step(state: OnlineState, g: np.ndarray, y: np.ndarray, a: float, c: float) -> OnlineState:
     """Damped projection: ``W += a e g^T / (c + g^T g)`` with prior error e."""
-    return _step(state, _basic, g, y, a, c)
+    return _step(state, g, y, MODE_BASIC, a=a, c=c)
 
 
 def project_step_decreasing(state: OnlineState, g: np.ndarray, y: np.ndarray) -> OnlineState:
     """Decreasing-gain projection dividing by the accumulated feature energy."""
-    return _step(state, _decreasing, g, y)
+    return _step(state, g, y, MODE_DECREASING)
 
 
 def project_step_deadzone(
@@ -198,9 +235,9 @@ def project_step_deadzone(
     minus the previous weights' prediction); once open, the step is the
     basic projection with ``a = 1`` and ``c = 1``.
     """
-    if phi_n < 0:
+    if not phi_n >= 0:
         raise ContractViolationError("phi must be a nonnegative number")
-    return _step(state, _deadzone, g, y, phi_n)
+    return _step(state, g, y, MODE_DEAD_ZONE, phi=[phi_n])
 
 
 def online_run(
@@ -214,42 +251,37 @@ def online_run(
     The first prediction uses the model's stored readout before any
     update; from the second step on, each revealed target updates the
     weights first and the step's prediction uses the updated weights.
-    Returns all predictions ``(L, n)`` and the state with per-step
-    diagnostics (including the gap to ``w_ref`` when supplied), equal bit
-    for bit to a loop over the step functions after one check of the stream.
+    The updates are computed in blocks of ``BLOCK`` (64) steps, so the
+    results equal a loop over the step functions up to rounding, not bit
+    for bit; the etas, the dead zone's gate decisions and the accumulated
+    gain are the loop's. Returns all predictions ``(L, n)`` and the state
+    with per-step diagnostics (including the gap to ``w_ref`` when
+    supplied).
     """
     if w_ref is not None:
         w_ref = np.asarray(w_ref, dtype=float)
         if w_ref.shape != model.readout.shape:
             raise ContractViolationError("w_ref shape does not match the readout")
     seq = run_reservoir(model, stream.inputs)
-    # one contiguous vector per step, so every product sees identical bytes
+    # contiguous rows, so each block's residuals are its rows' ``W @ g`` bit for bit
     features = np.ascontiguousarray(seq.extended.T)
     targets = np.ascontiguousarray(stream.targets.T)
     n = stream.n_steps
     state = OnlineState(readout=model.readout.copy(), w_ref=w_ref)
     _check_samples(state, features, targets)
-    if cfg.mode == MODE_BASIC:
-        kernel, args = _basic, [(cfg.a, cfg.c)] * n
-    elif cfg.mode == MODE_DECREASING:
-        kernel, args = _decreasing, [()] * n
-    else:
-        kernel, args = _deadzone, [(phi,) for phi in cfg.phi_series(n).tolist()]
-    energies = _row_dots(features).tolist()
+    phi = cfg.phi_series(n) if cfg.mode == MODE_DEAD_ZONE else np.zeros(n)  # dead zone only
+    energies = _row_dots(features)
     state._reserve(n)
-    priors, etas, gaps = state._prior, state._eta, state._gap
     preds = np.empty((n, model.n_outputs))
     # the first step only predicts, so its prior and posterior errors coincide
     np.matmul(state.readout, features[0], out=preds[0])
-    priors[0], etas[0], gaps[:] = targets[0] - preds[0], 0.0, state._weight_gap()
-    for t in range(1, n):
-        g = features[t]
-        priors[t], etas[t] = kernel(state, g, energies[t], targets[t], *args[t])
-        np.matmul(state.readout, g, out=preds[t])
-        if w_ref is not None:
-            gaps[t] = state._weight_gap()
-    np.subtract(targets, preds, out=state._posterior)
-    state._n = state.step = n
+    state._prior[0] = state._posterior[0] = targets[0] - preds[0]
+    state._eta[0], state._gap[0] = 0.0, state._weight_gap()
+    state._n = state.step = 1
+    for t in range(1, n, BLOCK):
+        b = slice(t, t + BLOCK)
+        preds[b] = _block(state, cfg.mode, features[b], targets[b], energies[b],
+                          cfg.a, cfg.c, phi[b])
     return np.ascontiguousarray(preds.T), state
 
 

@@ -218,6 +218,11 @@ class TestEspCheck:
         line = capsys.readouterr().out.strip().splitlines()[-1]
         assert "converged=true" in line
 
+    def test_task_flag_is_a_usage_error(self, tmp_path, capsys):
+        # the check reads no task, so it takes no --task
+        assert run("esp-check", "--model-file", str(tmp_path / "m.json"), "--task", "mg") == 2
+        assert "--task" in capsys.readouterr().err
+
 
 class TestErrorPaths:
     def test_usage_error_exits_2(self):
@@ -322,7 +327,8 @@ class TestErrorPaths:
         del doc["input_weights"]
         path = tmp_path / "broken.model.json"
         path.write_text(json.dumps(doc))
-        assert run(command, "--model-file", str(path), "--task", "mg") == 3
+        task = ["--task", "mg"] if command == "eval" else []
+        assert run(command, "--model-file", str(path), *task) == 3
         err = capsys.readouterr().err
         assert "kind=SchemaError" in err and "input_weights" in err
 
@@ -336,7 +342,8 @@ class TestErrorPaths:
         doc["activation"] = "sigmoid"
         path = tmp_path / "sigmoid.model.json"
         path.write_text(json.dumps(doc))
-        assert run(command, "--model-file", str(path), "--task", "mg") == 3
+        task = ["--task", "mg"] if command == "eval" else []
+        assert run(command, "--model-file", str(path), *task) == 3
         err = capsys.readouterr().err
         assert "kind=SchemaError" in err and "sigmoid" in err
 

@@ -6,6 +6,7 @@ import pytest
 from rscn.errors import ContractViolationError
 from rscn.model import ReservoirModel
 from rscn.online import (
+    BLOCK,
     OnlineConfig,
     OnlineState,
     diagnostics_csv,
@@ -17,6 +18,15 @@ from rscn.online import (
 from rscn.tasks import SupervisedSequence
 
 DATA = Path(__file__).parent / "data"
+
+
+def assert_close(actual, ref, rtol=1e-12):
+    """``|actual - ref| <= rtol * max(1, |ref|)`` entry by entry; NaNs must coincide."""
+    actual, ref = np.asarray(actual, dtype=float), np.asarray(ref, dtype=float)
+    assert actual.shape == ref.shape
+    ok = (np.isnan(actual) & np.isnan(ref)) | (
+        np.abs(actual - ref) <= rtol * np.maximum(1.0, np.abs(ref)))
+    assert ok.all(), f"largest deviation {np.nanmax(np.abs(actual - ref))!r}"
 
 
 def make_state(w, w_ref=None):
@@ -134,6 +144,12 @@ class TestDeadZone:
         s2 = make_state([[0.2, 0.4]])
         project_step(s2, ga, y, a=1.0, c=1.0)
         assert np.array_equal(s1.readout, s2.readout)
+
+    def test_nan_phi_rejected(self):
+        state = make_state([[0.0, 0.0]])
+        with pytest.raises(ContractViolationError, match="phi"):
+            project_step_deadzone(state, np.array([1.0, 1.0]), np.array([5.0]), float("nan"))
+        assert state.step == 0 and not state.readout.any()
 
     def test_gap_never_grows_under_bounded_noise(self):
         rng = np.random.default_rng(4)
@@ -284,6 +300,10 @@ class TestOnlineRun:
         with pytest.raises(ContractViolationError, match="phi"):
             OnlineConfig(mode="dead_zone", phi=phi)
 
+    def test_phi_must_have_at_most_one_dimension(self):
+        with pytest.raises(ContractViolationError, match="phi"):
+            OnlineConfig(mode="dead_zone", phi=np.ones((3, 2)))
+
 
 def legacy_diagnostics_csv(stream, preds, state):
     """The row-by-row formatter the column export replaced, kept as an oracle."""
@@ -340,16 +360,18 @@ class TestOnlineColumns:
             manual_preds.append(manual.readout @ features[t])
         first = stream.targets[:, 0] - manual_preds[0]
 
-        assert np.array_equal(state.readout, manual.readout)
+        # blocks of steps equal the step functions up to rounding; the first
+        # step only predicts, so its errors stay exact
+        assert_close(state.readout, manual.readout)
         assert state.accumulated_gain == manual.accumulated_gain
-        assert np.array_equal(preds, np.column_stack(manual_preds))
+        assert_close(preds, np.column_stack(manual_preds))
         assert np.array_equal(state.prior_errors[0], first)
         assert np.array_equal(state.posterior_errors[0], first)
-        assert np.array_equal(state.prior_errors[1:], manual.prior_errors)
-        assert np.array_equal(state.posterior_errors[1:], manual.posterior_errors)
+        assert_close(state.prior_errors[1:], manual.prior_errors)
+        assert_close(state.posterior_errors[1:], manual.posterior_errors)
         assert np.array_equal(state.etas, np.r_[0.0, manual.etas])
         gaps = state.weight_gap_series()
-        assert np.array_equal(gaps[1:], manual.weight_gap_series(), equal_nan=True)
+        assert_close(gaps[1:], manual.weight_gap_series())
         if with_ref:
             assert gaps[0] == np.linalg.norm(model.readout - w_ref)
         else:
@@ -382,3 +404,80 @@ class TestOnlineColumns:
             diags[40]
         with pytest.raises(TypeError):
             diags[0] = None
+
+
+def online_oracle(mode, readout, features, targets, phi, a=1.0, c=1.0, w_ref=None):
+    """Plain loop of the three projection rules over one stream.
+
+    ``features`` is ``(n, N + K)`` and ``targets`` ``(n, L)``. The first
+    step only predicts; each later step computes the prior error with the
+    current weights, updates them and predicts with the new weights.
+    Returns the final weights, the accumulated gain and the per-step
+    prior errors, predictions, posterior errors, etas and weight gaps.
+    """
+    w = np.array(readout, dtype=float)
+    n = targets.shape[0]
+    priors, preds = np.empty_like(targets), np.empty_like(targets)
+    etas, gaps = np.zeros(n), np.full(n, np.nan)
+    energy = 0.0
+    for t in range(n):
+        g = features[t]
+        e = targets[t] - w @ g
+        if t == 0:
+            pass
+        elif mode == "basic":
+            w = w + np.outer(a * e, g) / (c + g @ g)
+            etas[t] = a
+        elif mode == "decreasing_gain":
+            energy += g @ g
+            if energy > 0.0:
+                w = w + np.outer(e, g) / energy
+                etas[t] = 1.0
+        elif np.any(np.abs(e) > 2.0 * phi[t]):
+            w = w + np.outer(e, g) / (1.0 + g @ g)
+            etas[t] = 1.0
+        priors[t], preds[t] = e, w @ g
+        if w_ref is not None:
+            gaps[t] = np.linalg.norm(w - w_ref)
+    return w, energy, priors, preds, targets - preds, etas, gaps
+
+
+class TestBlockBoundaries:
+    """``online_run`` against the plain loop, across its blocks of ``BLOCK`` steps.
+
+    Steps after the first are updated in blocks starting at step 2, so
+    ``n = BLOCK + 1`` fills exactly one block and ``BLOCK + 2`` leaves a
+    one-row last block.
+    """
+
+    @pytest.mark.parametrize("n", [1, 2, BLOCK, BLOCK + 1, BLOCK + 2, 3 * BLOCK + 5])
+    @pytest.mark.parametrize("ell", [1, 2])
+    @pytest.mark.parametrize("with_ref", [False, True])
+    @pytest.mark.parametrize("mode,phi", [
+        ("basic", 0.0), ("decreasing_gain", 0.0), ("dead_zone", 0.4), ("dead_zone", "series"),
+    ], ids=["basic", "decreasing_gain", "dead_zone-constant", "dead_zone-series"])
+    def test_online_run_matches_a_plain_loop(self, mode, phi, with_ref, ell, n):
+        from rscn.model import run_reservoir
+
+        model = small_model(seed=13, ell=ell)
+        rng = np.random.default_rng(n)
+        u = rng.uniform(-1, 1, (2, n))
+        stream = SupervisedSequence(u, rng.normal(size=(ell, n)), washout=0)
+        phis = np.linspace(0.0, 1.0, n) if phi == "series" else np.full(n, phi)
+        cfg = OnlineConfig(mode=mode, a=0.7, c=0.5, phi=phis if phi == "series" else phi)
+        w_ref = 0.5 * model.readout if with_ref else None
+        preds, state = online_run(model, stream, cfg, w_ref=w_ref)
+
+        features = np.ascontiguousarray(run_reservoir(model, u).extended.T)
+        w, gain, priors, ref_preds, posteriors, etas, gaps = online_oracle(
+            mode, model.readout, features, stream.targets.T, phis, cfg.a, cfg.c, w_ref)
+        assert len(state.diagnostics) == state.step == n
+        assert np.array_equal(state.etas, etas)
+        assert state.accumulated_gain == gain
+        assert_close(state.readout, w)
+        assert_close(preds, ref_preds.T)
+        assert_close(state.prior_errors, priors)
+        assert_close(state.posterior_errors, posteriors)
+        assert_close(state.weight_gap_series(), gaps)
+        if mode == "dead_zone" and n > BLOCK:  # the gate both opens and stays shut
+            assert 0 < np.count_nonzero(etas) < n - 1
