@@ -23,6 +23,8 @@ from .model import (
     BLOCK_LOWER_TRIANGULAR,
     ReservoirModel,
     StateSequence,
+    _chunked_recursion,
+    _work,
     run_reservoir,
 )
 from .seeding import substream
@@ -284,72 +286,6 @@ def _warmup_steps(bound: float) -> int:
     return math.ceil(64 / -math.log2(bound))
 
 
-def _chunked_recursion(
-    drive: np.ndarray, self_w: np.ndarray, warmup: int, work: dict[str, np.ndarray]
-) -> None:
-    """Turn ``drive`` ``(pool size, n_steps)`` into ``tanh`` states in place.
-
-    The steps are cut into ``c = n_steps // (2 warmup)`` chunks that run
-    side by side, one row of ``c`` · pool size per step. Each chunk
-    starts from a zero state ``warmup`` steps before its own first step;
-    the first chunk's warm-up sees zero drive and stays zero, so that
-    chunk is exact. Two runs of a node
-    whose bits agree at some step agree from then on, so a chunk column
-    whose last warm-up state equals the exact state before the chunk is
-    exact; any other column is recomputed from that exact state by
-    :func:`_fix_up`. With one chunk there is no warm-up and the loop is
-    the plain recursion.
-    """
-    size, n_steps = drive.shape
-    c = max(1, n_steps // (2 * warmup))
-    span = -(-n_steps // c)
-    c = -(-n_steps // span)  # rounding the span up may leave chunks empty
-    if c == 1:
-        warmup = 0
-    x = _work(work, "chunks", (warmup + span, c, size))
-    for i in range(c):
-        lo = i * span - warmup
-        t0, t1 = max(lo, 0), min(lo + warmup + span, n_steps)
-        x[:t0 - lo, i] = 0.0
-        x[t0 - lo:t1 - lo, i] = drive[:, t0:t1].T
-        x[t1 - lo:, i] = 0.0
-    wide_w = np.tile(self_w, c)
-    gp, fed = np.zeros(wide_w.size), np.empty(wide_w.size)
-    # per-step call overhead dominates, so outputs are passed positionally
-    for row in x.reshape(warmup + span, -1):
-        np.multiply(wide_w, gp, fed)
-        np.add(row, fed, row)
-        np.tanh(row, row)
-        gp = row
-    for i in range(c):
-        t0, t1 = i * span, min((i + 1) * span, n_steps)
-        states = x[warmup:warmup + t1 - t0, i]
-        if i:
-            exact = drive[:, t0 - 1]
-            cols = np.flatnonzero(x[warmup - 1, i].view(np.int64) != exact.view(np.int64))
-            if cols.size:
-                _fix_up(states, drive[:, t0:t1], self_w, exact, cols)
-        drive[:, t0:t1] = states.T
-
-
-def _fix_up(states: np.ndarray, drive: np.ndarray, self_w: np.ndarray,
-            exact: np.ndarray, cols: np.ndarray) -> None:
-    """Recompute chunk columns ``cols`` of ``states`` ``(steps, pool size)`` exactly.
-
-    Each column restarts from its exact state before the chunk and runs
-    until its bits meet the chunk's value (exact from then on) or the
-    chunk ends.
-    """
-    g, w = exact[cols], self_w[cols]
-    for t, row in enumerate(states):
-        g = np.tanh(drive[cols, t] + w * g)
-        same = g.view(np.int64) == row[cols].view(np.int64)
-        row[cols] = g
-        if same.all():
-            return
-        cols, g, w = cols[~same], g[~same], w[~same]
-
-
 def _pool_scores(
     residual: np.ndarray, g_eff: np.ndarray, rs: Sequence[float], n: int
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray] | None:
@@ -374,13 +310,6 @@ def _pool_scores(
         if ok.any():
             return r, per.sum(axis=0), per, ok
     return None
-
-
-def _work(work: dict[str, np.ndarray], name: str, shape: tuple[int, ...]) -> np.ndarray:
-    """Work array ``name``, allocated again only for a new shape."""
-    if work.get(name, np.empty(0)).shape != shape:
-        work[name] = np.empty(shape)
-    return work[name]
 
 
 def configure_node(

@@ -26,6 +26,12 @@ MODE_DEAD_ZONE = "dead_zone"
 _MODES = (MODE_BASIC, MODE_DECREASING, MODE_DEAD_ZONE)
 
 
+def _check_basic(a: float, c: float) -> None:
+    """The basic rule's constants: ``0 < a <= 1`` and ``c > 0``."""
+    if not (0.0 < a <= 1.0 and c > 0.0):
+        raise ContractViolationError("basic mode needs 0 < a <= 1 and c > 0")
+
+
 @dataclass(frozen=True)
 class OnlineConfig:
     """Update-rule selection and its constants.
@@ -43,8 +49,8 @@ class OnlineConfig:
     def __post_init__(self):
         if self.mode not in _MODES:
             raise ContractViolationError(f"unknown online mode {self.mode!r}")
-        if self.mode == MODE_BASIC and not (0.0 < self.a <= 1.0 and self.c > 0.0):
-            raise ContractViolationError("basic mode needs 0 < a <= 1 and c > 0")
+        if self.mode == MODE_BASIC:
+            _check_basic(self.a, self.c)
         phi = np.asarray(self.phi, dtype=float)
         if phi.ndim > 1:
             raise ContractViolationError("phi must be a number or a series of numbers")
@@ -218,6 +224,7 @@ def _step(state: OnlineState, g, y, mode: str, **rule) -> OnlineState:
 
 def project_step(state: OnlineState, g: np.ndarray, y: np.ndarray, a: float, c: float) -> OnlineState:
     """Damped projection: ``W += a e g^T / (c + g^T g)`` with prior error e."""
+    _check_basic(a, c)
     return _step(state, g, y, MODE_BASIC, a=a, c=c)
 
 

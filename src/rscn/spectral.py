@@ -80,8 +80,14 @@ def esp_check(
     (gap at most 2) under a shared input sequence and reports whether
     every state gap fell below ``tol`` within ``n_steps``. All pairs run
     as one recursion of an ``(N, 2 n_pairs)`` state matrix (first states,
-    then second states), reduced each step to the pairs' gaps; no pair
-    stops early, so ``max_final_gap`` is the gap after the last step.
+    then second states), reduced each step to the pairs' gaps, and
+    ``max_final_gap`` is the gap after the last step. The recursion stops
+    early, with every later gap exactly 0, once every pair's gap is
+    exactly 0: the two halves are then equal, and equal states go
+    through the same arithmetic, so they stay equal. The exit is taken
+    only when the largest absolute row sum of the feedback plus the
+    largest absolute drive, computed once, is below half the float
+    maximum, so no later step could overflow either.
     """
     if n_pairs < 1 or n_steps < 1:
         raise ContractViolationError(f"esp_check needs n_pairs, n_steps >= 1, got {n_pairs}, {n_steps}")
@@ -100,10 +106,15 @@ def esp_check(
             x2 = x1 + delta * (2.0 / gap0)
         starts[:, p], starts[:, n_pairs + p] = x1, x2
     x, w_r = starts, model.feedback
+    # states lie in [-1, 1] after a step, so no later pre-activation can exceed this
+    bounded = np.abs(w_r).sum(axis=1).max(initial=0.0) + np.abs(drive).max() < np.finfo(float).max / 2
     gaps = np.empty((len(drive), n_pairs))
-    for drive_t, gap in zip(drive, gaps):
+    for t, drive_t in enumerate(drive):
         x = np.tanh(w_r @ x + drive_t[:, None])
-        gap[:] = np.linalg.norm(x[:, :n_pairs] - x[:, n_pairs:], axis=0)
+        gaps[t] = np.linalg.norm(x[:, :n_pairs] - x[:, n_pairs:], axis=0)
+        if bounded and not gaps[t].any():  # every pair merged: equal states stay equal
+            gaps[t + 1:] = 0.0
+            break
     check_finite_steps(gaps)
     below = gaps < tol
     converged = bool(below.any(axis=0).all())

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from rscn import build
+from rscn import model as rmodel
 from rscn.build import (
     INFEASIBLE,
     BuildConfig,
@@ -466,13 +467,14 @@ class TestChunkedRecursion:
         # one warm-up step leaves most chunk columns inexact at their
         # boundary, so nearly every column goes through the fix-up
         calls = []
-        fix_up = build._fix_up
+        fix_up = rmodel._fix_up
 
-        def counted(states, drive, self_w, exact, cols):
-            calls.append(cols.size)
-            return fix_up(states, drive, self_w, exact, cols)
+        def counted(states, drive, weight, exact):
+            before = states.copy()
+            fix_up(states, drive, weight, exact)
+            calls.append(np.count_nonzero((states.view(np.int64) != before.view(np.int64)).any(axis=0)))
 
-        monkeypatch.setattr(build, "_fix_up", counted)
+        monkeypatch.setattr(rmodel, "_fix_up", counted)
         rng = np.random.default_rng(n_steps)
         drive = rng.uniform(-2, 2, (15, n_steps))
         self_w = rng.uniform(-0.9, 0.9, 15)

@@ -9,10 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rscn
+from rscn import model as rmodel
+from rscn.baselines import BaselineConfig, build_baseline
+from rscn.build import BuildConfig, build_rscn
 from rscn.errors import ContractViolationError, NumericOverflowError
 from rscn.model import (
     BLOCK_LOWER_TRIANGULAR,
+    RUN_WARMUP,
     ReservoirModel,
+    input_drive,
     load_model,
     model_from_dict,
     model_to_dict,
@@ -20,6 +25,7 @@ from rscn.model import (
     run_reservoir,
     save_model,
 )
+from rscn.tasks import task_from_manifest
 
 
 def make_model(w_in, w_r, b, w_out, **kw):
@@ -110,6 +116,88 @@ class TestRunReservoir:
                            rng.normal(size=4), np.zeros((1, 6)))
         seq = run_reservoir(model, rng.uniform(-1, 1, (2, 9)))
         assert seq.states.shape == (4, 9) and seq.states.flags["C_CONTIGUOUS"]
+
+
+def step_loop_states(model, inputs, initial_state=None):
+    """States ``(N, n)`` by the plain step-by-step recursion (oracle).
+
+    Forms the drive as :func:`rscn.model.run_reservoir` does, so only the
+    recursion differs: ``x(t) = tanh(drive(t) + W_r @ x(t-1))``, one step
+    at a time.
+    """
+    drive = input_drive(model, inputs)
+    x = np.zeros(model.n_nodes) if initial_state is None else np.asarray(initial_state, dtype=float)
+    rows = np.empty_like(drive)
+    for drive_t, row in zip(drive, rows):
+        np.add(drive_t, model.feedback @ x, out=row)
+        x = np.tanh(row, out=row)
+    return rows.T
+
+
+def assert_bitwise_equal(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestChunkedRunReservoir:
+    """``run_reservoir``'s time-chunked recursion against the step loop, bit for bit."""
+
+    @staticmethod
+    def random_model(seed, n, k=2, gain=0.9):
+        rng = np.random.default_rng(seed)
+        w = rng.normal(size=(n, n))
+        return make_model(rng.uniform(-1, 1, (n, k)), w * (gain / np.linalg.norm(w, 2)),
+                          rng.uniform(-0.5, 0.5, n), np.zeros((1, n + k)))
+
+    @pytest.mark.parametrize("n_steps", [
+        4 * RUN_WARMUP - 1,  # one chunk: the plain loop
+        4 * RUN_WARMUP,  # the first length cut in two chunks
+        4 * RUN_WARMUP + 1,  # two chunks, the last one shorter
+        1000,  # three chunks of 334 steps, the last one 332
+        2 * RUN_WARMUP + 3,
+    ])
+    @pytest.mark.parametrize("start", [False, True])
+    def test_matches_the_step_loop(self, n_steps, start):
+        model = self.random_model(n_steps, 12)
+        rng = np.random.default_rng(n_steps + 1)
+        u = rng.uniform(-1, 1, (2, n_steps))
+        x0 = rng.uniform(-1, 1, 12) if start else None
+        seq = run_reservoir(model, u, x0)
+        assert_bitwise_equal(seq.states, step_loop_states(model, u, x0))
+        assert seq.states.flags["C_CONTIGUOUS"]
+        assert np.array_equal(seq.extended[12:], u)
+
+    @pytest.mark.parametrize("n_steps", [200, 4 * RUN_WARMUP, 3000])
+    def test_bistable_model_is_fixed_up_at_every_boundary(self, n_steps, monkeypatch):
+        # tanh(3x) has fixed points near +-1: node 0 starts negative and
+        # stays there under a weak positive drive, while every chunk's
+        # warm-up from zero climbs to the positive one, so no chunk's
+        # warm-up ever meets the exact state
+        model = make_model(np.full((2, 1), 0.05), 3.0 * np.eye(2), np.zeros(2), np.zeros((1, 3)))
+        calls = []
+        fix_up = rmodel._fix_up
+
+        def counted(states, drive, weight, exact):
+            calls.append(len(states))
+            fix_up(states, drive, weight, exact)
+
+        monkeypatch.setattr(rmodel, "_fix_up", counted)
+        u = np.random.default_rng(n_steps).uniform(0, 1, (1, n_steps))
+        x0 = np.array([-0.5, 0.5])
+        seq = run_reservoir(model, u, x0)
+        assert_bitwise_equal(seq.states, step_loop_states(model, u, x0))
+        assert np.all(seq.states[0] < -0.8) and np.all(seq.states[1] > 0.8)
+        n_chunks = max(1, n_steps // (2 * RUN_WARMUP))
+        assert len(calls) == n_chunks and sum(calls) == n_steps
+
+    def test_seeded_rscn_and_esn_models_on_a_long_stream(self):
+        task = task_from_manifest({"task": "mg", "seed": 1, "mg_params": {"length": 3500}})
+        assert task.test.n_steps >= 2000
+        rscn_model, _ = build_rscn(task.train, task.val, BuildConfig(n_max=40, seed=1))
+        esn_model = build_baseline(BaselineConfig(n_nodes=60, seed=1), task.train)
+        for model in (rscn_model, esn_model):
+            u = task.test.inputs
+            assert_bitwise_equal(run_reservoir(model, u).states, step_loop_states(model, u))
 
 
 class TestReadout:

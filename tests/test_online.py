@@ -88,6 +88,16 @@ class TestProjectStep:
         with pytest.raises(ContractViolationError):
             project_step(state, np.array([1.0]), np.array([1.0]), 1.0, 1.0)
 
+    @pytest.mark.parametrize("a,c", [(1.0, 0.0), (0.0, 1.0), (1.5, 1.0), (1.0, float("nan"))])
+    def test_constants_are_checked_as_the_config_checks_them(self, a, c):
+        # c = 0 with a zero feature vector would divide 0 by 0 into the readout
+        state = OnlineState(readout=np.zeros((1, 2)))
+        with pytest.raises(ContractViolationError, match="basic mode"):
+            project_step(state, np.zeros(2), np.ones(1), a=a, c=c)
+        assert state.step == 0 and np.array_equal(state.readout, np.zeros((1, 2)))
+        with pytest.raises(ContractViolationError, match="basic mode"):
+            OnlineConfig(mode="basic", a=a, c=c)
+
 
 class TestDecreasingGain:
     def test_first_step_is_exact_projection(self):

@@ -219,6 +219,9 @@ class TestEspCheckBatched:
         (random_model(1, 12, gain=0.99), {"n_steps": 80}),
         (random_model(2, 8), {"n_pairs": 9, "n_steps": 120}),
         (random_model(3, 6, k=1), {"n_pairs": 3, "tol": 1e-3, "n_steps": 7}),
+        # every pair merges long before the last of 2,000 steps
+        (random_model(4, 10), {"n_pairs": 8, "n_steps": 2000}),
+        (random_model(5, 30, gain=0.5), {"n_pairs": 40, "n_steps": 2000, "tol": 1e-15}),
         # bistable: tanh(3x) has fixed points near +-1, so pairs that start
         # on opposite signs in some node never meet
         (ReservoirModel(input_weights=np.full((2, 1), 0.05), feedback=3.0 * np.eye(2),
