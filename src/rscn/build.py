@@ -22,7 +22,6 @@ from .errors import ContractViolationError
 from .model import (
     BLOCK_LOWER_TRIANGULAR,
     ReservoirModel,
-    StateSequence,
     _chunked_recursion,
     _work,
     run_reservoir,
@@ -71,6 +70,9 @@ class BuildConfig:
             raise ContractViolationError("n_step must lie in [1, n_max)")
         if self.n_init < 1 or self.g_max < 0:
             raise ContractViolationError("n_init must be positive, g_max nonnegative")
+        for name in ("lambda_sequence", "r_sequence"):
+            if not getattr(self, name):
+                raise ContractViolationError(f"{name} must not be empty")
         if not all(r_i > 0 and r_i < 1 for r_i in self.r_sequence):
             raise ContractViolationError("every r must lie in (0, 1)")
         if not all(lam > 0 for lam in self.lambda_sequence):
@@ -186,21 +188,6 @@ class BuildState:
     residual: np.ndarray
     history: BuildHistory
     work: dict[str, np.ndarray] = field(default_factory=dict)
-
-    @property
-    def train_seq(self) -> StateSequence:
-        states = self.train_states[:self.n, 1:]
-        return StateSequence(states, np.vstack([states, self.train.inputs]))
-
-    @property
-    def val_seq(self) -> StateSequence:
-        states = self.val_states[:self.n, 1:]
-        return StateSequence(states, np.vstack([states, self.val.inputs]))
-
-    @property
-    def model(self) -> ReservoirModel:
-        """The current network with the factorisation's readout."""
-        return self.network(self.n, _readout(self))
 
     def network(self, n: int, readout: np.ndarray) -> ReservoirModel:
         """The first ``n`` grown nodes with the given readout."""

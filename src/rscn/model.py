@@ -124,34 +124,37 @@ class ReservoirModel:
 
 @dataclass(frozen=True, eq=False)
 class StateSequence:
-    """Reservoir states over time plus the extended (state, input) matrix.
+    """Reservoir states over time, stored as the extended (state, input) matrix.
 
-    ``states`` is ``(N, n)``; column ``t`` of ``extended`` stacks the state
-    and input columns at step ``t``, giving the ``(N + K, n)`` design matrix
-    used by the readout.
+    Column ``t`` of ``extended`` stacks the state and input columns at
+    step ``t``, giving the ``(N + K, n)`` design matrix used by the
+    readout; ``states`` is the view of its first ``n_nodes`` rows. The
+    constructor keeps a read-only copy of ``extended``.
     """
 
-    states: np.ndarray
     extended: np.ndarray
+    n_nodes: int
 
     def __post_init__(self):
-        object.__setattr__(self, "states", _frozen(self.states))
         object.__setattr__(self, "extended", _frozen(self.extended))
 
     @property
+    def states(self) -> np.ndarray:
+        return self.extended[:self.n_nodes]
+
+    @property
     def n_steps(self) -> int:
-        return self.states.shape[1]
+        return self.extended.shape[1]
 
 
 def input_drive(model: ReservoirModel, inputs: np.ndarray) -> np.ndarray:
-    """Validated input drive ``W_in u(t) + b``, one ``(N,)`` row per step."""
+    """Validated input drive ``W_in u(t) + b``, ``(N, n)`` with one column per step."""
     inputs = np.asarray(inputs, dtype=float)
     if inputs.ndim != 2 or inputs.shape[0] != model.n_inputs:
         raise ContractViolationError(f"inputs shape {inputs.shape}, expected ({model.n_inputs}, n)")
     if not np.all(np.isfinite(inputs)):
         raise ContractViolationError("inputs contain non-finite values")
-    drive = model.input_weights @ inputs + model.biases[:, None]
-    return np.ascontiguousarray(drive.T)
+    return model.input_weights @ inputs + model.biases[:, None]
 
 
 def check_finite_steps(rows: np.ndarray) -> None:
@@ -252,25 +255,26 @@ def run_reservoir(
 ) -> StateSequence:
     """Drive the reservoir over ``inputs`` (shape ``(K, n)``).
 
-    Column ``t`` of the result is
+    Column ``t`` of the states is
     ``tanh(W_in u(t) + W_r x(t-1) + b)`` with ``x(0) = initial_state``
-    (zeros by default), computed in place into row ``t`` of an ``(n, N)``
-    buffer by :func:`_chunked_recursion` with ``RUN_WARMUP`` warm-up
-    steps and returned C-contiguous. The result equals the plain
-    step-by-step recursion bit for bit. Finiteness is checked once,
-    after the last step. Deterministic: identical arguments give a
-    bit-identical sequence.
+    (zeros by default). The drive is stacked over the inputs once, and
+    :func:`_chunked_recursion` with ``RUN_WARMUP`` warm-up steps turns
+    its top ``N`` rows into the states in place, so the buffer is the
+    extended matrix. The result equals the plain step-by-step recursion
+    bit for bit. Finiteness is checked once, after the last step.
+    Deterministic: identical arguments give a bit-identical sequence.
     """
-    drive = input_drive(model, inputs)
-    inputs = np.asarray(inputs, dtype=float)
     n = model.n_nodes
     x = np.zeros(n) if initial_state is None else np.asarray(initial_state, dtype=float)
     if x.shape != (n,):
         raise ContractViolationError(f"initial_state shape {x.shape}, expected ({n},)")
-    _chunked_recursion(drive.T, model.feedback, RUN_WARMUP, {}, x)
-    check_finite_steps(drive)
-    states = np.ascontiguousarray(drive.T)
-    return StateSequence(states=states, extended=np.vstack([states, inputs]))
+    if not np.all(np.isfinite(x)):
+        raise ContractViolationError("initial_state contains non-finite values")
+    extended = np.vstack([input_drive(model, inputs), inputs])
+    states = extended[:n]
+    _chunked_recursion(states, model.feedback, RUN_WARMUP, {}, x)
+    check_finite_steps(states.T)
+    return StateSequence(extended, n)
 
 
 def readout(

@@ -94,7 +94,7 @@ def esp_check(
     rng = rng if rng is not None else np.random.default_rng(0)
     drive = input_drive(model, rng.uniform(-1.0, 1.0, size=(model.n_inputs, n_steps))
                         if inputs is None else np.asarray(inputs, dtype=float)[:, :n_steps])
-    if not len(drive):
+    if not drive.shape[1]:
         raise ContractViolationError("esp_check needs at least one input step")
     n = model.n_nodes
     starts = np.empty((n, 2 * n_pairs))
@@ -108,8 +108,8 @@ def esp_check(
     x, w_r = starts, model.feedback
     # states lie in [-1, 1] after a step, so no later pre-activation can exceed this
     bounded = np.abs(w_r).sum(axis=1).max(initial=0.0) + np.abs(drive).max() < np.finfo(float).max / 2
-    gaps = np.empty((len(drive), n_pairs))
-    for t, drive_t in enumerate(drive):
+    gaps = np.empty((drive.shape[1], n_pairs))
+    for t, drive_t in enumerate(drive.T):
         x = np.tanh(w_r @ x + drive_t[:, None])
         gaps[t] = np.linalg.norm(x[:, :n_pairs] - x[:, n_pairs:], axis=0)
         if bounded and not gaps[t].any():  # every pair merged: equal states stay equal

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from rscn.baselines import BaselineConfig
-from rscn.build import BuildConfig, build_rscn, configure_node, init_network
+from rscn.build import BuildConfig, _readout, build_rscn, configure_node, init_network
 from rscn.cli import ESN_SIZES, RSCN_N_MAX
 from rscn.evaluate import nrmse, run_trials
 from rscn.model import run_reservoir
@@ -270,7 +270,7 @@ class TestCriterion10StructuralGrowth:
             state = init_network(
                 data.train, data.val, cfg, np.random.default_rng(seed)
             )
-            before = state.train_seq.states.copy()
+            before = state.train_states[:state.n, 1:].copy()
             pool = None
             for lam in cfg.lambda_sequence:
                 for r in cfg.r_sequence:
@@ -287,13 +287,14 @@ class TestCriterion10StructuralGrowth:
 
             _accept_node(state, pool.best)
             n = before.shape[0]
-            assert np.array_equal(state.train_seq.states[:n], before)
+            assert np.array_equal(state.train_states[:n, 1:], before)
 
             from dataclasses import replace
 
-            w_r = state.model.feedback.copy()
+            model = state.network(state.n, _readout(state))
+            w_r = model.feedback.copy()
             w_r[:n, n] = 0.3  # old nodes now see the appended one
-            general = replace(state.model, feedback=w_r, structure_tag="general")
+            general = replace(model, feedback=w_r, structure_tag="general")
             seq = run_reservoir(general, data.train.inputs)
             assert not np.array_equal(seq.states[:n], before)
         report(

@@ -16,6 +16,7 @@ from rscn.build import (
     _chunked_recursion,
     _node_states,
     _pool_node_states,
+    _readout,
     _warmup_steps,
     build_rscn,
     configure_node,
@@ -72,7 +73,7 @@ def candidate_states(state, cand, inputs):
         raise ContractViolationError(
             "inputs must be the training inputs this build state was made from"
         )
-    prev = _shifted_states(state.train_seq.states)
+    prev = _shifted_states(state.train_states[:state.n, 1:])
     return _node_states(prev, inputs, cand.input_row, cand.feedback_row, cand.bias)
 
 
@@ -200,7 +201,7 @@ class TestCandidateStates:
 
     def test_zero_candidate_gives_zero_states(self):
         state = self.make_state()
-        n = state.model.n_nodes
+        n = state.n
         cand = CandidateNode(
             input_row=np.zeros(2), feedback_row=np.zeros(n + 1), bias=0.0,
             state_seq=np.empty(0), score=0.0, per_output_scores=np.empty(0),
@@ -210,7 +211,7 @@ class TestCandidateStates:
 
     def test_memoryless_node_is_pointwise_tanh_of_first_input(self):
         state = self.make_state()
-        n = state.model.n_nodes
+        n = state.n
         cand = CandidateNode(
             input_row=np.array([1.0, 0.0]), feedback_row=np.zeros(n + 1), bias=0.0,
             state_seq=np.empty(0), score=0.0, per_output_scores=np.empty(0),
@@ -221,7 +222,7 @@ class TestCandidateStates:
     def test_matches_hand_unrolled_recurrence(self):
         cfg = small_cfg(n_init=1, sparsity=1.0)
         state = self.make_state(cfg=cfg)
-        n = state.model.n_nodes
+        n = state.n
         assert n == 1
         cand = CandidateNode(
             input_row=np.array([0.4, -0.2]),
@@ -231,7 +232,7 @@ class TestCandidateStates:
         )
         g = candidate_states(state, cand, state.train.inputs)
         u = state.train.inputs
-        x1 = state.train_seq.states[0]
+        x1 = state.train_states[0, 1:]
         gp = 0.0
         for t in range(3):
             x_prev = 0.0 if t == 0 else x1[t - 1]
@@ -254,15 +255,16 @@ class TestInitNetwork:
     def test_zero_sparsity_means_zero_feedback(self):
         cfg = small_cfg(sparsity=0.0)
         state = init_network(toy_task(), toy_task(seed=1), cfg, np.random.default_rng(0))
-        assert np.all(state.model.feedback == 0.0)
+        assert np.all(state.feedback[:state.n, :state.n] == 0.0)
 
     def test_same_seed_bit_identical(self):
         cfg = small_cfg()
         a = init_network(toy_task(), toy_task(seed=1), cfg, np.random.default_rng(3))
         b = init_network(toy_task(), toy_task(seed=1), cfg, np.random.default_rng(3))
-        assert np.array_equal(a.model.input_weights, b.model.input_weights)
-        assert np.array_equal(a.model.feedback, b.model.feedback)
-        assert np.array_equal(a.model.readout, b.model.readout)
+        ma, mb = (s.network(s.n, _readout(s)) for s in (a, b))
+        assert np.array_equal(ma.input_weights, mb.input_weights)
+        assert np.array_equal(ma.feedback, mb.feedback)
+        assert np.array_equal(ma.readout, mb.readout)
 
     def test_sparsity_hits_binomial_mean(self):
         # 25 entries at density 0.03: expected nonzero count 0.75
@@ -274,7 +276,7 @@ class TestInitNetwork:
         counts = []
         for s in range(1000):
             state = init_network(task, val, cfg, np.random.default_rng(s))
-            counts.append(np.count_nonzero(state.model.feedback))
+            counts.append(np.count_nonzero(state.feedback[:state.n, :state.n]))
         assert 0.5 <= np.mean(counts) <= 1.0
 
     def test_incremental_mode_contracts_initial_block(self):
@@ -282,7 +284,7 @@ class TestInitNetwork:
         state = init_network(toy_task(), toy_task(seed=1), cfg, np.random.default_rng(2))
         from rscn.spectral import max_singular_value
 
-        assert max_singular_value(state.model.feedback) == pytest.approx(
+        assert max_singular_value(state.feedback[:state.n, :state.n]) == pytest.approx(
             cfg.esp_alpha, rel=1e-9
         )
 
@@ -340,7 +342,7 @@ class TestConfigureNode:
         pool = configure_node(state, state.train.inputs, 2.0, (0.99,), 10, rng)
         # redraw the same pool and re-evaluate each candidate individually
         rng2 = np.random.default_rng(12)
-        n, k = state.model.n_nodes, 2
+        n, k = state.n, 2
         w_in = rng2.uniform(-2, 2, (10, k))
         w_r = rng2.uniform(-2, 2, (10, n + 1))
         b = rng2.uniform(-2, 2, 10)
@@ -525,6 +527,11 @@ class TestBuildConfig:
         with pytest.raises(ContractViolationError, match="n_step"):
             small_cfg(n_max=15, n_step=n_step)
 
+    @pytest.mark.parametrize("ladder", ["lambda_sequence", "r_sequence"])
+    def test_empty_ladder_rejected(self, ladder):
+        with pytest.raises(ContractViolationError, match=ladder):
+            small_cfg(**{ladder: ()})
+
 
 class TestBuildRscn:
     def test_empty_pools_stall_at_initial_size(self):
@@ -621,7 +628,7 @@ class TestOldStatePreservation:
         task = toy_task(120)
         cfg = small_cfg()
         state = init_network(task, toy_task(120, seed=1), cfg, np.random.default_rng(0))
-        before = state.train_seq.states.copy()
+        before = state.train_states[:state.n, 1:].copy()
         pool = configure_node(state, task.inputs, 1.0, (0.999,), 50, np.random.default_rng(4))
         assert pool.best is not None
         from rscn.build import _accept_node
@@ -632,17 +639,18 @@ class TestOldStatePreservation:
     def test_incremental_append_preserves_old_states_bitwise(self):
         before, state = self.grow_once()
         n = before.shape[0]
-        assert np.array_equal(state.train_seq.states[:n], before)
+        assert np.array_equal(state.train_states[:n, 1:], before)
 
     def test_dense_final_column_changes_old_states(self):
         before, state = self.grow_once()
         n = before.shape[0]
         # deliberately general growth: let old nodes see the new node
-        w_r = state.model.feedback.copy()
+        model = state.network(state.n, _readout(state))
+        w_r = model.feedback.copy()
         w_r[:n, n] = 0.5
         from dataclasses import replace
 
-        general = replace(state.model, feedback=w_r, structure_tag="general")
+        general = replace(model, feedback=w_r, structure_tag="general")
         seq = run_reservoir(general, state.train.inputs)
         assert not np.array_equal(seq.states[:n], before)
 
@@ -676,11 +684,14 @@ class TestStoredSequences:
                     break
             assert pool.best is not None
             _accept_node(state, pool.best)
-        assert state.model.n_nodes == cfg.n_init + 4
-        for stored, seq in ((state.train_seq, task), (state.val_seq, val)):
-            want = run_reservoir(state.model, seq.inputs)
-            np.testing.assert_allclose(stored.states, want.states, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(stored.extended, want.extended, rtol=0, atol=1e-12)
+        assert state.n == cfg.n_init + 4
+        model = state.network(state.n, _readout(state))
+        for stored, seq in ((state.train_states, task), (state.val_states, val)):
+            stored = stored[:state.n, 1:]
+            want = run_reservoir(model, seq.inputs)
+            np.testing.assert_allclose(stored, want.states, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(np.vstack([stored, seq.inputs]), want.extended,
+                                       rtol=0, atol=1e-12)
 
 
 class TestSearchWorker:
@@ -779,10 +790,11 @@ class TestFactorisation:
 
         def check(state, norms):
             w_t, w_v = state.train.washout, state.val.washout
-            x = state.train_seq.extended[:, w_t:]
+            x = np.vstack([state.train_states[:state.n, 1:], state.train.inputs])[:, w_t:]
             t = state.train.targets[:, w_t:]
             w = solve_output_weights(x, t)
-            val_resid = state.val.targets[:, w_v:] - w @ state.val_seq.extended[:, w_v:]
+            val_ext = np.vstack([state.val_states[:state.n, 1:], state.val.inputs])
+            val_resid = state.val.targets[:, w_v:] - w @ val_ext[:, w_v:]
             fresh = (np.linalg.norm(t - w @ x), np.linalg.norm(val_resid))
             assert norms == pytest.approx(fresh, rel=1e-9)
             q = state.q[:len(state.basis)]

@@ -259,6 +259,19 @@ class TestErrorPaths:
         assert "kind=ContractViolationError" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("ladder", ["lambda_sequence", "r_sequence"])
+    def test_empty_ladder_exits_3(self, tmp_path, fast_manifest, capsys, ladder):
+        doc = load_manifest(fast_manifest)
+        doc["model_params"][ladder] = []
+        path = tmp_path / "ladder.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert run("train", "--manifest", str(path), "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert "kind=ContractViolationError" in err and ladder in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_bad_csv_exits_3(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("u1,y\n1.0,oops\n")

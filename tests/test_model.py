@@ -17,6 +17,7 @@ from rscn.model import (
     BLOCK_LOWER_TRIANGULAR,
     RUN_WARMUP,
     ReservoirModel,
+    StateSequence,
     input_drive,
     load_model,
     model_from_dict,
@@ -101,6 +102,12 @@ class TestRunReservoir:
         with pytest.raises(ContractViolationError):
             run_reservoir(model, np.array([[np.nan]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_initial_state_rejected(self, bad):
+        model = make_model([[1.0], [0.5]], 0.1 * np.ones((2, 2)), [0.0, 0.0], np.zeros((1, 3)))
+        with pytest.raises(ContractViolationError, match="initial_state"):
+            run_reservoir(model, np.ones((1, 4)), np.array([bad, 0.0]))
+
     def test_overflow_names_the_first_non_finite_step(self):
         # step 1: tanh(inf + 0) = 1 in both nodes; step 2 feeds node 0
         # inf + (-1e308 - 1e308) = inf + (-inf), which is NaN
@@ -118,6 +125,34 @@ class TestRunReservoir:
         assert seq.states.shape == (4, 9) and seq.states.flags["C_CONTIGUOUS"]
 
 
+class TestStateSequence:
+    """A state sequence is one read-only extended matrix; ``states`` is its top rows."""
+
+    @staticmethod
+    def sequence():
+        rng = np.random.default_rng(5)
+        model = make_model(rng.normal(size=(3, 2)), 0.2 * rng.normal(size=(3, 3)),
+                           rng.normal(size=3), np.zeros((1, 5)))
+        return run_reservoir(model, rng.uniform(-1, 1, (2, 7)))
+
+    def test_states_are_a_view_of_extended(self):
+        seq = self.sequence()
+        assert np.shares_memory(seq.states, seq.extended)
+        assert seq.states.shape == (3, 7) and seq.n_steps == 7
+
+    @pytest.mark.parametrize("name", ["states", "extended"])
+    def test_arrays_are_read_only(self, name):
+        with pytest.raises(ValueError):
+            getattr(self.sequence(), name)[0, 0] = 1.0
+
+    def test_constructor_copies_the_callers_array(self):
+        ext = np.arange(12.0).reshape(3, 4)
+        seq = StateSequence(ext, 2)
+        assert not np.shares_memory(seq.extended, ext)
+        ext[0, 0] = -1.0
+        assert ext.flags.writeable and seq.states[0, 0] == 0.0
+
+
 def step_loop_states(model, inputs, initial_state=None):
     """States ``(N, n)`` by the plain step-by-step recursion (oracle).
 
@@ -127,8 +162,8 @@ def step_loop_states(model, inputs, initial_state=None):
     """
     drive = input_drive(model, inputs)
     x = np.zeros(model.n_nodes) if initial_state is None else np.asarray(initial_state, dtype=float)
-    rows = np.empty_like(drive)
-    for drive_t, row in zip(drive, rows):
+    rows = np.empty(drive.T.shape)
+    for drive_t, row in zip(drive.T, rows):
         np.add(drive_t, model.feedback @ x, out=row)
         x = np.tanh(row, out=row)
     return rows.T
