@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -170,6 +171,7 @@ class BuildState:
     ``basis`` names each vector's design column (inputs, then nodes) and
     ``residual`` is the post-washout training residual ``(L, T)``.
     ``work`` holds the candidate search's work arrays, reused across calls.
+    ``owed`` is true while the last node's validation states are unpaid.
     """
 
     cfg: BuildConfig
@@ -188,6 +190,7 @@ class BuildState:
     residual: np.ndarray
     history: BuildHistory
     work: dict[str, np.ndarray] = field(default_factory=dict)
+    owed: bool = False
 
     def network(self, n: int, readout: np.ndarray) -> ReservoirModel:
         """The first ``n`` grown nodes with the given readout."""
@@ -222,24 +225,8 @@ def solve_output_weights(
     return w.T
 
 
-def _node_states(
-    prev_states: np.ndarray,
-    inputs: np.ndarray,
-    input_row: np.ndarray,
-    feedback_row: np.ndarray,
-    bias: float,
-) -> np.ndarray:
-    """State sequence of one appended node, starting from zero."""
-    drive = input_row @ inputs + bias
-    if prev_states.shape[0]:
-        drive = drive + feedback_row[:-1] @ prev_states
-    self_w = feedback_row[-1]
-    g = np.empty(inputs.shape[1])
-    gp = 0.0
-    for t in range(g.size):
-        gp = float(np.tanh(drive[t] + self_w * gp))
-        g[t] = gp
-    return g
+# a drive that sets tanh to exactly 1.0 whatever a |w| < 1 self-feedback adds (19 already does)
+SATURATED = 40.0
 
 
 def _pool_node_states(
@@ -248,6 +235,7 @@ def _pool_node_states(
     pool: tuple[np.ndarray, np.ndarray, np.ndarray],
     work: dict[str, np.ndarray],
     bound: float,
+    owed: tuple[np.ndarray, float] | None = None,
 ) -> np.ndarray:
     """State sequences ``(pool size, n_steps)`` of one pool, from a zero state.
 
@@ -256,15 +244,27 @@ def _pool_node_states(
     formed in the C-contiguous work array ``"drive"`` and turned into the
     states in place by :func:`_chunked_recursion`, which equals the plain
     step-by-step recursion bit for bit.
+
+    The work array has one row more than the pool. An accepted node's
+    validation run ``owed = (drive, self-weight)``, no longer than
+    ``n_steps``, rides in it and its states are written back into
+    ``drive``. Past its end, or with nothing owed, the row's drive is
+    ``SATURATED``: its state is 1.0 from any start, so a chunk's warm-up
+    meets it at once and it never needs a fix-up.
     """
     w_in, w_r, b = pool
-    shape = (b.size, inputs.shape[1])
-    drive = _work(work, "drive", shape)
+    rows = _work(work, "drive", (b.size + 1, inputs.shape[1]))
+    drive, spare = rows[:-1], rows[-1]
     np.matmul(w_in, inputs, out=drive)
     drive += b[:, None]
     if prev_states.shape[0]:
-        drive += np.matmul(w_r[:, :-1], prev_states, out=_work(work, "prod", shape))
-    _chunked_recursion(drive, w_r[:, -1].copy(), _warmup_steps(bound), work)
+        drive += np.matmul(w_r[:, :-1], prev_states, out=_work(work, "prod", drive.shape))
+    run, self_w = owed or (spare[:0], 0.0)
+    spare[:run.size] = run
+    spare[run.size:] = SATURATED
+    weights = np.append(w_r[:, -1], self_w)
+    _chunked_recursion(rows, weights, _warmup_steps(max(bound, abs(self_w))), work)
+    run[:] = spare[:run.size]
     return drive
 
 
@@ -313,7 +313,10 @@ def configure_node(
     rows, then feedback rows, then biases); each self-weight is clamped
     to ``[-esp_alpha, esp_alpha]``. One time-chunked state recursion
     runs over the whole pool (:func:`_pool_node_states`), which is then
-    scored at each r in order (see :func:`_pool_scores`). The first r with a passer supplies the node:
+    scored at each r in order (see :func:`_pool_scores`). The same
+    recursion pays the last accepted node's owed validation run, unless
+    the validation split is the longer one; then :func:`_settle` pays it
+    first. The first r with a passer supplies the node:
     among its passers the largest total score wins, first drawn winning
     ties. A result without a node tells the caller to advance the weight
     scale.
@@ -323,9 +326,13 @@ def configure_node(
     w_r = rng.uniform(-lam, lam, size=(g_max, n + 1))
     b = rng.uniform(-lam, lam, size=g_max)
     np.clip(w_r[:, -1], -alpha, alpha, out=w_r[:, -1])
+    if state.val.n_steps > inputs.shape[1]:
+        _settle(state)
     g = _pool_node_states(
-        state.train_states[:n, :-1], inputs, (w_in, w_r, b), state.work, min(lam, alpha)
+        state.train_states[:n, :-1], inputs, (w_in, w_r, b), state.work, min(lam, alpha),
+        _owed_run(state) if state.owed else None,
     )
+    state.owed = False
     found = _pool_scores(state.residual, g[:, state.train.washout:], rs, n)
     if found is None:
         return CandidatePool(None, None, 0, g_max)
@@ -449,25 +456,40 @@ def init_network(
     return state
 
 
-def _accept_node(state: BuildState, cand: CandidateNode) -> tuple[float, float]:
-    """Append the candidate's row and extend the stored states by its node.
+def _accept_node(state: BuildState, cand: CandidateNode) -> None:
+    """Append the candidate's row, its training states and its design column.
 
-    The old rows are untouched, so only the new node's validation states
-    are computed; its training states came with the candidate. Returns
-    the extended factorisation's training and validation residual norms.
+    The old rows are untouched. The node's validation states are left
+    owed (see :func:`_owed_run`).
     """
     n = state.n
     state.input_weights[n] = cand.input_row
     state.feedback[n, :n + 1] = cand.feedback_row
     state.biases[n] = cand.bias
     state.train_states[n, 1:] = cand.state_seq
-    state.val_states[n, 1:] = _node_states(
-        state.val_states[:n, :-1], state.val.inputs, cand.input_row,
-        cand.feedback_row, cand.bias,
-    )
-    state.n = n + 1
+    state.n, state.owed = n + 1, True
     _append_column(state, state.train.n_inputs + n, cand.state_seq[state.train.washout:])
-    return _norms(state)
+
+
+def _owed_run(state: BuildState) -> tuple[np.ndarray, float]:
+    """The last node's validation drive, formed in its ``val_states`` row, and its self-weight.
+
+    The node feeds only from earlier nodes, whose validation states are
+    known; the kernel turns the drive into the states in place.
+    """
+    k = state.n - 1
+    run = state.val_states[k, 1:]
+    np.add(state.input_weights[k] @ state.val.inputs, state.biases[k], out=run)
+    run += state.feedback[k, :k] @ state.val_states[:k, :-1]
+    return run, float(state.feedback[k, k])
+
+
+def _settle(state: BuildState) -> None:
+    """Pay the owed validation run, if any, alone on the kernel."""
+    if state.owed:
+        run, self_w = _owed_run(state)
+        _chunked_recursion(run[None], np.array([self_w]), _warmup_steps(state.cfg.esp_alpha), {})
+        state.owed = False
 
 
 def early_stop_triggered(val_norms: list[float], n_step: int) -> bool:
@@ -491,18 +513,16 @@ def build_rscn(
     the history as stalled and returns the current model rather than
     raising. The returned model's readout is solved once, on its own
     design.
+
+    An accepted node's validation states come from the next node's first
+    pool recursion, so its history row is recorded, and the early stop
+    checked, after that search; the search is discarded if growth stops
+    there. The last node's run is paid alone.
     """
     state = init_network(train, val, cfg, substream(cfg.seed, "init"))
     rng_cand = substream(cfg.seed, "candidates")
-    history = state.history
-    while True:
-        n = state.n
-        if history.train_norms[-1] <= cfg.epsilon or n >= cfg.n_max:
-            break
-        if early_stop_triggered(history.val_norms, cfg.n_step):
-            history.early_stopped = True
-            history.rolled_back_to = n - cfg.n_step
-            break
+    history, owed_row = state.history, None
+    while not (float(np.linalg.norm(state.residual)) <= cfg.epsilon or state.n >= cfg.n_max):
         pool_total = 0
         for lam in cfg.lambda_sequence:
             pool = configure_node(
@@ -511,14 +531,23 @@ def build_rscn(
             pool_total += pool.n_drawn
             if pool.best is not None:
                 break
-        else:
+        if owed_row is not None:  # the first pool paid the last node's validation run
+            owed_row(*_norms(state))
+        if early_stop_triggered(history.val_norms, cfg.n_step):
+            history.early_stopped = True
+            history.rolled_back_to = state.n - cfg.n_step
+            break
+        if pool.best is None:
             history.stalled = True
             break
-        train_norm, val_norm = _accept_node(state, pool.best)
-        history.record(
-            state.n, lam, pool.r, pool.best.score,
-            train_norm, val_norm, pool.n_accepted, pool_total,
+        _accept_node(state, pool.best)
+        owed_row = partial(
+            history.record, state.n, lam, pool.r, pool.best.score,
+            accepted=pool.n_accepted, total=pool_total,
         )
+    if state.owed:
+        _settle(state)
+        owed_row(*_norms(state))
     n = history.final_size = history.rolled_back_to or state.n
     x = np.vstack([state.train_states[:n, 1:], train.inputs])[:, train.washout:]
     w_out = solve_output_weights(x, train.targets[:, train.washout:])

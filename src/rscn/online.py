@@ -311,6 +311,6 @@ def diagnostics_csv(
     columns += [map(repr, np.sqrt(_row_dots(e)).tolist())
                 for e in (state.prior_errors, state.posterior_errors)]
     columns.append(map(repr, state.etas.tolist()))
-    columns.append("" if np.isnan(v) else repr(v) for v in state.weight_gap_series().tolist())
+    columns.append("" if v != v else repr(v) for v in state.weight_gap_series().tolist())  # NaN: no w_ref
     lines = [",".join(header)] + [",".join(cells) for cells in zip(*columns)]
     return "\n".join(lines) + "\n"

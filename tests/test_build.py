@@ -12,11 +12,11 @@ from rscn.build import (
     INFEASIBLE,
     BuildConfig,
     CandidateNode,
-    _accept_node,
     _chunked_recursion,
-    _node_states,
+    _norms,
     _pool_node_states,
     _readout,
+    _settle,
     _warmup_steps,
     build_rscn,
     configure_node,
@@ -51,6 +51,25 @@ def score_candidate(residual, g, r, mu):
     return float(per.sum()), per
 
 
+def _node_states(prev_states, inputs, input_row, feedback_row, bias):
+    """State sequence of one appended node, starting from zero (scalar oracle).
+
+    The plain per-step loop on Python floats: the drive is formed as
+    :func:`rscn.build._owed_run` forms it, and the recursion is the one
+    :func:`rscn.build._pool_node_states` must equal bit for bit.
+    """
+    drive = input_row @ inputs + bias
+    if prev_states.shape[0]:
+        drive = drive + feedback_row[:-1] @ prev_states
+    self_w = feedback_row[-1]
+    g = np.empty(inputs.shape[1])
+    gp = 0.0
+    for t in range(g.size):
+        gp = float(np.tanh(drive[t] + self_w * gp))
+        g[t] = gp
+    return g
+
+
 def _shifted_states(states):
     """Matrix whose column ``t`` is the state at ``t - 1``, from a zero start."""
     return np.column_stack([np.zeros(states.shape[0]), states[:, :-1]])
@@ -77,19 +96,23 @@ def candidate_states(state, cand, inputs):
     return _node_states(prev, inputs, cand.input_row, cand.feedback_row, cand.bias)
 
 
-def sequential_pool_states(prev_states, inputs, pool, work, bound):
+def sequential_pool_states(prev_states, inputs, pool, work, bound, owed=None):
     """Pool state sequences by the plain step-by-step recursion (oracle).
 
     Takes :func:`rscn.build._pool_node_states`'s arguments and forms the
     drive as it does, so only the recursion differs: each candidate runs
-    alone through :func:`rscn.build._node_states`, with its drive as the
-    only input channel. ``work`` and ``bound`` are unused.
+    alone through :func:`_node_states`, with its drive as the only input
+    channel, and so does an owed validation run, written back into its
+    drive. ``work`` and ``bound`` are unused.
     """
     w_in, w_r, b = pool
     drive = np.matmul(w_in, inputs)
     drive += b[:, None]
     if prev_states.shape[0]:
         drive += np.matmul(w_r[:, :-1], prev_states)
+    if owed is not None:
+        run, self_w = owed
+        run[:] = sequential_states(run[None], [self_w])[0]
     return sequential_states(drive, w_r[:, -1])
 
 
@@ -510,6 +533,75 @@ class TestChunkedRecursion:
         assert len(history.sizes) == n_max - cfg.n_init + 1
 
 
+class TestOwedValidationRuns:
+    """Each accepted node's validation states, paid by the next pool or alone, against the oracle."""
+
+    @staticmethod
+    def build(monkeypatch, train, val, cfg):
+        """The build's model, history and final working state."""
+        states = []
+
+        def init(*args):
+            states.append(init_network(*args))
+            return states[-1]
+
+        monkeypatch.setattr(build, "init_network", init)
+        model, history = build_rscn(train, val, cfg)
+        return model, history, states[0]
+
+    @staticmethod
+    def assert_oracle_states(state):
+        assert not state.owed and state.n > state.cfg.n_init
+        for k in range(state.cfg.n_init, state.n):
+            want = _node_states(
+                state.val_states[:k, :-1], state.val.inputs, state.input_weights[k],
+                state.feedback[k, :k + 1], state.biases[k],
+            )
+            assert np.array_equal(state.val_states[k, 1:].view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("task", ["mg", "plant"])
+    def test_full_build_including_the_last_node(self, task, monkeypatch):
+        data = task_from_manifest({"task": task, "seed": 0})
+        cfg = BuildConfig(n_max=30, seed=0)
+        model, history, state = self.build(monkeypatch, data.train, data.val, cfg)
+        assert model.n_nodes == state.n == cfg.n_max and not history.early_stopped
+        self.assert_oracle_states(state)
+
+    def test_early_stopped_build(self, monkeypatch):
+        # noise validation targets stop the build; the pool that paid the
+        # last node's run is discarded
+        noise_val = SupervisedSequence(
+            toy_task(160, seed=9).inputs, np.random.default_rng(0).normal(size=(1, 160)), washout=5
+        )
+        cfg = small_cfg(n_max=40, n_step=2, seed=3)
+        model, history, state = self.build(monkeypatch, toy_task(160), noise_val, cfg)
+        assert history.early_stopped and history.sizes[-1] == state.n
+        self.assert_oracle_states(state)
+
+    def test_validation_split_longer_than_training(self, monkeypatch):
+        train, val = toy_task(120), toy_task(200, seed=1)
+        cfg = small_cfg(n_max=12, n_step=11)
+        model, history, state = self.build(monkeypatch, train, val, cfg)
+        assert state.n == cfg.n_max and len(history.sizes) == cfg.n_max - cfg.n_init + 1
+        self.assert_oracle_states(state)
+
+    @pytest.mark.parametrize("task", ["mg", "plant"])
+    def test_seeded_builds_need_no_fix_up(self, task, monkeypatch):
+        # a validation run padded with a decaying drive would miss its
+        # warm-up at every chunk boundary past its end
+        calls = []
+        fix_up = rmodel._fix_up
+
+        def counted(*args):
+            calls.append(args[0].shape)
+            fix_up(*args)
+
+        monkeypatch.setattr(rmodel, "_fix_up", counted)
+        data = task_from_manifest({"task": task, "seed": 0})
+        model, history = build_rscn(data.train, data.val, BuildConfig(n_max=30, seed=0))
+        assert model.n_nodes == 30 and calls == []
+
+
 class TestEarlyStop:
     def test_requires_full_window(self):
         assert not early_stop_triggered([1.0, 2.0], 3)
@@ -685,6 +777,7 @@ class TestStoredSequences:
             assert pool.best is not None
             _accept_node(state, pool.best)
         assert state.n == cfg.n_init + 4
+        _settle(state)  # the last node's validation run is still owed
         model = state.network(state.n, _readout(state))
         for stored, seq in ((state.train_states, task), (state.val_states, val)):
             stored = stored[:state.n, 1:]
@@ -801,18 +894,13 @@ class TestFactorisation:
             np.testing.assert_allclose(q @ q.T, np.eye(len(q)), rtol=0, atol=1e-12)
             sizes.append(state.n)
 
-        def init(train, val, cfg, rng):
-            state = init_network(train, val, cfg, rng)
-            check(state, (state.history.train_norms[-1], state.history.val_norms[-1]))
-            return state
-
-        def accept(state, cand):
-            norms = _accept_node(state, cand)
+        def recorded(state):
+            norms = _norms(state)
             check(state, norms)
             return norms
 
-        monkeypatch.setattr(build, "init_network", init)
-        monkeypatch.setattr(build, "_accept_node", accept)
+        # every history row's norms, the initial one included, come from _norms
+        monkeypatch.setattr(build, "_norms", recorded)
         return sizes
 
     def test_toy_build_norms_match_a_fresh_solve(self, monkeypatch):
@@ -865,9 +953,10 @@ class TestHotPath:
 
         cfg = small_cfg()
         state = init_network(toy_task(), toy_task(seed=1), cfg, np.random.default_rng(0))
-        rng, arrays, kept = np.random.default_rng(1), None, []
+        rng, arrays, kept, owed = np.random.default_rng(1), None, [], set()
         for _ in range(6):
             for lam in cfg.lambda_sequence:
+                owed.add(state.owed)
                 pool = configure_node(state, state.train.inputs, lam, cfg.r_sequence, cfg.g_max, rng)
                 arrays = arrays or dict(state.work)
                 assert all(state.work[name] is a for name, a in arrays.items())
@@ -876,5 +965,7 @@ class TestHotPath:
             kept.append((pool.best.state_seq, pool.best.state_seq.copy()))
             _accept_node(state, pool.best)
         assert len(arrays) == 3
+        # the same arrays serve pools with and without an owed validation run
+        assert owed == {False, True}
         # an accepted node's states survive every later search
         assert all(np.array_equal(seq, copy) for seq, copy in kept)

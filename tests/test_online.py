@@ -398,6 +398,16 @@ class TestOnlineColumns:
             assert diagnostics_csv(stream, preds, state) == legacy_diagnostics_csv(
                 stream, preds, state)
 
+    @pytest.mark.parametrize("with_ref", [False, True])
+    def test_csv_gap_cells(self, with_ref):
+        model, stream = self.stream(1, seed=13)
+        w_ref = 0.5 * model.readout if with_ref else None
+        preds, state = online_run(model, stream, OnlineConfig(), w_ref=w_ref)
+        rows = diagnostics_csv(stream, preds, state).splitlines()[1:]
+        cells = [row.rsplit(",", 1)[1] for row in rows]
+        want = [repr(v) for v in state.weight_gap_series().tolist()] if with_ref else [""] * len(rows)
+        assert len(rows) == stream.n_steps and cells == want
+
     def test_diagnostics_is_a_read_only_sequence_of_records(self):
         state = make_state([[0.0, 0.0]], w_ref=np.array([[1.0, 1.0]]))
         for k in range(40):  # past the first growth of the columns
