@@ -22,8 +22,9 @@ class BaselineConfig:
     """Knobs of the fixed-topology baselines.
 
     ``weight_scale`` bounds the uniform input weights and biases;
-    ``esp_alpha`` is the contraction level of the feedback matrix;
-    ``ring_weight`` is the single coupling of the ring topology.
+    ``esp_alpha`` is the contraction level of the random feedback matrix;
+    ``ring_weight`` is the single coupling, and so the gain, of the ring,
+    which ignores ``esp_alpha``.
     """
 
     n_nodes: int = 100
@@ -43,21 +44,6 @@ class BaselineConfig:
             raise ContractViolationError(f"unknown topology {self.topology!r}")
         if not 0.0 <= self.sparsity <= 1.0:
             raise ContractViolationError("sparsity must lie in [0, 1]")
-
-
-def build_esn(cfg: BaselineConfig, train: SupervisedSequence) -> ReservoirModel:
-    """Random sparse reservoir contracted to ``esp_alpha``, readout by
-    least squares on the post-washout extended states."""
-    if cfg.topology != TOPOLOGY_ESN:
-        raise ContractViolationError("build_esn needs topology 'esn_random'")
-    return build_baseline(cfg, train)
-
-
-def build_scr(cfg: BaselineConfig, train: SupervisedSequence) -> ReservoirModel:
-    """Simple cycle reservoir: one directed ring with a single weight."""
-    if cfg.topology != TOPOLOGY_SCR:
-        raise ContractViolationError("build_scr needs topology 'scr_ring'")
-    return build_baseline(cfg, train)
 
 
 def build_baseline(cfg: BaselineConfig, train: SupervisedSequence) -> ReservoirModel:

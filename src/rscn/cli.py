@@ -98,21 +98,9 @@ def _resolve_task_manifest(task_arg: str, seed: int) -> dict:
     raise SchemaError(f"unknown task {task_arg!r}")
 
 
-def _task_name(task_manifest: dict) -> str:
-    kind = task_manifest.get("task")
-    if kind == "csv":
-        spec = task_manifest.get("csv")
-        if not isinstance(spec, dict) or "path" not in spec:
-            raise SchemaError("csv task manifest needs a 'csv' section with a 'path'")
-        return os.path.splitext(os.path.basename(spec["path"]))[0]
-    if kind not in GENERATOR_TASKS:
-        raise SchemaError(f"unknown task kind {kind!r}")
-    return kind
-
-
 def _model_spec(kind: str, task_name: str, manifest: dict, alpha: float | None):
     """Model config for one of rscn|esn|scr with per-task defaults."""
-    params = dict(manifest.get("model_params", {}))
+    params = dict(_section(manifest, "model_params", dict, {}))
     if alpha is not None:
         params["esp_alpha"] = alpha
     if kind == "rscn":
@@ -170,6 +158,14 @@ def _merged(args, manifest: dict, key: str, default, kind=None):
         raise SchemaError(f"{key!r} must be {kind.__name__}, got {value!r}") from None
 
 
+def _section(manifest: dict, key: str, kind: type, default):
+    """The run manifest's ``key`` entry, refused unless it is a ``kind``."""
+    value = manifest.get(key, default)
+    if not isinstance(value, kind):
+        raise SchemaError(f"{key!r} must be {kind.__name__}, got {value!r}")
+    return value
+
+
 def _load_run_manifest(args) -> dict:
     if getattr(args, "manifest", None):
         doc = load_manifest(args.manifest)
@@ -215,21 +211,20 @@ def cmd_train(args) -> int:
     run_manifest = _load_run_manifest(args)
     seed = _merged(args, run_manifest, "seed", 0, int)
     task_manifest = _effective_task(args, run_manifest, seed)
-    task_name = _task_name(task_manifest)
+    task = task_from_manifest(task_manifest)
     kind = str(_merged(args, run_manifest, "model", "rscn")).lower()
-    spec = _model_spec(kind, task_name, run_manifest, args.alpha)
+    spec = _model_spec(kind, task.name, run_manifest, args.alpha)
     if args.grid:
         grid = _parse_grid(args.grid)
         check_fields(type(spec), grid, "--grid")
         best, _ = grid_search(task_manifest, spec, grid, n_trials_per_point=1, seed=seed)
         spec = replace(spec, **best)
         print(f"grid best point: {best}")
-    task = task_from_manifest(task_manifest)
     t0 = time.perf_counter()
     model, history = train_model(spec, task, seed)
     elapsed = time.perf_counter() - t0
     out = _ensure_out(args)
-    stem = f"{task_name}_{kind}"
+    stem = f"{task.name}_{kind}"
     model_path = os.path.join(out, f"{stem}.model.json")
     save_model(model, model_path)
     if history is not None:
@@ -248,11 +243,10 @@ def cmd_eval(args) -> int:
     run_manifest = _load_run_manifest(args)
     seed = _merged(args, run_manifest, "seed", 0, int)
     model = _load_model_file(args, run_manifest, "eval")
-    task_manifest = _effective_task(args, run_manifest, seed)
-    task = task_from_manifest(task_manifest)
+    task = task_from_manifest(_effective_task(args, run_manifest, seed))
     split = args.split or "test"
     value = evaluate_model(model, getattr(task, split))
-    print(f"task={_task_name(task_manifest)} split={split} nrmse={value!r}")
+    print(f"task={task.name} split={split} nrmse={value!r}")
     return 0
 
 
@@ -260,11 +254,10 @@ def cmd_online(args) -> int:
     run_manifest = _load_run_manifest(args)
     seed = _merged(args, run_manifest, "seed", 0, int)
     model = _load_model_file(args, run_manifest, "online")
-    task_manifest = _effective_task(args, run_manifest, seed)
-    task = task_from_manifest(task_manifest)
+    task = task_from_manifest(_effective_task(args, run_manifest, seed))
     split = args.split or "test"
     stream = getattr(task, split)
-    online_section = dict(run_manifest.get("online", {}))
+    online_section = _section(run_manifest, "online", dict, {})
     mode_arg = _merged(args, online_section, "mode", "basic")
     mode = ONLINE_MODES.get(str(mode_arg), str(mode_arg))
     cfg = OnlineConfig(
@@ -279,8 +272,7 @@ def cmd_online(args) -> int:
         w_ref = load_model(ref_file).readout
     preds, state = online_run(model, stream, cfg, w_ref=w_ref)
     out = _ensure_out(args)
-    name = f"online_{_task_name(task_manifest)}_{split}_{mode}.csv"
-    path = os.path.join(out, name)
+    path = os.path.join(out, f"online_{task.name}_{split}_{mode}.csv")
     atomic_write_text(path, diagnostics_csv(stream, preds, state))
     w = stream.washout
     targets = stream.targets[:, w:]
@@ -296,16 +288,18 @@ def cmd_bench(args) -> int:
     run_manifest = _load_run_manifest(args)
     seed = _merged(args, run_manifest, "seed", 0, int)
     trials = _merged(args, run_manifest, "trials", 20, int)
-    tasks = args.task_list or run_manifest.get("tasks") or list(GENERATOR_TASKS)
-    models = args.model_list or run_manifest.get("models") or ["esn", "scr", "rscn"]
+    tasks = args.task_list or _section(run_manifest, "tasks", list, []) or list(GENERATOR_TASKS)
+    models = args.model_list or _section(run_manifest, "models", list, []) or ["esn", "scr", "rscn"]
     out = _ensure_out(args)
     for task_arg in tasks:
         task_manifest = (
             {**task_arg, "seed": seed} if isinstance(task_arg, dict)
             else _resolve_task_manifest(str(task_arg), seed)
         )
-        task_name = _task_name(task_manifest)
-        reports, shared = [], {}  # every model's trials share one task per seed
+        # every model's trials share one task per seed; the first names the reports
+        shared = {seed: task_from_manifest(task_manifest)}
+        task_name = shared[seed].name
+        reports = []
         for kind in models:
             spec = _model_spec(str(kind).lower(), task_name, run_manifest, args.alpha)
             if isinstance(spec, BaselineConfig) and spec.topology == "scr_ring":
@@ -368,7 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_train)
     p_train.add_argument("--model", default=None, help="rscn|esn|scr")
     p_train.add_argument("--alpha", type=float, default=None,
-                         help="echo-state scaling factor override")
+                         help="feedback contraction level of rscn and esn; "
+                         "scr ignores it (its gain is ring_weight)")
     p_train.add_argument("--grid", default=None,
                          help="grid search 'name=v1,v2;name2=...' before training")
     p_train.set_defaults(func=cmd_train)
@@ -392,7 +387,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="comparison table across models and tasks")
     common(p_bench, task=False)
     p_bench.add_argument("--trials", type=int, default=None)
-    p_bench.add_argument("--alpha", type=float, default=None)
+    p_bench.add_argument("--alpha", type=float, default=None,
+                         help="feedback contraction level of rscn and esn; scr "
+                         "ignores it (its gain ring_weight is grid-searched)")
     p_bench.add_argument("--tasks", dest="task_list", nargs="+", default=None,
                          help="subset of mg mg1 mg2 plant or csv:PATH")
     p_bench.add_argument("--models", dest="model_list", nargs="+", default=None,

@@ -11,7 +11,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .baselines import BaselineConfig, build_baseline
-from .build import BuildConfig, BuildHistory, build_rscn
+from .build import BuildConfig, build_rscn
 from .errors import ContractViolationError, MetricUndefinedError
 from .model import ReservoirModel, readout, run_reservoir
 from .tasks import SupervisedSequence, TaskData, task_from_manifest
@@ -100,7 +100,7 @@ def train_model(spec, task: TaskData, seed: int):
 def evaluate_model(model: ReservoirModel, seq: SupervisedSequence) -> float:
     """Post-washout prediction error of a frozen model on one split."""
     states = run_reservoir(model, seq.inputs)
-    preds = readout(model, states, seq.inputs)
+    preds = readout(model, states)
     w = seq.washout
     return nrmse(preds[:, w:], seq.targets[:, w:])
 
@@ -113,7 +113,6 @@ class TrialResult:
     train_nrmse: float
     val_nrmse: float
     test_nrmse: float
-    history: "BuildHistory | None" = None
 
 
 def run_single_trial(
@@ -123,7 +122,7 @@ def run_single_trial(
     if task is None:
         task = task_from_manifest({**task_manifest, "seed": seed})
     t0 = time.perf_counter()
-    model, history = train_model(spec, task, seed)
+    model, _ = train_model(spec, task, seed)
     elapsed = time.perf_counter() - t0
     return TrialResult(
         seed=seed,
@@ -132,7 +131,6 @@ def run_single_trial(
         train_nrmse=evaluate_model(model, task.train),
         val_nrmse=evaluate_model(model, task.val),
         test_nrmse=evaluate_model(model, task.test),
-        history=history,
     )
 
 

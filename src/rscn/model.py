@@ -277,16 +277,8 @@ def run_reservoir(
     return StateSequence(extended, n)
 
 
-def readout(
-    model: ReservoirModel, seq: StateSequence, inputs: np.ndarray
-) -> np.ndarray:
+def readout(model: ReservoirModel, seq: StateSequence) -> np.ndarray:
     """Model output over time: column ``t`` is ``W_out (x(t), u(t))``."""
-    inputs = np.asarray(inputs, dtype=float)
-    if inputs.shape != (model.n_inputs, seq.n_steps):
-        raise ContractViolationError(
-            f"inputs shape {inputs.shape} does not match sequence of "
-            f"{seq.n_steps} steps with {model.n_inputs} channels"
-        )
     if seq.extended.shape[0] != model.n_nodes + model.n_inputs:
         raise ContractViolationError(
             "state sequence does not match model dimensions"

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from rscn import evaluate
+from rscn import cli, evaluate
 from rscn.cli import cmd_dispatch
 from rscn.model import ReservoirModel, load_model, model_to_dict
 from rscn.tasks import load_manifest
@@ -127,6 +127,17 @@ class TestTrainEvalOnline:
         line = capsys.readouterr().out.strip().splitlines()[-1]
         assert "split=test" in line and "nrmse=" in line
 
+    def test_csv_task_is_named_after_its_file(self, tmp_path, toy_csv, capsys):
+        out = tmp_path / "m"
+        assert run("train", "--task", f"csv:{toy_csv}", "--model", "esn",
+                   "--out", str(out)) == 0
+        model_file = str(out / "toy_esn.model.json")
+        assert run("eval", "--task", f"csv:{toy_csv}", "--model-file", model_file) == 0
+        assert capsys.readouterr().out.strip().splitlines()[-1].startswith("task=toy split=test ")
+        assert run("online", "--task", f"csv:{toy_csv}", "--model-file", model_file,
+                   "--out", str(out)) == 0
+        assert (out / "online_toy_test_basic.csv").exists()
+
     def test_online_writes_diagnostics(self, tmp_path, fast_manifest, capsys):
         out = tmp_path / "m"
         run("train", "--manifest", fast_manifest, "--out", str(out))
@@ -200,12 +211,17 @@ class TestBench:
     def test_models_share_each_trial_task(self, tmp_path, toy_csv, monkeypatch):
         calls = []
         generate = evaluate.task_from_manifest
-        monkeypatch.setattr(evaluate, "task_from_manifest",
-                            lambda manifest: calls.append(manifest["seed"]) or generate(manifest))
+
+        def counted(manifest):
+            calls.append(manifest["seed"])
+            return generate(manifest)
+
+        for module in (cli, evaluate):
+            monkeypatch.setattr(module, "task_from_manifest", counted)
         assert run("bench", "--tasks", f"csv:{toy_csv}", "--models", "esn", "scr", "rscn",
                    "--trials", "2", "--seed", "0", "--out", str(tmp_path)) == 0
-        # ESN's trials generate seeds 0 and 1, which SCR and RSCN reuse; the
-        # ring-weight grid search generates its own seed 0
+        # bench generates seed 0 to name the reports and ESN's trials add seed 1,
+        # which SCR and RSCN reuse; the ring-weight grid search generates its own seed 0
         assert calls == [0, 1, 0]
 
 
@@ -384,6 +400,28 @@ class TestErrorPaths:
         assert run(command, "--manifest", str(path), "--out", str(tmp_path)) == 3
         err = capsys.readouterr().err
         assert "kind=SchemaError" in err and repr(key) in err
+
+    @pytest.mark.parametrize("command,key,value", [
+        ("train", "model_params", [1, 2]),
+        ("online", "online", "x"),
+        ("bench", "tasks", "mg"),
+        ("bench", "models", "esn"),
+    ])
+    def test_run_manifest_section_of_the_wrong_type_is_a_schema_error(
+            self, tmp_path, capsys, command, key, value):
+        model_file = tmp_path / "tiny.model.json"
+        model_file.write_text(json.dumps(model_to_dict(ReservoirModel(
+            input_weights=np.ones((2, 1)), feedback=np.zeros((2, 2)),
+            biases=np.zeros(2), readout=np.zeros((1, 3)),
+        ))))
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"task": "mg", "model_file": str(model_file), key: value}))
+        out = tmp_path / "out"
+        assert run(command, "--manifest", str(path), "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert "kind=SchemaError" in err and repr(key) in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_help_exits_zero(self):
         assert run("--help") == 0

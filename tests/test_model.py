@@ -240,7 +240,7 @@ class TestReadout:
         model = make_model(np.ones((2, 1)), np.zeros((2, 2)), np.zeros(2), np.zeros((3, 3)))
         u = np.random.default_rng(0).uniform(-1, 1, (1, 10))
         seq = run_reservoir(model, u)
-        assert np.all(readout(model, seq, u) == 0.0)
+        assert np.all(readout(model, seq) == 0.0)
 
     def test_input_selector_readout_reproduces_inputs(self):
         n, k = 3, 2
@@ -251,7 +251,7 @@ class TestReadout:
         )
         u = rng.uniform(-1, 1, (k, 12))
         seq = run_reservoir(model, u)
-        assert np.allclose(readout(model, seq, u), u, atol=0, rtol=0)
+        assert np.allclose(readout(model, seq), u, atol=0, rtol=0)
 
     def test_matches_dot_product_oracle(self):
         rng = np.random.default_rng(9)
@@ -262,17 +262,17 @@ class TestReadout:
         )
         u = rng.uniform(-1, 1, (k, 1))
         seq = run_reservoir(model, u)
-        got = readout(model, seq, u)
+        got = readout(model, seq)
         ext = np.concatenate([seq.states[:, 0], u[:, 0]])
         want = np.array([np.dot(model.readout[q], ext) for q in range(ell)])
         assert np.allclose(got[:, 0], want, atol=1e-15)
 
     def test_dimension_mismatch_raises(self):
         model = make_model(np.ones((2, 1)), np.zeros((2, 2)), np.zeros(2), np.zeros((1, 3)))
-        u = np.zeros((1, 4))
-        seq = run_reservoir(model, u)
-        with pytest.raises(ContractViolationError):
-            readout(model, seq, np.zeros((1, 5)))
+        other = make_model(np.ones((3, 1)), np.zeros((3, 3)), np.zeros(3), np.zeros((1, 4)))
+        seq = run_reservoir(other, np.zeros((1, 4)))
+        with pytest.raises(ContractViolationError, match="model dimensions"):
+            readout(model, seq)
 
 
 class TestStructureInvariant:

@@ -23,3 +23,13 @@ def test_online_convergence_writes_one_gap_row_per_stream_step(tmp_path):
         lines = (out / name).read_text().splitlines()
         assert lines[0] == "step,weight_gap"
         assert len(lines) - 1 == n_stream
+
+
+def test_readme_library_block_runs_as_written(capsys):
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    code = library.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    rscn_line, esn_line = capsys.readouterr().out.splitlines()
+    assert 0 < int(rscn_line.split()[0]) <= 120
+    assert esn_line.split()[0] == "98"
