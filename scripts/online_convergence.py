@@ -38,7 +38,6 @@ def main() -> int:
         np.hstack([task.val.inputs, task.test.inputs]),
         np.hstack([task.val.targets, task.test.targets]),
         washout=task.val.washout,
-        name=f"{args.task}-stream",
     )
     # reference: ridge-stabilised offline readout. The plain least-squares
     # weights carry huge components along feature directions the stream

@@ -21,10 +21,10 @@ TOPOLOGY_SCR = "scr_ring"
 class BaselineConfig:
     """Knobs of the fixed-topology baselines.
 
-    ``weight_scale`` bounds the uniform input weights and biases;
-    ``esp_alpha`` is the contraction level of the random feedback matrix;
-    ``ring_weight`` is the single coupling, and so the gain, of the ring,
-    which ignores ``esp_alpha``.
+    ``weight_scale``, positive and finite, bounds the uniform input
+    weights and biases; ``esp_alpha`` is the contraction level of the
+    random feedback matrix; ``ring_weight`` is the single coupling, and
+    so the gain, of the ring, which ignores ``esp_alpha``.
     """
 
     n_nodes: int = 100
@@ -38,6 +38,8 @@ class BaselineConfig:
     def __post_init__(self):
         if self.n_nodes < 1:
             raise ContractViolationError("n_nodes must be positive")
+        if not 0.0 < self.weight_scale < np.inf:
+            raise ContractViolationError("weight_scale must be positive and finite")
         if not 0.0 < self.esp_alpha < 1.0:
             raise ContractViolationError("esp_alpha must lie in (0, 1)")
         if self.topology not in (TOPOLOGY_ESN, TOPOLOGY_SCR):

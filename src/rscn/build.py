@@ -99,7 +99,6 @@ class CandidateNode:
     bias: float
     state_seq: np.ndarray
     score: float
-    per_output_scores: np.ndarray
 
 
 @dataclass
@@ -109,13 +108,11 @@ class CandidatePool:
     ``r`` is the first contraction factor at which the pool had an
     acceptable candidate and ``n_accepted`` counts the pool's acceptable
     candidates at that ``r``; both are ``None``/0 when none passed.
-    ``n_drawn`` is the pool's size, ``g_max``.
     """
 
     best: CandidateNode | None
     r: float | None
     n_accepted: int
-    n_drawn: int
 
 
 @dataclass
@@ -275,15 +272,14 @@ def _warmup_steps(bound: float) -> int:
 
 def _pool_scores(
     residual: np.ndarray, g_eff: np.ndarray, rs: Sequence[float], n: int
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray] | None:
+) -> tuple[float, np.ndarray, np.ndarray] | None:
     """The first r of ``rs`` with a passer, with its scores and passers.
 
     At each r, ``mu = (1 - r) / (n + 1)`` and output ``q`` scores
     ``<e_q, g>^2 / <g, g> - (1 - r - mu) ||e_q||^2``; a candidate passes
-    when every output scores nonnegative. Returns that r, the scores
-    ``(n_pool,)``, the per-output scores ``(L, n_pool)`` and the passer
-    mask; a zero-energy candidate scores ``INFEASIBLE``. ``None`` when no
-    r has a passer.
+    when every output scores nonnegative. Returns that r, the total
+    scores ``(n_pool,)`` and the passer mask; a zero-energy candidate
+    scores ``INFEASIBLE``. ``None`` when no r has a passer.
     """
     gg = np.einsum("gt,gt->g", g_eff, g_eff)
     eg = residual @ g_eff.T
@@ -295,7 +291,7 @@ def _pool_scores(
         per = gain - (1.0 - r - (1.0 - r) / (n + 1)) * ee[:, None]
         ok = np.all(per >= 0.0, axis=0)
         if ok.any():
-            return r, per.sum(axis=0), per, ok
+            return r, per.sum(axis=0), ok
     return None
 
 
@@ -335,8 +331,8 @@ def configure_node(
     state.owed = False
     found = _pool_scores(state.residual, g[:, state.train.washout:], rs, n)
     if found is None:
-        return CandidatePool(None, None, 0, g_max)
-    r, scores, per, ok = found
+        return CandidatePool(None, None, 0)
+    r, scores, ok = found
     ok_idx = np.nonzero(ok)[0]
     best = ok_idx[int(np.argmax(scores[ok_idx]))]
     cand = CandidateNode(
@@ -345,9 +341,8 @@ def configure_node(
         bias=float(b[best]),
         state_seq=g[best].copy(),
         score=float(scores[best]),
-        per_output_scores=per[:, best].copy(),
     )
-    return CandidatePool(cand, r, ok_idx.size, g_max)
+    return CandidatePool(cand, r, ok_idx.size)
 
 
 def _readout(state: BuildState) -> np.ndarray:
@@ -528,7 +523,7 @@ def build_rscn(
             pool = configure_node(
                 state, train.inputs, lam, cfg.r_sequence, cfg.g_max, rng_cand
             )
-            pool_total += pool.n_drawn
+            pool_total += cfg.g_max
             if pool.best is not None:
                 break
         if owed_row is not None:  # the first pool paid the last node's validation run

@@ -37,34 +37,22 @@ class OnlineConfig:
     """Update-rule selection and its constants.
 
     ``a`` in (0, 1] damps the basic step and ``c > 0`` guards its
-    denominator. ``phi`` bounds the noise for the dead zone, either as a
-    constant or as a per-step series.
+    denominator. ``phi``, one nonnegative number, bounds the noise for
+    the dead zone.
     """
 
     mode: str = MODE_BASIC
     a: float = 1.0
     c: float = 1.0
-    phi: float | Sequence[float] | np.ndarray = 0.0
+    phi: float = 0.0
 
     def __post_init__(self):
         if self.mode not in _MODES:
             raise ContractViolationError(f"unknown online mode {self.mode!r}")
         if self.mode == MODE_BASIC:
             _check_basic(self.a, self.c)
-        phi = np.asarray(self.phi, dtype=float)
-        if phi.ndim > 1:
-            raise ContractViolationError("phi must be a number or a series of numbers")
-        if not np.all(phi >= 0.0):
+        if not (np.ndim(self.phi) == 0 and self.phi >= 0):
             raise ContractViolationError("phi must be a nonnegative number")
-
-    def phi_series(self, n_steps: int) -> np.ndarray:
-        """``phi`` at steps ``1..n_steps``; a constant bound is repeated."""
-        phi = np.asarray(self.phi, dtype=float)
-        if phi.ndim and phi.size < n_steps:
-            raise ContractViolationError(
-                f"phi series has {phi.size} entries, needed step {phi.size + 1}"
-            )
-        return np.full(n_steps, phi) if phi.ndim == 0 else phi[:n_steps]
 
 
 @dataclass
@@ -92,7 +80,7 @@ class _Diagnostics(Sequence):
         if isinstance(i, range):
             return [self[j] for j in i]
         gap = float(s._gap[i])
-        return StepDiagnostics(s.step - s._n + i + 1, s._prior[i].copy(), s._posterior[i].copy(),
+        return StepDiagnostics(i + 1, s._prior[i].copy(), s._posterior[i].copy(),
                                float(s._eta[i]), None if np.isnan(gap) else gap)
 
 
@@ -108,7 +96,6 @@ class OnlineState:
 
     readout: np.ndarray
     accumulated_gain: float = 0.0
-    step: int = 0
     w_ref: np.ndarray | None = None
 
     def __post_init__(self):
@@ -125,6 +112,7 @@ class OnlineState:
     def _weight_gap(self) -> float:
         return np.nan if self.w_ref is None else float(np.linalg.norm(self.readout - self.w_ref))
 
+    step = property(lambda self: self._n, doc="Steps taken so far, one logged row each.")
     # read-only views: (n, L) errors before and after each step's update, (n,) etas
     prior_errors = property(lambda self: self._prior[: self._n])
     posterior_errors = property(lambda self: self._posterior[: self._n])
@@ -150,20 +138,20 @@ BLOCK = 64  # steps per block of online_run; 32 times alike, 128 slower (its sol
 _BELOW = np.tri(BLOCK, k=-1)  # strictly lower triangle of a block's Gram matrix
 
 
-def _block(state: OnlineState, mode: str, g, y, gg, a=1.0, c=1.0, phi=None) -> np.ndarray:
+def _block(state: OnlineState, mode: str, g, y, gg, a=1.0, c=1.0, phi=0.0) -> np.ndarray:
     """Apply rule ``mode`` to the checked rows ``g (B, N + K)``, ``y (B, L)``.
 
     Each step ``W += kappa e g^T`` is linear in the previous weights, so
     the block's prior errors ``p`` solve ``(I + tril(G G^T, -1) diag(kappa))
     p = Y - G W^T`` and the weights move once by ``(kappa p)^T G``: the
     step-by-step loop in exact arithmetic. ``gg`` holds each row's
-    ``g @ g`` and ``phi`` the dead zone's bound per row. Logs the B steps
+    ``g @ g`` and ``phi`` the dead zone's bound. Logs the B steps
     and returns their predictions ``(B, L)``.
     """
     w0 = state.readout
     p = y - np.matmul(w0, g[:, :, None])[:, :, 0]  # each row's residual is y - W @ g bit for bit
     if mode == MODE_DEAD_ZONE:
-        kappa = _open_gates(p, g, gg, 2.0 * np.asarray(phi))
+        kappa = _open_gates(p, g, gg, 2.0 * phi)
         etas = (kappa > 0.0) * 1.0
     else:
         if mode == MODE_BASIC:
@@ -189,7 +177,7 @@ def _block(state: OnlineState, mode: str, g, y, gg, a=1.0, c=1.0, phi=None) -> n
     else:
         steps = np.cumsum(kp[:, :, None] * g[:, None, :], axis=0)
         state._gap[i:j] = np.linalg.norm(w0 - state.w_ref + steps, axis=(1, 2))
-    state._n, state.step = j, state.step + len(g)
+    state._n = j
     return preds
 
 
@@ -203,7 +191,7 @@ def _open_gates(p, g, gg, bound) -> np.ndarray:
     kappa = np.zeros(len(g))
     t = 0
     while True:
-        opened = np.flatnonzero((np.abs(p[t:]) > bound[t:, None]).any(axis=1))
+        opened = np.flatnonzero((np.abs(p[t:]) > bound).any(axis=1))
         if not opened.size:
             return kappa
         t += opened[0]
@@ -244,7 +232,7 @@ def project_step_deadzone(
     """
     if not phi_n >= 0:
         raise ContractViolationError("phi must be a nonnegative number")
-    return _step(state, g, y, MODE_DEAD_ZONE, phi=[phi_n])
+    return _step(state, g, y, MODE_DEAD_ZONE, phi=phi_n)
 
 
 def online_run(
@@ -276,7 +264,6 @@ def online_run(
     n = stream.n_steps
     state = OnlineState(readout=model.readout.copy(), w_ref=w_ref)
     _check_samples(state, features, targets)
-    phi = cfg.phi_series(n) if cfg.mode == MODE_DEAD_ZONE else np.zeros(n)  # dead zone only
     energies = _row_dots(features)
     state._reserve(n)
     preds = np.empty((n, model.n_outputs))
@@ -284,11 +271,11 @@ def online_run(
     np.matmul(state.readout, features[0], out=preds[0])
     state._prior[0] = state._posterior[0] = targets[0] - preds[0]
     state._eta[0], state._gap[0] = 0.0, state._weight_gap()
-    state._n = state.step = 1
+    state._n = 1
     for t in range(1, n, BLOCK):
         b = slice(t, t + BLOCK)
         preds[b] = _block(state, cfg.mode, features[b], targets[b], energies[b],
-                          cfg.a, cfg.c, phi[b])
+                          cfg.a, cfg.c, cfg.phi)
     return np.ascontiguousarray(preds.T), state
 
 

@@ -31,7 +31,6 @@ class SupervisedSequence:
     inputs: np.ndarray
     targets: np.ndarray
     washout: int = 0
-    name: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "inputs", _frozen(self.inputs))
@@ -164,18 +163,15 @@ def mg_task(series: np.ndarray, variant: str = "mg") -> TaskData:
     inputs = np.stack([series[idx - lag] for lag in lags])
     targets = series[idx + _MG_LEAD][None, :]
 
-    def split(lo, hi, tag):
+    def split(lo, hi):
         sel = (idx >= lo) & (idx < hi)
-        return SupervisedSequence(
-            inputs[:, sel], targets[:, sel], washout=_MG_WASHOUT,
-            name=f"{variant}-{tag}",
-        )
+        return SupervisedSequence(inputs[:, sel], targets[:, sel], washout=_MG_WASHOUT)
 
     return TaskData(
         name=variant,
-        train=split(0, _MG_TRAIN_END, "train"),
-        val=split(_MG_TRAIN_END, _MG_VAL_END, "val"),
-        test=split(_MG_VAL_END, idx[-1] + 1, "test"),
+        train=split(0, _MG_TRAIN_END),
+        val=split(_MG_TRAIN_END, _MG_VAL_END),
+        test=split(_MG_VAL_END, idx[-1] + 1),
     )
 
 
@@ -229,41 +225,20 @@ def plant_test_input(n: np.ndarray) -> np.ndarray:
     return u
 
 
-def plant_simulate(
-    p: PlantParams,
-    phase: str,
-    rng: np.random.Generator | None = None,
-    n: int | None = None,
-    name: str | None = None,
-) -> SupervisedSequence:
-    """One plant run: inputs ``[y(n), u(n)]`` predicting ``y(n+1)``.
-
-    The training phase drives the plant with i.i.d. uniform input on
-    [-1, 1]; the test phase uses the fixed piecewise drive.
-    """
-    if phase == "train":
-        if rng is None:
-            raise ContractViolationError("training phase needs a generator")
-        m = n if n is not None else p.n_train
-        u = rng.uniform(-1.0, 1.0, size=m)
-    elif phase == "test":
-        m = n if n is not None else p.n_test
-        u = plant_test_input(np.arange(1, m + 1))
-    else:
-        raise ContractViolationError(f"unknown phase {phase!r}")
+def plant_sequence(u: np.ndarray, p: PlantParams) -> SupervisedSequence:
+    """The plant driven by ``u``: inputs ``[y(n), u(n)]`` predicting ``y(n+1)``."""
     y = plant_response(u, p)
-    inputs = np.stack([y[:m], u])
-    targets = y[1 : m + 1][None, :]
-    return SupervisedSequence(
-        inputs, targets, washout=p.washout, name=name or f"plant-{phase}"
-    )
+    return SupervisedSequence(np.stack([y[: len(u)], u]), y[1 : len(u) + 1][None, :],
+                              washout=p.washout)
 
 
 def plant_task(p: PlantParams = PlantParams(), rng: np.random.Generator | None = None) -> TaskData:
+    """Training and validation drive the plant with i.i.d. uniform input on
+    [-1, 1], drawn in that order; the test uses the fixed piecewise drive."""
     rng = rng if rng is not None else np.random.default_rng(0)
-    train = plant_simulate(p, "train", rng, p.n_train, name="plant-train")
-    val = plant_simulate(p, "train", rng, p.n_val, name="plant-val")
-    test = plant_simulate(p, "test", n=p.n_test, name="plant-test")
+    train = plant_sequence(rng.uniform(-1.0, 1.0, size=p.n_train), p)
+    val = plant_sequence(rng.uniform(-1.0, 1.0, size=p.n_val), p)
+    test = plant_sequence(plant_test_input(np.arange(1, p.n_test + 1)), p)
     return TaskData(name="plant", train=train, val=val, test=test)
 
 
@@ -353,10 +328,7 @@ def load_csv(
         [np.mean([series[c][t - lag] for c in chans], axis=0) for chans, lag in feats]
     )
     targets = series[y_column][t][None, :]
-    return SupervisedSequence(
-        inputs, targets, washout=washout,
-        name=os.path.splitext(os.path.basename(path))[0],
-    )
+    return SupervisedSequence(inputs, targets, washout=washout)
 
 
 def write_sequence_csv(seq: SupervisedSequence, path: str) -> None:
@@ -385,12 +357,9 @@ def add_gaussian_noise(
 
 
 def slice_sequence(
-    seq: SupervisedSequence, start: int, stop: int, washout: int, name: str
+    seq: SupervisedSequence, start: int, stop: int, washout: int
 ) -> SupervisedSequence:
-    return SupervisedSequence(
-        seq.inputs[:, start:stop], seq.targets[:, start:stop],
-        washout=washout, name=name,
-    )
+    return SupervisedSequence(seq.inputs[:, start:stop], seq.targets[:, start:stop], washout=washout)
 
 
 # ---------------------------------------------------------------------------
@@ -455,16 +424,13 @@ def task_from_manifest(manifest: dict) -> TaskData:
             raise SchemaError(
                 f"splits need {n_train + n_test} samples, file has {seq.n_steps}"
             )
-        name = seq.name
-        train = slice_sequence(seq, 0, n_train, washout, f"{name}-train")
-        test = slice_sequence(seq, n_train, n_train + n_test, washout, f"{name}-test")
+        train = slice_sequence(seq, 0, n_train, washout)
+        test = slice_sequence(seq, n_train, n_train + n_test, washout)
         sigma = spec.get("val_noise_sigma")
         if sigma is None:
             sigma = 0.05 * float(np.std(test.targets))
-        val = replace(
-            add_gaussian_noise(test, float(sigma), substream(seed, "noise")),
-            name=f"{name}-val",
-        )
+        val = add_gaussian_noise(test, float(sigma), substream(seed, "noise"))
+        name = os.path.splitext(os.path.basename(spec["path"]))[0]
         return TaskData(name=name, train=train, val=val, test=test)
     raise SchemaError(f"unknown task kind {kind!r}")
 

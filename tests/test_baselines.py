@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rscn.baselines import BaselineConfig, build_baseline
+from rscn.errors import ContractViolationError
 from rscn.model import run_reservoir
 from rscn.spectral import esp_check, max_singular_value
 from rscn.tasks import SupervisedSequence
@@ -11,7 +12,7 @@ def toy_train(n=150, k=2, seed=0):
     rng = np.random.default_rng(seed)
     u = rng.uniform(-1, 1, (k, n))
     y = np.tanh(u[:1] + 0.5 * np.roll(u[:1], 1, axis=1))
-    return SupervisedSequence(u, y, washout=10, name="toy")
+    return SupervisedSequence(u, y, washout=10)
 
 
 class TestEsn:
@@ -84,3 +85,11 @@ class TestScr:
         model = build_baseline(cfg, toy_train())
         report = esp_check(model, n_pairs=10, n_steps=500, rng=np.random.default_rng(1))
         assert report.converged
+
+
+class TestConfig:
+    @pytest.mark.parametrize("scale", [0.0, -1.0, float("nan"), float("inf")],
+                             ids=["zero", "negative", "nan", "inf"])
+    def test_weight_scale_must_be_positive_and_finite(self, scale):
+        with pytest.raises(ContractViolationError, match="weight_scale"):
+            BaselineConfig(weight_scale=scale)

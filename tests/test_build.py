@@ -142,7 +142,7 @@ def toy_task(n_steps=120, seed=0, k=2):
     y = np.zeros(n_steps)
     for t in range(1, n_steps):
         y[t] = 0.6 * y[t - 1] + np.tanh(u[0, t]) + 0.3 * u[1, t - 1] ** 2
-    return SupervisedSequence(u, y[None, :], washout=5, name="toy")
+    return SupervisedSequence(u, y[None, :], washout=5)
 
 
 class TestSolveOutputWeights:
@@ -227,7 +227,7 @@ class TestCandidateStates:
         n = state.n
         cand = CandidateNode(
             input_row=np.zeros(2), feedback_row=np.zeros(n + 1), bias=0.0,
-            state_seq=np.empty(0), score=0.0, per_output_scores=np.empty(0),
+            state_seq=np.empty(0), score=0.0,
         )
         g = candidate_states(state, cand, state.train.inputs)
         assert np.all(g == 0.0)
@@ -237,7 +237,7 @@ class TestCandidateStates:
         n = state.n
         cand = CandidateNode(
             input_row=np.array([1.0, 0.0]), feedback_row=np.zeros(n + 1), bias=0.0,
-            state_seq=np.empty(0), score=0.0, per_output_scores=np.empty(0),
+            state_seq=np.empty(0), score=0.0,
         )
         g = candidate_states(state, cand, state.train.inputs)
         assert np.allclose(g, np.tanh(state.train.inputs[0]), atol=1e-15)
@@ -251,7 +251,7 @@ class TestCandidateStates:
             input_row=np.array([0.4, -0.2]),
             feedback_row=np.array([0.3, 0.5]),
             bias=0.1,
-            state_seq=np.empty(0), score=0.0, per_output_scores=np.empty(0),
+            state_seq=np.empty(0), score=0.0,
         )
         g = candidate_states(state, cand, state.train.inputs)
         u = state.train.inputs
@@ -268,7 +268,7 @@ class TestCandidateStates:
         state = self.make_state()
         cand = CandidateNode(
             input_row=np.zeros(2), feedback_row=np.zeros(2), bias=0.0,
-            state_seq=np.empty(0), score=0.0, per_output_scores=np.empty(0),
+            state_seq=np.empty(0), score=0.0,
         )
         with pytest.raises(ContractViolationError):
             candidate_states(state, cand, state.train.inputs)
@@ -319,7 +319,7 @@ class TestConfigureNode:
     def test_zero_budget_returns_empty_pool(self):
         state = self.make_state()
         pool = configure_node(state, state.train.inputs, 1.0, (0.9,), 0, np.random.default_rng(0))
-        assert pool.best is None and pool.n_drawn == 0
+        assert pool.best is None
 
     def test_same_seed_same_selection(self):
         state_a = self.make_state()
@@ -335,7 +335,10 @@ class TestConfigureNode:
         state = self.make_state()
         pool = configure_node(state, state.train.inputs, 1.0, (0.999,), 50, np.random.default_rng(8))
         assert pool.best is not None
-        assert np.all(pool.best.per_output_scores >= 0.0)
+        r, washout = pool.r, state.train.washout
+        _, per = score_candidate(state.residual, pool.best.state_seq[washout:], r,
+                                 (1.0 - r) / (state.n + 1))
+        assert np.all(per >= 0.0)
         assert pool.n_accepted >= 1
 
     def test_learnable_direction_yields_positive_score(self):
@@ -344,7 +347,7 @@ class TestConfigureNode:
         rng = np.random.default_rng(4)
         u = rng.uniform(-1, 1, (1, 200))
         y = np.tanh(2.0 * u)
-        seq = SupervisedSequence(u, y, washout=5, name="t")
+        seq = SupervisedSequence(u, y, washout=5)
         cfg = BuildConfig(
             n_init=2, n_max=10, n_step=2, g_max=200, sparsity=0.0,
             lambda_sequence=(5.0,), r_sequence=(0.9, 0.99, 0.999),
@@ -375,7 +378,7 @@ class TestConfigureNode:
         for i in range(10):
             cand = CandidateNode(
                 input_row=w_in[i], feedback_row=w_r[i], bias=float(b[i]),
-                state_seq=np.empty(0), score=0.0, per_output_scores=np.empty(0),
+                state_seq=np.empty(0), score=0.0,
             )
             g = candidate_states(state, cand, state.train.inputs)
             score, per = score_candidate(state.residual, g[5:], 0.99, mu)
@@ -403,7 +406,7 @@ class TestConfigureNode:
         for i in range(g_max):
             cand = CandidateNode(
                 input_row=w_in[i], feedback_row=w_r[i], bias=float(b[i]),
-                state_seq=np.empty(0), score=0.0, per_output_scores=np.empty(0),
+                state_seq=np.empty(0), score=0.0,
             )
             states.append(candidate_states(state, cand, state.train.inputs)[state.train.washout:])
         for r in rs:
@@ -437,7 +440,7 @@ class TestConfigureNode:
         twin = np.random.default_rng(seed)
         best, r, n_ok = self.one_pool_oracle(state, lam, rs, g_max, twin)
         assert pool.r == r == passing_r
-        assert (pool.n_accepted, pool.n_drawn) == (n_ok, g_max)
+        assert pool.n_accepted == n_ok
         assert (pool.best is None) == (best is None)
         if best is not None:
             assert np.array_equal(pool.best.input_row, best[0])
@@ -642,7 +645,7 @@ class TestBuildRscn:
     def test_passthrough_target_needs_no_growth(self):
         rng = np.random.default_rng(2)
         u = rng.uniform(-1, 1, (1, 100))
-        seq = SupervisedSequence(u, u.copy(), washout=5, name="copy")
+        seq = SupervisedSequence(u, u.copy(), washout=5)
         model, hist = build_rscn(seq, seq, small_cfg())
         assert model.n_nodes == small_cfg().n_init
         assert hist.train_norms[-1] < 1e-6
@@ -814,8 +817,7 @@ class TestSearchWorker:
             threaded = worker.submit(
                 configure_node, state, state.train.inputs, lam, rs, g_max, rng_worker
             ).result(timeout=120)
-        assert (threaded.r, threaded.n_accepted, threaded.n_drawn) == (
-            inline.r, inline.n_accepted, inline.n_drawn)
+        assert (threaded.r, threaded.n_accepted) == (inline.r, inline.n_accepted)
         assert (threaded.best is None) == (inline.best is None)
         if inline.best is not None:
             a, b = threaded.best, inline.best
@@ -823,7 +825,6 @@ class TestSearchWorker:
             assert np.array_equal(a.feedback_row, b.feedback_row)
             assert a.bias == b.bias and a.score == b.score
             assert np.array_equal(a.state_seq, b.state_seq)
-            assert np.array_equal(a.per_output_scores, b.per_output_scores)
         assert rng_worker.random() == rng_inline.random()
 
     def test_concurrent_builds_are_byte_identical(self, tmp_path):
@@ -870,7 +871,7 @@ def duplicated_channel_task(n_steps=160, seed=0):
     """The toy task with its first input channel repeated: a rank-deficient design."""
     task = toy_task(n_steps, seed=seed)
     inputs = np.vstack([task.inputs[:1], task.inputs])
-    return SupervisedSequence(inputs, task.targets, washout=task.washout, name="dup")
+    return SupervisedSequence(inputs, task.targets, washout=task.washout)
 
 
 class TestFactorisation:

@@ -288,6 +288,17 @@ class TestErrorPaths:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_baseline_weight_scale_not_positive_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "esn.json"
+        path.write_text(json.dumps({"task": "mg", "model": "esn",
+                                    "model_params": {"weight_scale": -1}}))
+        out = tmp_path / "out"
+        assert run("train", "--manifest", str(path), "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert "kind=ContractViolationError" in err and "weight_scale" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_bad_csv_exits_3(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("u1,y\n1.0,oops\n")

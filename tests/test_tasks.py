@@ -14,7 +14,7 @@ from rscn.tasks import (
     mackey_glass,
     mg_task,
     plant_response,
-    plant_simulate,
+    plant_sequence,
     plant_task,
     plant_test_input,
     task_from_manifest,
@@ -154,10 +154,11 @@ class TestPlant:
 
     def test_inputs_pair_current_output_and_drive(self):
         rng = np.random.default_rng(1)
-        seq = plant_simulate(PlantParams(n_train=50, washout=5), "train", rng)
-        u = seq.inputs[1]
+        u = rng.uniform(-1.0, 1.0, size=50)
+        seq = plant_sequence(u, PlantParams(washout=5))
         y_full = plant_response(u)
         assert np.array_equal(seq.inputs[0], y_full[:50])
+        assert np.array_equal(seq.inputs[1], u)
         assert np.array_equal(seq.targets[0], y_full[1:51])
 
     def test_task_split_sizes(self):
@@ -185,7 +186,6 @@ class TestLoadCsv:
         rng = np.random.default_rng(11)
         seq = SupervisedSequence(
             rng.normal(size=(3, 40)) * 1e3, rng.normal(size=(1, 40)), washout=4,
-            name="t",
         )
         path = tmp_path / "seq.csv"
         write_sequence_csv(seq, str(path))
