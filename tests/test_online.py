@@ -285,6 +285,17 @@ class TestOnlineRun:
         blocks = [gaps[i : i + 100].mean() for i in range(0, 600, 100)]
         assert all(b <= a + 1e-9 for a, b in zip(blocks, blocks[1:]))
 
+    def test_enormous_phi_gates_every_update(self):
+        model = small_model()
+        rng = np.random.default_rng(10)
+        u = rng.uniform(-1, 1, (2, 8))
+        stream = SupervisedSequence(u, rng.normal(size=(1, 8)), washout=0)
+        cfg = OnlineConfig(mode="dead_zone", phi=1e6)
+        preds, state = online_run(model, stream, cfg)
+        # enormous noise bound: every update gated off
+        assert all(d.eta == 0.0 for d in state.diagnostics)
+        assert np.array_equal(state.readout, model.readout)
+
     def test_mode_validation(self):
         with pytest.raises(ContractViolationError):
             OnlineConfig(mode="nope")
@@ -466,8 +477,8 @@ class TestBlockBoundaries:
     @pytest.mark.parametrize("ell", [1, 2])
     @pytest.mark.parametrize("with_ref", [False, True])
     @pytest.mark.parametrize("mode,phi", [
-        ("basic", 0.0), ("decreasing_gain", 0.0), ("dead_zone", 0.4),
-    ], ids=["basic", "decreasing_gain", "dead_zone-constant"])
+        ("basic", 0.0), ("decreasing_gain", 0.0), ("dead_zone", 0.4), ("dead_zone", 0.0),
+    ], ids=["basic", "decreasing_gain", "dead_zone-constant", "dead_zone-zero"])
     def test_online_run_matches_a_plain_loop(self, mode, phi, with_ref, ell, n):
         from rscn.model import run_reservoir
 
@@ -490,5 +501,7 @@ class TestBlockBoundaries:
         assert_close(state.prior_errors, priors)
         assert_close(state.posterior_errors, posteriors)
         assert_close(state.weight_gap_series(), gaps)
-        if mode == "dead_zone" and n > BLOCK:  # the gate both opens and stays shut
+        if mode == "dead_zone" and phi > 0 and n > BLOCK:  # the gate both opens and stays shut
             assert 0 < np.count_nonzero(etas) < n - 1
+        if mode == "dead_zone" and phi == 0:  # a zero bound opens every step after the first
+            assert np.all(etas[1:] == 1.0)
