@@ -217,7 +217,7 @@ def cmd_train(args) -> int:
     if args.grid:
         grid = _parse_grid(args.grid)
         check_fields(type(spec), grid, "--grid")
-        best, _ = grid_search(task_manifest, spec, grid, n_trials_per_point=1, seed=seed)
+        best, _ = grid_search(task_manifest, spec, grid, seed=seed, tasks={seed: task})
         spec = replace(spec, **best)
         print(f"grid best point: {best}")
     t0 = time.perf_counter()
@@ -305,7 +305,7 @@ def cmd_bench(args) -> int:
             if isinstance(spec, BaselineConfig) and spec.topology == "scr_ring":
                 best, _ = grid_search(
                     task_manifest, spec, {"ring_weight": list(SCR_RING_GRID)},
-                    n_trials_per_point=1, seed=seed,
+                    seed=seed, tasks=shared,
                 )
                 spec = replace(spec, **best)
             reports.append(run_trials(task_manifest, spec, trials, base_seed=seed, tasks=shared))

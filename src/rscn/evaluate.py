@@ -186,19 +186,21 @@ def grid_search(
     grid: Mapping[str, Sequence],
     n_trials_per_point: int = 1,
     seed: int = 0,
+    tasks: dict[int, TaskData] | None = None,
 ) -> tuple[dict, list[tuple[dict, TrialReport]]]:
     """Exhaustive search over a named-value grid, scored on validation.
 
     Returns the point with the lowest mean validation error (first in
     iteration order on ties) and the full (point, report) table. The
-    points share one generated task per seed.
+    points share one task per seed, taken from ``tasks`` or generated
+    and added there.
     """
     if not grid:
         raise ContractViolationError("grid must not be empty")
     names = list(grid.keys())
     table: list[tuple[dict, TrialReport]] = []
     best_point, best_val = None, np.inf
-    tasks: dict[int, TaskData] = {}
+    tasks = {} if tasks is None else tasks
     for combo in itertools.product(*(grid[k] for k in names)):
         point = dict(zip(names, combo))
         report = run_trials(

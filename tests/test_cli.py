@@ -220,9 +220,23 @@ class TestBench:
             monkeypatch.setattr(module, "task_from_manifest", counted)
         assert run("bench", "--tasks", f"csv:{toy_csv}", "--models", "esn", "scr", "rscn",
                    "--trials", "2", "--seed", "0", "--out", str(tmp_path)) == 0
-        # bench generates seed 0 to name the reports and ESN's trials add seed 1,
-        # which SCR and RSCN reuse; the ring-weight grid search generates its own seed 0
-        assert calls == [0, 1, 0]
+        # bench generates seed 0 to name the reports and ESN's trials add seed 1;
+        # the ring-weight grid search, SCR and RSCN reuse both
+        assert calls == [0, 1]
+
+    def test_train_grid_reuses_the_loaded_task(self, tmp_path, monkeypatch):
+        calls = []
+        generate = evaluate.task_from_manifest
+
+        def counted(manifest):
+            calls.append((manifest["task"], manifest["seed"]))
+            return generate(manifest)
+
+        for module in (cli, evaluate):
+            monkeypatch.setattr(module, "task_from_manifest", counted)
+        assert run("train", "--task", "mg", "--model", "esn", "--grid", "esp_alpha=0.5,0.9",
+                   "--out", str(tmp_path)) == 0
+        assert calls == [("mg", 0)]
 
 
 class TestEspCheck:

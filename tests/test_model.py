@@ -1,7 +1,9 @@
+import gc
 import json
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -70,14 +72,14 @@ class TestRunReservoir:
 
     def test_deterministic_bit_identical(self):
         rng = np.random.default_rng(3)
-        model = make_model(
-            rng.normal(size=(4, 2)), rng.normal(size=(4, 4)) * 0.1, rng.normal(size=4),
-            np.zeros((1, 6)),
-        )
+        arrays = (rng.normal(size=(4, 2)), rng.normal(size=(4, 4)) * 0.1, rng.normal(size=4),
+                  np.zeros((1, 6)))
         u = rng.uniform(-1, 1, (2, 50))
         x0 = rng.uniform(-1, 1, 4)
-        a = run_reservoir(model, u, x0)
-        b = run_reservoir(model, u, x0)
+        # a twin model, so the second run is a second recursion, not the remembered first
+        a = run_reservoir(make_model(*arrays), u, x0)
+        b = run_reservoir(make_model(*arrays), u, x0)
+        assert a is not b
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.extended, b.extended)
 
@@ -123,6 +125,74 @@ class TestRunReservoir:
                            rng.normal(size=4), np.zeros((1, 6)))
         seq = run_reservoir(model, rng.uniform(-1, 1, (2, 9)))
         assert seq.states.shape == (4, 9) and seq.states.flags["C_CONTIGUOUS"]
+
+
+class TestRememberedRun:
+    """``run_reservoir`` remembers its latest run, keyed on the model object
+    and on the bits of the inputs and the start."""
+
+    @staticmethod
+    def twins(seed=21):
+        rng = np.random.default_rng(seed)
+        arrays = (rng.normal(size=(5, 2)), rng.normal(size=(5, 5)) * 0.2, rng.normal(size=5),
+                  rng.normal(size=(1, 7)))
+        return make_model(*arrays), make_model(*arrays), rng.uniform(-1, 1, (2, 40))
+
+    def test_hit_returns_the_same_sequence_with_a_fresh_runs_bits(self, recursions):
+        model, twin, u = self.twins()
+        seq = run_reservoir(model, u)
+        assert run_reservoir(model, u) is seq
+        assert run_reservoir(model, u.copy(), np.zeros(5)) is seq  # equal bits hit
+        assert len(recursions) == 1
+        assert not seq.extended.flags.writeable
+        assert_bitwise_equal(seq.extended, run_reservoir(twin, u).extended)
+
+    @pytest.mark.parametrize("change", ["twin", "ulp", "mutated", "start"])
+    def test_another_key_recomputes(self, change, recursions):
+        model, twin, u = self.twins()
+        x0 = np.zeros(5)
+        first = run_reservoir(model, u, x0)
+        if change == "twin":  # another object with equal arrays
+            model = twin
+        elif change == "ulp":
+            u = u.copy()
+            u[1, 17] = np.nextafter(u[1, 17], 2.0)
+        elif change == "mutated":  # the caller's writable array, changed in place
+            u[0, 3] += 0.25
+        else:
+            x0 = np.full(5, 0.1)
+        again = run_reservoir(model, u, x0)
+        assert again is not first and len(recursions) == 2
+        assert_bitwise_equal(again.states, step_loop_states(model, u, x0))
+
+    def test_checks_run_on_a_hit(self):
+        model, _, u = self.twins()
+        run_reservoir(model, u)
+        with pytest.raises(ContractViolationError, match="inputs shape"):
+            run_reservoir(model, u.reshape(1, -1))  # the same bytes in the wrong shape
+        with pytest.raises(ContractViolationError, match="initial_state shape"):
+            run_reservoir(model, u, np.zeros(4))
+
+    def test_with_readout_hands_the_run_over(self, recursions):
+        model, _, u = self.twins()
+        seq = run_reservoir(model, u)
+        refit = model.with_readout(np.ones((1, 7)))
+        assert run_reservoir(refit, u) is seq and len(recursions) == 1
+        assert np.array_equal(refit.readout, np.ones((1, 7)))
+
+    def test_holds_at_most_one_state_matrix(self, monkeypatch):
+        model, twin, u = self.twins()
+        old = weakref.ref(run_reservoir(model, u))
+        inner, alive = rmodel._chunked_recursion, []
+
+        def recursion(*args):
+            gc.collect()
+            alive.append(old() is not None)
+            return inner(*args)
+
+        monkeypatch.setattr(rmodel, "_chunked_recursion", recursion)
+        run_reservoir(twin, u)
+        assert alive == [False]  # a miss frees the old states before it computes
 
 
 class TestStateSequence:

@@ -345,6 +345,21 @@ RULES = [  # online_run's config, and the step function it must equal at step t 
 ]
 
 
+def test_rules_on_one_model_run_the_reservoir_once(recursions):
+    rng = np.random.default_rng(14)
+    stream = SupervisedSequence(rng.uniform(-1, 1, (2, 150)), rng.normal(size=(1, 150)),
+                                washout=5)
+    model = small_model(seed=14)
+    runs = [online_run(model, stream, cfg) for cfg, _ in RULES]
+    assert len(recursions) == 1
+    for (cfg, _), (preds, state) in zip(RULES, runs):
+        fresh_preds, fresh_state = online_run(small_model(seed=14), stream, cfg)  # a twin
+        assert preds.tobytes() == fresh_preds.tobytes()
+        assert diagnostics_csv(stream, preds, state) == diagnostics_csv(
+            stream, fresh_preds, fresh_state)
+    assert len(recursions) == 1 + len(RULES)
+
+
 class TestOnlineColumns:
     def stream(self, ell, seed=11, n=80):
         model = small_model(seed=seed, ell=ell)
