@@ -117,10 +117,13 @@ class CandidatePool:
 
 @dataclass
 class BuildHistory:
-    """Per-size records of one growth run plus terminal flags.
+    """Per-size records of one growth run, why it stopped and its final size.
 
     ``pool_total`` counts the candidates drawn for a node: ``g_max`` per
-    weight scale tried.
+    weight scale tried. ``stop`` is ``"tolerance"`` (the training residual
+    met ``epsilon``), ``"cap"`` (``n_max`` nodes), ``"early_stop"`` (the
+    validation stop rolled back ``n_step`` nodes) or ``"stall"`` (no
+    candidate passed at any weight scale).
     """
 
     sizes: list[int] = field(default_factory=list)
@@ -131,9 +134,7 @@ class BuildHistory:
     val_norms: list[float] = field(default_factory=list)
     pool_accepted: list[int] = field(default_factory=list)
     pool_total: list[int] = field(default_factory=list)
-    stalled: bool = False
-    early_stopped: bool = False
-    rolled_back_to: int | None = None
+    stop: str = ""
     final_size: int = 0
 
     def record(self, size, lam, r, xi, train_norm, val_norm, accepted, total):
@@ -504,10 +505,10 @@ def build_rscn(
     r-ladder at each scale in one :func:`configure_node` call and moving
     on when its pool has no passer. When the validation residual has not
     improved over the last ``n_step + 1`` sizes, growth rolls back
-    ``n_step`` nodes and returns. Exhausting every (scale, r) pair flags
-    the history as stalled and returns the current model rather than
-    raising. The returned model's readout is solved once, on its own
-    design.
+    ``n_step`` nodes and returns. Exhausting every (scale, r) pair stops
+    growth as a stall and returns the current model rather than raising.
+    ``history.stop`` names the exit taken. The returned model's readout
+    is solved once, on its own design.
 
     An accepted node's validation states come from the next node's first
     pool recursion, so its history row is recorded, and the early stop
@@ -529,21 +530,22 @@ def build_rscn(
         if owed_row is not None:  # the first pool paid the last node's validation run
             owed_row(*_norms(state))
         if early_stop_triggered(history.val_norms, cfg.n_step):
-            history.early_stopped = True
-            history.rolled_back_to = state.n - cfg.n_step
+            history.stop = "early_stop"
             break
         if pool.best is None:
-            history.stalled = True
+            history.stop = "stall"
             break
         _accept_node(state, pool.best)
         owed_row = partial(
             history.record, state.n, lam, pool.r, pool.best.score,
             accepted=pool.n_accepted, total=pool_total,
         )
+    else:
+        history.stop = "cap" if state.n >= cfg.n_max else "tolerance"
     if state.owed:
         _settle(state)
         owed_row(*_norms(state))
-    n = history.final_size = history.rolled_back_to or state.n
+    n = history.final_size = state.n - (cfg.n_step if history.stop == "early_stop" else 0)
     x = np.vstack([state.train_states[:n, 1:], train.inputs])[:, train.washout:]
     w_out = solve_output_weights(x, train.targets[:, train.washout:])
     return state.network(n, w_out), history

@@ -42,7 +42,6 @@ from .seeding import substream
 from .spectral import esp_check, scale_feedback
 from .tasks import (
     GENERATOR_TASKS,
-    check_fields,
     from_params,
     load_manifest,
     save_manifest,
@@ -166,15 +165,6 @@ def _section(manifest: dict, key: str, kind: type, default):
     return value
 
 
-def _load_run_manifest(args) -> dict:
-    if getattr(args, "manifest", None):
-        doc = load_manifest(args.manifest)
-        if not isinstance(doc, dict):
-            raise SchemaError(f"{args.manifest}: run manifest must be an object")
-        return doc
-    return {}
-
-
 def _effective_task(args, run_manifest: dict, seed: int) -> dict:
     task = _merged(args, run_manifest, "task", None)
     if task is None:
@@ -191,9 +181,7 @@ def _load_model_file(args, run_manifest: dict, command: str):
     return load_model(model_file)
 
 
-def cmd_gen(args) -> int:
-    run_manifest = _load_run_manifest(args)
-    seed = _merged(args, run_manifest, "seed", 0, int)
+def cmd_gen(args, run_manifest: dict, seed: int) -> int:
     manifest = _effective_task(args, run_manifest, seed)
     if manifest.get("task") == "csv":
         raise SchemaError("gen produces generator tasks only (mg, mg1, mg2, plant)")
@@ -207,16 +195,16 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    run_manifest = _load_run_manifest(args)
-    seed = _merged(args, run_manifest, "seed", 0, int)
+def cmd_train(args, run_manifest: dict, seed: int) -> int:
     task_manifest = _effective_task(args, run_manifest, seed)
     task = task_from_manifest(task_manifest)
     kind = str(_merged(args, run_manifest, "model", "rscn")).lower()
     spec = _model_spec(kind, task.name, run_manifest, args.alpha)
     if args.grid:
         grid = _parse_grid(args.grid)
-        check_fields(type(spec), grid, "--grid")
+        for name, values in grid.items():  # refuse a mistyped value before any trial
+            for value in values:
+                from_params(type(spec), {**vars(spec), name: value}, "--grid")
         best, _ = grid_search(task_manifest, spec, grid, seed=seed, tasks={seed: task})
         spec = replace(spec, **best)
         print(f"grid best point: {best}")
@@ -229,19 +217,18 @@ def cmd_train(args) -> int:
     save_model(model, model_path)
     if history is not None:
         atomic_write_text(os.path.join(out, f"{stem}.history.csv"), history.to_csv())
+    stop = "" if history is None else f" stop={history.stop}"
     train_err = evaluate_model(model, task.train)
     val_err = evaluate_model(model, task.val)
     print(
-        f"trained {spec_name(spec)} size={model.n_nodes} "
+        f"trained {spec_name(spec)} size={model.n_nodes}{stop} "
         f"train_nrmse={train_err:.6f} val_nrmse={val_err:.6f} "
         f"time_s={elapsed:.3f} -> {model_path}"
     )
     return 0
 
 
-def cmd_eval(args) -> int:
-    run_manifest = _load_run_manifest(args)
-    seed = _merged(args, run_manifest, "seed", 0, int)
+def cmd_eval(args, run_manifest: dict, seed: int) -> int:
     model = _load_model_file(args, run_manifest, "eval")
     task = task_from_manifest(_effective_task(args, run_manifest, seed))
     split = args.split or "test"
@@ -250,9 +237,7 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_online(args) -> int:
-    run_manifest = _load_run_manifest(args)
-    seed = _merged(args, run_manifest, "seed", 0, int)
+def cmd_online(args, run_manifest: dict, seed: int) -> int:
     model = _load_model_file(args, run_manifest, "online")
     task = task_from_manifest(_effective_task(args, run_manifest, seed))
     split = args.split or "test"
@@ -284,9 +269,7 @@ def cmd_online(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    run_manifest = _load_run_manifest(args)
-    seed = _merged(args, run_manifest, "seed", 0, int)
+def cmd_bench(args, run_manifest: dict, seed: int) -> int:
     trials = _merged(args, run_manifest, "trials", 20, int)
     tasks = args.task_list or _section(run_manifest, "tasks", list, []) or list(GENERATOR_TASKS)
     models = args.model_list or _section(run_manifest, "models", list, []) or ["esn", "scr", "rscn"]
@@ -318,9 +301,7 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def cmd_esp_check(args) -> int:
-    run_manifest = _load_run_manifest(args)
-    seed = _merged(args, run_manifest, "seed", 0, int)
+def cmd_esp_check(args, run_manifest: dict, seed: int) -> int:
     model = _load_model_file(args, run_manifest, "esp-check")
     if args.alpha is not None:
         model = scale_feedback(model, args.alpha)
@@ -411,7 +392,10 @@ def cmd_dispatch(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        run_manifest = load_manifest(args.manifest) if args.manifest else {}
+        if not isinstance(run_manifest, dict):
+            raise SchemaError(f"{args.manifest}: run manifest must be an object")
+        return args.func(args, run_manifest, _merged(args, run_manifest, "seed", 0, int))
     except (
         SchemaError,
         CsvParseError,

@@ -26,19 +26,14 @@ MODE_DEAD_ZONE = "dead_zone"
 _MODES = (MODE_BASIC, MODE_DECREASING, MODE_DEAD_ZONE)
 
 
-def _check_basic(a: float, c: float) -> None:
-    """The basic rule's constants: ``0 < a <= 1`` and ``c > 0``."""
-    if not (0.0 < a <= 1.0 and c > 0.0):
-        raise ContractViolationError("basic mode needs 0 < a <= 1 and c > 0")
-
-
 @dataclass(frozen=True)
 class OnlineConfig:
     """Update-rule selection and its constants.
 
     ``a`` in (0, 1] damps the basic step and ``c > 0`` guards its
     denominator. ``phi``, one nonnegative number, bounds the noise for
-    the dead zone.
+    the dead zone. Each step function builds its rule's config, so these
+    are the constants' only checks.
     """
 
     mode: str = MODE_BASIC
@@ -49,8 +44,8 @@ class OnlineConfig:
     def __post_init__(self):
         if self.mode not in _MODES:
             raise ContractViolationError(f"unknown online mode {self.mode!r}")
-        if self.mode == MODE_BASIC:
-            _check_basic(self.a, self.c)
+        if self.mode == MODE_BASIC and not (0.0 < self.a <= 1.0 and self.c > 0.0):
+            raise ContractViolationError("basic mode needs 0 < a <= 1 and c > 0")
         if not (np.ndim(self.phi) == 0 and self.phi >= 0):
             raise ContractViolationError("phi must be a nonnegative number")
 
@@ -138,24 +133,23 @@ BLOCK = 64  # steps per block of online_run; 32 times alike, 128 slower (its sol
 _BELOW = np.tri(BLOCK, k=-1)  # strictly lower triangle of a block's Gram matrix
 
 
-def _block(state: OnlineState, mode: str, g, y, gg, a=1.0, c=1.0, phi=0.0) -> np.ndarray:
-    """Apply rule ``mode`` to the checked rows ``g (B, N + K)``, ``y (B, L)``.
+def _block(state: OnlineState, cfg: OnlineConfig, g, y, gg) -> np.ndarray:
+    """Apply ``cfg``'s rule to the checked rows ``g (B, N + K)``, ``y (B, L)``.
 
     Each step ``W += kappa e g^T`` is linear in the previous weights, so
     the block's prior errors ``p`` solve ``(I + tril(G G^T, -1) diag(kappa))
     p = Y - G W^T`` and the weights move once by ``(kappa p)^T G``: the
     step-by-step loop in exact arithmetic. ``gg`` holds each row's
-    ``g @ g`` and ``phi`` the dead zone's bound. Logs the B steps
-    and returns their predictions ``(B, L)``.
+    ``g @ g``. Logs the B steps and returns their predictions ``(B, L)``.
     """
     w0 = state.readout
     p = y - np.matmul(w0, g[:, :, None])[:, :, 0]  # each row's residual is y - W @ g bit for bit
-    if mode == MODE_DEAD_ZONE:
-        kappa = _open_gates(p, g, gg, 2.0 * phi)
+    if cfg.mode == MODE_DEAD_ZONE:
+        kappa = _open_gates(p, g, gg, 2.0 * cfg.phi)
         etas = (kappa > 0.0) * 1.0
     else:
-        if mode == MODE_BASIC:
-            kappa, etas = a / (c + gg), np.full(len(gg), float(a))
+        if cfg.mode == MODE_BASIC:
+            kappa, etas = cfg.a / (cfg.c + gg), np.full(len(gg), float(cfg.a))
         else:
             # a sequential sum, so each gain is the step loop's bit for bit
             gain = np.cumsum(np.concatenate(([state.accumulated_gain], gg)))[1:]
@@ -200,25 +194,24 @@ def _open_gates(p, g, gg, bound) -> np.ndarray:
         t += 1
 
 
-def _step(state: OnlineState, g, y, mode: str, **rule) -> OnlineState:
-    """Check one sample and apply ``mode`` to it as a one-row block, growing the columns."""
+def _step(state: OnlineState, g, y, cfg: OnlineConfig) -> OnlineState:
+    """Check one sample and apply ``cfg``'s rule to it as a one-row block, growing the columns."""
     g, y = (np.asarray(v, dtype=float).reshape(1, -1) for v in (g, y))
     _check_samples(state, g, y)
     if state._n == len(state._eta):
         state._reserve(max(16, 2 * state._n))
-    _block(state, mode, g, y, _row_dots(g), **rule)
+    _block(state, cfg, g, y, _row_dots(g))
     return state
 
 
 def project_step(state: OnlineState, g: np.ndarray, y: np.ndarray, a: float, c: float) -> OnlineState:
     """Damped projection: ``W += a e g^T / (c + g^T g)`` with prior error e."""
-    _check_basic(a, c)
-    return _step(state, g, y, MODE_BASIC, a=a, c=c)
+    return _step(state, g, y, OnlineConfig(MODE_BASIC, a=a, c=c))
 
 
 def project_step_decreasing(state: OnlineState, g: np.ndarray, y: np.ndarray) -> OnlineState:
     """Decreasing-gain projection dividing by the accumulated feature energy."""
-    return _step(state, g, y, MODE_DECREASING)
+    return _step(state, g, y, OnlineConfig(MODE_DECREASING))
 
 
 def project_step_deadzone(
@@ -230,9 +223,7 @@ def project_step_deadzone(
     minus the previous weights' prediction); once open, the step is the
     basic projection with ``a = 1`` and ``c = 1``.
     """
-    if not phi_n >= 0:
-        raise ContractViolationError("phi must be a nonnegative number")
-    return _step(state, g, y, MODE_DEAD_ZONE, phi=phi_n)
+    return _step(state, g, y, OnlineConfig(MODE_DEAD_ZONE, phi=phi_n))
 
 
 def online_run(
@@ -274,8 +265,7 @@ def online_run(
     state._n = 1
     for t in range(1, n, BLOCK):
         b = slice(t, t + BLOCK)
-        preds[b] = _block(state, cfg.mode, features[b], targets[b], energies[b],
-                          cfg.a, cfg.c, cfg.phi)
+        preds[b] = _block(state, cfg, features[b], targets[b], energies[b])
     return np.ascontiguousarray(preds.T), state
 
 

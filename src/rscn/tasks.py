@@ -369,18 +369,13 @@ def slice_sequence(
 GENERATOR_TASKS = ("mg", "mg1", "mg2", "plant")
 
 
-def check_fields(cls, names, source: str) -> None:
-    """Refuse ``names`` that are not fields of ``cls`` with a SchemaError."""
-    unknown = sorted(set(names) - {f.name for f in fields(cls)})
+def from_params(cls, params: dict, source: str):
+    """``cls(**params)``, refusing unknown keys and values of the wrong type."""
+    unknown = sorted(set(params) - {f.name for f in fields(cls)})
     if unknown:
         raise SchemaError(
             f"{source} has keys {cls.__name__} does not know: {', '.join(unknown)}"
         )
-
-
-def from_params(cls, params: dict, source: str):
-    """``cls(**params)``, refusing unknown keys and values of the wrong type."""
-    check_fields(cls, params, source)
     try:
         return cls(**params)
     except TypeError as err:
@@ -396,7 +391,10 @@ def task_from_manifest(manifest: dict) -> TaskData:
     test-target standard deviation.
     """
     kind = manifest.get("task")
-    seed = int(manifest.get("seed", 0))
+    try:
+        seed = int(manifest.get("seed", 0))
+    except (TypeError, ValueError):
+        raise SchemaError(f"task seed must be an integer, got {manifest.get('seed')!r}") from None
     if kind in ("mg", "mg1", "mg2"):
         params = from_params(MGParams, manifest.get("mg_params", {}), "mg_params")
         series = mackey_glass(params, substream(seed, "task"))

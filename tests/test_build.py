@@ -567,7 +567,7 @@ class TestOwedValidationRuns:
         data = task_from_manifest({"task": task, "seed": 0})
         cfg = BuildConfig(n_max=30, seed=0)
         model, history, state = self.build(monkeypatch, data.train, data.val, cfg)
-        assert model.n_nodes == state.n == cfg.n_max and not history.early_stopped
+        assert model.n_nodes == state.n == cfg.n_max and history.stop == "cap"
         self.assert_oracle_states(state)
 
     def test_early_stopped_build(self, monkeypatch):
@@ -578,7 +578,7 @@ class TestOwedValidationRuns:
         )
         cfg = small_cfg(n_max=40, n_step=2, seed=3)
         model, history, state = self.build(monkeypatch, toy_task(160), noise_val, cfg)
-        assert history.early_stopped and history.sizes[-1] == state.n
+        assert history.stop == "early_stop" and history.sizes[-1] == state.n
         self.assert_oracle_states(state)
 
     def test_validation_split_longer_than_training(self, monkeypatch):
@@ -586,6 +586,7 @@ class TestOwedValidationRuns:
         cfg = small_cfg(n_max=12, n_step=11)
         model, history, state = self.build(monkeypatch, train, val, cfg)
         assert state.n == cfg.n_max and len(history.sizes) == cfg.n_max - cfg.n_init + 1
+        assert history.stop == "cap"
         self.assert_oracle_states(state)
 
     @pytest.mark.parametrize("task", ["mg", "plant"])
@@ -602,7 +603,7 @@ class TestOwedValidationRuns:
         monkeypatch.setattr(rmodel, "_fix_up", counted)
         data = task_from_manifest({"task": task, "seed": 0})
         model, history = build_rscn(data.train, data.val, BuildConfig(n_max=30, seed=0))
-        assert model.n_nodes == 30 and calls == []
+        assert model.n_nodes == 30 and history.stop == "cap" and calls == []
 
 
 class TestEarlyStop:
@@ -631,7 +632,7 @@ class TestBuildConfig:
 class TestBuildRscn:
     def test_empty_pools_stall_at_initial_size(self):
         model, hist = build_rscn(toy_task(), toy_task(seed=1), small_cfg(g_max=0))
-        assert hist.stalled and not hist.early_stopped
+        assert hist.stop == "stall"
         assert hist.sizes == [small_cfg().n_init]
         assert model.n_nodes == hist.final_size == small_cfg().n_init
 
@@ -639,7 +640,7 @@ class TestBuildRscn:
         task = toy_task()
         zero = SupervisedSequence(task.inputs, np.zeros_like(task.targets), washout=5)
         model, hist = build_rscn(zero, zero, small_cfg())
-        assert model.n_nodes == small_cfg().n_init
+        assert model.n_nodes == small_cfg().n_init and hist.stop == "tolerance"
         assert hist.train_norms[-1] == pytest.approx(0.0, abs=1e-12)
 
     def test_passthrough_target_needs_no_growth(self):
@@ -691,7 +692,8 @@ class TestBuildRscn:
 
     def test_rollback_returns_earlier_snapshot(self):
         # unlearnable validation: noise targets make the validation norm
-        # plateau, so the early stop fires and growth rolls back n_step nodes
+        # plateau, so the early stop fires (as in test_early_stopped_build)
+        # and growth rolls back n_step nodes
         rng = np.random.default_rng(0)
         task = toy_task(160)
         noise_val = SupervisedSequence(
@@ -699,11 +701,8 @@ class TestBuildRscn:
         )
         cfg = small_cfg(n_max=40, n_step=2, seed=3)
         model, hist = build_rscn(task, noise_val, cfg)
-        if hist.early_stopped:
-            assert hist.rolled_back_to == model.n_nodes
-            assert hist.sizes[-1] - model.n_nodes == cfg.n_step
-        else:  # growth may hit n_max first for some seeds; keep the test honest
-            assert model.n_nodes == cfg.n_max
+        assert hist.stop == "early_stop" and hist.final_size == model.n_nodes
+        assert hist.sizes[-1] - model.n_nodes == cfg.n_step
 
     def test_rollback_model_readout_is_self_consistent(self):
         rng = np.random.default_rng(0)
@@ -757,7 +756,7 @@ class TestStoredSequences:
         task, val = toy_task(160), toy_task(160, seed=1)
         cfg = small_cfg(n_max=12, n_step=11)
         model, hist = build_rscn(task, val, cfg)
-        assert not hist.early_stopped and model.n_nodes == hist.sizes[-1]
+        assert hist.stop == "cap" and model.n_nodes == hist.sizes[-1]
         for seq, norm in ((task, hist.train_norms[-1]), (val, hist.val_norms[-1])):
             ext = run_reservoir(model, seq.inputs).extended[:, seq.washout:]
             resid = seq.targets[:, seq.washout:] - model.readout @ ext

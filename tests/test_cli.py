@@ -93,6 +93,15 @@ class TestGen:
     def test_csv_task_rejected(self, tmp_path, toy_csv):
         assert run("gen", "--task", f"csv:{toy_csv}", "--out", str(tmp_path)) == 3
 
+    def test_task_seed_not_an_integer_is_a_schema_error(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"task": {"task": "mg", "seed": "abc"}}))
+        out = tmp_path / "gen"
+        assert run("gen", "--manifest", str(path), "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert "kind=SchemaError" in err and "task seed must be an integer" in err
+        assert not out.exists()
+
     def test_csv_task_manifest_rejected(self, tmp_path, fast_manifest, capsys):
         out = tmp_path / "gen"
         assert run("gen", "--manifest", fast_manifest, "--out", str(out)) == 3
@@ -137,6 +146,26 @@ class TestTrainEvalOnline:
         assert run("online", "--task", f"csv:{toy_csv}", "--model-file", model_file,
                    "--out", str(out)) == 0
         assert (out / "online_toy_test_basic.csv").exists()
+
+    def test_train_line_names_the_stop_after_the_size(self, tmp_path, fast_manifest, toy_csv,
+                                                      capsys, monkeypatch):
+        histories = []
+
+        def train(*args):
+            model, history = evaluate.train_model(*args)
+            histories.append(history)
+            return model, history
+
+        monkeypatch.setattr(cli, "train_model", train)
+        assert run("train", "--manifest", fast_manifest, "--out", str(tmp_path)) == 0
+        assert run("train", "--task", f"csv:{toy_csv}", "--model", "esn",
+                   "--out", str(tmp_path)) == 0
+        rscn_line, esn_line = capsys.readouterr().out.splitlines()
+        words = rscn_line.split()
+        size = next(i for i, word in enumerate(words) if word.startswith("size="))
+        assert histories[0].stop in ("tolerance", "cap", "early_stop", "stall")
+        assert words[size + 1] == f"stop={histories[0].stop}"
+        assert histories[1] is None and "size=" in esn_line and "stop=" not in esn_line
 
     def test_online_writes_diagnostics(self, tmp_path, fast_manifest, capsys):
         out = tmp_path / "m"
@@ -350,6 +379,16 @@ class TestErrorPaths:
             assert "kind=SchemaError" in err
             assert name in err
             assert not any(f.endswith(".model.json") for f in os.listdir(tmp_path))
+
+    @pytest.mark.parametrize("model,grid", [("esn", "esp_alpha=abc"), ("rscn", "n_max=abc")])
+    def test_mistyped_grid_value_is_a_schema_error(self, tmp_path, capsys, model, grid):
+        out = tmp_path / "out"
+        assert run("train", "--task", "mg", "--model", model, "--grid", grid,
+                   "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert "kind=SchemaError" in err and "--grid" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_csv_task_without_csv_section_is_a_schema_error(self, tmp_path,
                                                              fast_manifest, capsys):

@@ -176,6 +176,22 @@ class TestDeadZone:
             gap = new_gap
 
 
+@pytest.mark.parametrize("rule,step,constants", [
+    ({"mode": "basic", "a": 0.0}, project_step, (0.0, 1.0)),
+    ({"mode": "basic", "c": 0.0}, project_step, (1.0, 0.0)),
+    ({"mode": "dead_zone", "phi": -1.0}, project_step_deadzone, (-1.0,)),
+    ({"mode": "dead_zone", "phi": float("nan")}, project_step_deadzone, (float("nan"),)),
+], ids=["a=0", "c=0", "phi=-1", "phi=nan"])
+def test_step_functions_refuse_constants_as_the_config_does(rule, step, constants):
+    with pytest.raises(ContractViolationError) as config_err:
+        OnlineConfig(**rule)
+    state = make_state([[0.0, 0.0]])
+    with pytest.raises(ContractViolationError) as step_err:
+        step(state, np.ones(2), np.ones(1), *constants)
+    assert str(step_err.value) == str(config_err.value)
+    assert state.step == 0 and not state.readout.any()
+
+
 def small_model(seed=0, n=6, k=2, ell=1):
     rng = np.random.default_rng(seed)
     w_r = rng.normal(size=(n, n))
