@@ -347,11 +347,15 @@ def configure_node(
 
 
 def _readout(state: BuildState) -> np.ndarray:
-    """Least-squares readout ``(L, n + K)``, states first, from ``R⁻¹Qᵀt``."""
+    """Least-squares readout ``(L, n + K)``, states first, from ``R⁻¹Qᵀt``.
+
+    Design column ``c`` (inputs first) is readout column ``(c − K) mod (K + n)``.
+    """
     p, k = len(state.basis), state.train.n_inputs
     w = np.zeros((state.train.n_outputs, k + state.n))
-    w[:, state.basis] = (state.r_inv[:p, :p] @ state.qt[:p]).T
-    return np.roll(w, -k, axis=1)
+    w[:, (np.array(state.basis, dtype=int) - k) % (k + state.n)] = (
+        state.r_inv[:p, :p] @ state.qt[:p]).T
+    return w
 
 
 def _norms(state: BuildState) -> tuple[float, float]:

@@ -97,9 +97,16 @@ def _resolve_task_manifest(task_arg: str, seed: int) -> dict:
     raise SchemaError(f"unknown task {task_arg!r}")
 
 
+def _refuse_seed(names, source: str) -> None:
+    """Every trial takes its model's seed from the root seed, so a spec may not name one."""
+    if "seed" in names:
+        raise SchemaError(f"{source} may not set seed; give the root seed with --seed")
+
+
 def _model_spec(kind: str, task_name: str, manifest: dict, alpha: float | None):
     """Model config for one of rscn|esn|scr with per-task defaults."""
     params = dict(_section(manifest, "model_params", dict, {}))
+    _refuse_seed(params, "model_params")
     if alpha is not None:
         params["esp_alpha"] = alpha
     if kind == "rscn":
@@ -202,6 +209,7 @@ def cmd_train(args, run_manifest: dict, seed: int) -> int:
     spec = _model_spec(kind, task.name, run_manifest, args.alpha)
     if args.grid:
         grid = _parse_grid(args.grid)
+        _refuse_seed(grid, "--grid")
         for name, values in grid.items():  # refuse a mistyped value before any trial
             for value in values:
                 from_params(type(spec), {**vars(spec), name: value}, "--grid")

@@ -194,7 +194,8 @@ def _chunked_recursion(
     default). The steps are cut into ``c = n_steps // (2 warmup)``
     chunks that run side by side, one ``(c, size)`` row per step: an
     elementwise product for self-weights, a stacked ``np.matmul`` for a
-    matrix, which equals ``weight @ x`` bit for bit. Each chunk starts
+    matrix, which equals ``weight @ x`` bit for bit, and a shifted
+    elementwise product (:func:`_ring_step`) for a ring. Each chunk starts
     from a zero state ``warmup`` steps before its own first step; the
     first chunk's warm-up sees zero drive and stays zero. Two runs whose
     bits agree at some step agree from then on, so a chunk whose last
@@ -217,6 +218,8 @@ def _chunked_recursion(
         x[t1 - lo:, i] = 0.0
     if weight.ndim == 1:
         step, wide = np.multiply, np.tile(weight, c).reshape(c, size, 1)
+    elif (ring := _ring_weight(weight)) is not None:
+        step, wide = _ring_step, ring
     else:
         step, wide = np.matmul, weight
     gp, fed = np.zeros((c, size, 1)), np.empty((c, size, 1))
@@ -236,6 +239,26 @@ def _chunked_recursion(
             _fix_up(states, drive[:, t0:t1], weight, exact)
         drive[:, t0:t1] = states.T
         exact = drive[:, t1 - 1]
+
+
+def _ring_weight(weight: np.ndarray) -> float | None:
+    """The one weight of a ring matrix, whose only nonzeros are the equal
+    entries ``(i, i - 1 mod size)`` (a simple cycle reservoir), else None."""
+    size = len(weight)
+    cycle = weight[np.arange(size), np.arange(-1, size - 1)]
+    if size and cycle[0] != 0.0 and np.count_nonzero(weight) == size and np.all(cycle == cycle[0]):
+        return float(cycle[0])
+    return None
+
+
+def _ring_step(w: float, x: np.ndarray, out: np.ndarray) -> None:
+    """``out = W x`` for the ring of weight ``w`` on stacked ``(c, size, 1)`` states.
+
+    Each row of ``W x`` has one nonzero term, ``w · x[i - 1]``, and the
+    dense product returns exactly that term, so the two agree bit for bit.
+    """
+    np.multiply(w, x[:, -1:], out[:, :1])
+    np.multiply(w, x[:, :-1], out[:, 1:])
 
 
 def _fix_up(states: np.ndarray, drive: np.ndarray, weight: np.ndarray, exact: np.ndarray) -> None:

@@ -1,5 +1,5 @@
-"""Test-session setup: single-threaded BLAS, and fixtures for ``run_reservoir``'s
-remembered run.
+"""Test-session setup: single-threaded BLAS, fixtures for ``run_reservoir``'s
+remembered run, and an empty Mackey–Glass series cache for every test.
 
 pytest loads this file before any test module, so numpy reads these
 thread counts when it is first imported. A value already set in the
@@ -27,6 +27,15 @@ def _forget_the_last_run():
     from rscn import model
 
     model._last_run = None
+
+
+@pytest.fixture(autouse=True)
+def _forget_the_series():
+    """Start each test with an empty series cache, so that no count of
+    integrations depends on the tests run before it."""
+    from rscn import tasks
+
+    tasks._mg_series.cache_clear()
 
 
 @pytest.fixture()

@@ -380,7 +380,8 @@ class TestErrorPaths:
             assert name in err
             assert not any(f.endswith(".model.json") for f in os.listdir(tmp_path))
 
-    @pytest.mark.parametrize("model,grid", [("esn", "esp_alpha=abc"), ("rscn", "n_max=abc")])
+    @pytest.mark.parametrize("model,grid", [("esn", "esp_alpha=abc"), ("rscn", "n_max=abc"),
+                                            ("scr", "ring_weight=abc")])
     def test_mistyped_grid_value_is_a_schema_error(self, tmp_path, capsys, model, grid):
         out = tmp_path / "out"
         assert run("train", "--task", "mg", "--model", model, "--grid", grid,
@@ -389,6 +390,41 @@ class TestErrorPaths:
         assert "kind=SchemaError" in err and "--grid" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command,doc", [
+        ("gen", {"task": {"task": "mg", "mg_params": {"length": "abc"}}}),
+        ("gen", {"task": {"task": "plant", "plant_params": {"n_train": 2000.0}}}),
+        ("train", {"task": "mg", "model": "scr", "model_params": {"ring_weight": "abc"}}),
+        ("train", {"task": "mg", "model": "esn", "model_params": {"n_nodes": True}}),
+        ("bench", {"tasks": ["mg"], "models": ["scr"], "model_params": {"ring_weight": "abc"}}),
+    ], ids=["gen-mg", "gen-plant", "train-scr", "train-esn", "bench-scr"])
+    def test_mistyped_config_value_is_a_schema_error(self, tmp_path, capsys, command, doc):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert run(command, "--manifest", str(path), "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert "kind=SchemaError" in err and "must be" in err
+        assert "Traceback" not in err
+        assert not (out.exists() and os.listdir(out))  # bench makes the directory first
+
+    @pytest.mark.parametrize("command,doc,grid", [
+        ("train", {"task": "mg", "model": "esn", "model_params": {"seed": 5}}, None),
+        ("bench", {"tasks": ["mg"], "models": ["rscn"], "model_params": {"seed": 5}}, None),
+        ("train", {"task": "mg", "model": "esn"}, "seed=abc"),
+        ("train", {"task": "mg", "model": "scr"}, "ring_weight=0.5;seed=1,2"),
+    ], ids=["train-params", "bench-params", "grid-abc", "grid-ints"])
+    def test_a_spec_seed_is_refused_for_the_root_seed(self, tmp_path, capsys, command, doc,
+                                                      grid):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        argv = ["--grid", grid] if grid else []
+        assert run(command, "--manifest", str(path), *argv, "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert "kind=SchemaError" in err and "seed" in err and "--seed" in err
+        assert "Traceback" not in err
+        assert not (out.exists() and os.listdir(out))
 
     def test_csv_task_without_csv_section_is_a_schema_error(self, tmp_path,
                                                              fast_manifest, capsys):

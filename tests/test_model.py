@@ -305,6 +305,95 @@ class TestChunkedRunReservoir:
             assert_bitwise_equal(run_reservoir(model, u).states, step_loop_states(model, u))
 
 
+def ring(n, weight):
+    """A simple cycle reservoir's feedback: ``weight`` at every ``(i, i - 1 mod n)``."""
+    w = np.zeros((n, n))
+    w[np.arange(n), (np.arange(n) - 1) % n] = weight
+    return w
+
+
+class TestRingStep:
+    """A ring feedback is stepped by a shifted product, bit for bit the dense one."""
+
+    @pytest.fixture()
+    def ring_steps(self, monkeypatch):
+        calls, inner = [], rmodel._ring_step
+
+        def counted(w, x, out):
+            calls.append(w)
+            inner(w, x, out)
+
+        monkeypatch.setattr(rmodel, "_ring_step", counted)
+        return calls
+
+    @pytest.mark.parametrize("weight", [0.25, 0.5, 0.75, 0.9, -0.6])
+    @pytest.mark.parametrize("n", [1, 2, 79])
+    @pytest.mark.parametrize("n_steps", [2 * RUN_WARMUP + 3, 1000])
+    def test_matches_the_step_loop(self, weight, n, n_steps, ring_steps):
+        rng = np.random.default_rng(n_steps + n)
+        model = make_model(rng.uniform(-1, 1, (n, 2)), ring(n, weight), rng.uniform(-1, 1, n),
+                           np.zeros((1, n + 2)))
+        u = rng.uniform(-1, 1, (2, n_steps))
+        x0 = rng.uniform(-1, 1, n)
+        for start in (None, x0):
+            assert_bitwise_equal(run_reservoir(model, u, start).states,
+                                 step_loop_states(model, u, start))
+        assert ring_steps and set(ring_steps) == {weight}
+
+    @pytest.mark.parametrize("n", [1, 2, 79])
+    def test_zero_drive_from_a_nonzero_start(self, n, ring_steps):
+        model = make_model(np.ones((n, 1)), ring(n, 0.9), np.zeros(n), np.zeros((1, n + 1)))
+        u = np.zeros((1, 1000))
+        x0 = np.linspace(-1, 1, n) + 0.5
+        seq = run_reservoir(model, u, x0)
+        assert_bitwise_equal(seq.states, step_loop_states(model, u, x0))
+        assert ring_steps
+
+    def test_bistable_ring_is_fixed_up_at_every_boundary(self, ring_steps, monkeypatch):
+        # x0' = tanh(3 x1), x1' = tanh(3 x0): from opposite signs the pair
+        # swaps sign every step, while every chunk's warm-up from zero climbs
+        # to the positive fixed point under the weak positive drive
+        n_steps = 3000
+        model = make_model(np.full((2, 1), 0.05), ring(2, 3.0), np.zeros(2), np.zeros((1, 3)))
+        calls = []
+        fix_up = rmodel._fix_up
+
+        def counted(states, drive, weight, exact):
+            calls.append(len(states))
+            fix_up(states, drive, weight, exact)
+
+        monkeypatch.setattr(rmodel, "_fix_up", counted)
+        u = np.random.default_rng(3).uniform(0, 1, (1, n_steps))
+        x0 = np.array([-0.5, 0.5])
+        seq = run_reservoir(model, u, x0)
+        assert_bitwise_equal(seq.states, step_loop_states(model, u, x0))
+        assert np.all(np.abs(seq.states) > 0.8) and np.all(seq.states[0] * seq.states[1] < 0)
+        assert len(calls) == n_steps // (2 * RUN_WARMUP) and sum(calls) == n_steps
+        assert ring_steps
+
+    @pytest.mark.parametrize("edit", [(5, 4, 0.8), (5, 9, 0.1), (0, 78, 0.0)],
+                             ids=["cycle-entry-changed", "entry-added", "cycle-entry-zeroed"])
+    def test_a_changed_ring_takes_the_dense_product(self, edit, ring_steps):
+        w = ring(79, 0.9)
+        i, j, value = edit
+        w[i, j] = value
+        rng = np.random.default_rng(4)
+        model = make_model(rng.uniform(-1, 1, (79, 2)), w, rng.uniform(-1, 1, 79),
+                           np.zeros((1, 81)))
+        u = rng.uniform(-1, 1, (2, 1000))
+        assert_bitwise_equal(run_reservoir(model, u).states, step_loop_states(model, u))
+        assert not ring_steps
+
+    def test_scr_baseline_takes_the_ring_step(self, ring_steps):
+        task = task_from_manifest({"task": "plant", "seed": 0})
+        model = build_baseline(BaselineConfig(n_nodes=136, topology="scr_ring", ring_weight=0.5),
+                               task.train)
+        for split in (task.train, task.val, task.test):
+            assert_bitwise_equal(run_reservoir(model, split.inputs).states,
+                                 step_loop_states(model, split.inputs))
+        assert set(ring_steps) == {0.5}
+
+
 class TestReadout:
     def test_zero_readout_gives_zero_output(self):
         model = make_model(np.ones((2, 1)), np.zeros((2, 2)), np.zeros(2), np.zeros((3, 3)))

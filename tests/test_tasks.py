@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from rscn import tasks
 from rscn.errors import ContractViolationError, CsvParseError, SchemaError
+from rscn.seeding import substream
 from rscn.tasks import (
     DEBUTANIZER_FULL_FEATURES,
     DEBUTANIZER_REDUCED_FEATURES,
@@ -10,6 +12,7 @@ from rscn.tasks import (
     PlantParams,
     SupervisedSequence,
     add_gaussian_noise,
+    from_params,
     load_csv,
     mackey_glass,
     mg_task,
@@ -304,3 +307,95 @@ class TestManifests:
     def test_unknown_kind_rejected(self):
         with pytest.raises(SchemaError):
             task_from_manifest({"task": "nope"})
+
+
+def assert_tasks_bitwise_equal(a, b):
+    for split in ("train", "val", "test"):
+        x, y = getattr(a, split), getattr(b, split)
+        for name in ("inputs", "targets"):
+            u, v = getattr(x, name), getattr(y, name)
+            assert u.shape == v.shape and np.array_equal(u.view(np.int64), v.view(np.int64))
+        assert x.washout == y.washout
+
+
+@pytest.fixture()
+def integrations(monkeypatch):
+    """The ``MGParams`` of each ``mackey_glass`` integration, in order, as the test runs."""
+    calls, inner = [], tasks.mackey_glass
+
+    def counted(p, rng):
+        calls.append(p)
+        return inner(p, rng)
+
+    monkeypatch.setattr(tasks, "mackey_glass", counted)
+    return calls
+
+
+class TestSeriesCache:
+    """mg, mg1 and mg2 at one seed share one integrated series."""
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_variants_at_one_seed_integrate_once(self, integrations, seed):
+        got = {kind: task_from_manifest({"task": kind, "seed": seed})
+               for kind in ("mg", "mg1", "mg2")}
+        assert integrations == [MGParams()]
+        series = mackey_glass(MGParams(), substream(seed, "task"))
+        for kind, task in got.items():
+            assert_tasks_bitwise_equal(task, mg_task(series, kind))
+
+    def test_another_seed_or_params_integrates_again(self, integrations):
+        for manifest in ({"task": "mg", "seed": 0}, {"task": "mg1", "seed": 1},
+                         {"task": "mg2", "seed": 0, "mg_params": {"length": 1000}},
+                         {"task": "mg", "seed": 1}, {"task": "mg", "seed": 0}):
+            task_from_manifest(manifest)
+        assert integrations == [MGParams(), MGParams(), MGParams(length=1000)]
+
+    def test_cached_series_is_read_only(self):
+        series = tasks._mg_series(MGParams(), 0)
+        assert not series.flags.writeable
+        with pytest.raises(ValueError):
+            series[0] = 0.0
+        assert tasks._mg_series(MGParams(), 0) is series
+
+    def test_json_init_range_list_hits_the_cache(self, integrations):
+        manifest = {"seed": 2, "mg_params": {"init_range": [0.2, 1.2]}}
+        a = task_from_manifest({**manifest, "task": "mg"})
+        b = task_from_manifest({**manifest, "task": "mg2"})
+        params = MGParams(init_range=(0.2, 1.2))
+        assert integrations == [params]
+        series = mackey_glass(params, substream(2, "task"))
+        assert_tasks_bitwise_equal(a, mg_task(series, "mg"))
+        assert_tasks_bitwise_equal(b, mg_task(series, "mg2"))
+
+
+class TestFromParams:
+    """A value must have its field's default type; ints fill floats, lists fill tuples."""
+
+    @pytest.mark.parametrize("params,want", [
+        ({"dt": 1}, MGParams(dt=1)),
+        ({"upsilon": -1, "length": 300}, MGParams(upsilon=-1, length=300)),
+        ({"init_range": [0.2, 1]}, MGParams(init_range=(0.2, 1))),
+        ({"init_range": (0.2, 1.2)}, MGParams(init_range=(0.2, 1.2))),
+    ])
+    def test_conforming_values_are_accepted(self, params, want):
+        got = from_params(MGParams, params, "mg_params")
+        assert got == want and isinstance(got.init_range, tuple)
+        hash(got)
+
+    @pytest.mark.parametrize("params", [
+        {"length": "abc"}, {"length": 300.0}, {"length": True}, {"tau": None},
+        {"dt": "0.1"}, {"dt": False}, {"init_range": 0.5}, {"init_range": "ab"},
+        {"init_range": [0.2, "x"]}, {"init_range": [[0.2], [1.2]]},
+    ])
+    def test_mistyped_values_are_schema_errors(self, params):
+        with pytest.raises(SchemaError, match=f"mg_params: {next(iter(params))} must be"):
+            from_params(MGParams, params, "mg_params")
+
+    def test_plant_coefficients_list_becomes_a_tuple(self):
+        p = from_params(PlantParams, {"coefficients": [0.7, 0, 0.01, 0.2]}, "plant_params")
+        assert p.coefficients == (0.7, 0, 0.01, 0.2) and isinstance(p.coefficients, tuple)
+
+    @pytest.mark.parametrize("params", [[1, 2], "length", 5, None])
+    def test_a_section_that_is_not_an_object_is_a_schema_error(self, params):
+        with pytest.raises(SchemaError, match="mg_params must be an object"):
+            from_params(MGParams, params, "mg_params")
