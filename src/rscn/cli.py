@@ -42,6 +42,7 @@ from .seeding import substream
 from .spectral import esp_check, scale_feedback
 from .tasks import (
     GENERATOR_TASKS,
+    _conforms,
     from_params,
     load_manifest,
     save_manifest,
@@ -155,13 +156,15 @@ def _ensure_out(args) -> str:
 
 
 def _merged(args, manifest: dict, key: str, default, kind=None):
-    """Flag > manifest > default, converted by ``kind`` when given."""
+    """Flag > manifest > default. Given ``kind``, the value must conform to
+    it as a config field's value must (``tasks._conforms``), and is converted."""
     flag = getattr(args, key, None)
     value = flag if flag is not None else manifest.get(key, default)
-    try:
-        return value if kind is None else kind(value)
-    except (TypeError, ValueError):
-        raise SchemaError(f"{key!r} must be {kind.__name__}, got {value!r}") from None
+    if kind is None:
+        return value
+    if not _conforms(value, kind):
+        raise SchemaError(f"{key!r} must be {kind.__name__}, got {value!r}")
+    return kind(value)
 
 
 def _section(manifest: dict, key: str, kind: type, default):
@@ -281,7 +284,6 @@ def cmd_bench(args, run_manifest: dict, seed: int) -> int:
     trials = _merged(args, run_manifest, "trials", 20, int)
     tasks = args.task_list or _section(run_manifest, "tasks", list, []) or list(GENERATOR_TASKS)
     models = args.model_list or _section(run_manifest, "models", list, []) or ["esn", "scr", "rscn"]
-    out = _ensure_out(args)
     for task_arg in tasks:
         task_manifest = (
             {**task_arg, "seed": seed} if isinstance(task_arg, dict)
@@ -301,6 +303,7 @@ def cmd_bench(args, run_manifest: dict, seed: int) -> int:
                 spec = replace(spec, **best)
             reports.append(run_trials(task_manifest, spec, trials, base_seed=seed, tasks=shared))
         text = emit_report(reports, "text")
+        out = _ensure_out(args)  # made only once there is a report to write
         atomic_write_text(os.path.join(out, f"report_{task_name}.csv"),
                           emit_report(reports, "csv"))
         atomic_write_text(os.path.join(out, f"report_{task_name}.txt"), text)

@@ -25,9 +25,10 @@ SERIALIZATION_VERSION = 1
 
 
 def _frozen(a) -> np.ndarray:
-    out = np.array(a, dtype=float)
-    out.flags.writeable = False
-    return out
+    if type(a) is not np.ndarray or a.dtype != float or a.flags.writeable or not a.flags.owndata:
+        a = np.array(a, dtype=float)
+        a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,8 +135,8 @@ class StateSequence:
 
     Column ``t`` of ``extended`` stacks the state and input columns at
     step ``t``, giving the ``(N + K, n)`` design matrix used by the
-    readout; ``states`` is the view of its first ``n_nodes`` rows. The
-    constructor keeps a read-only copy of ``extended``.
+    readout; ``states`` is the view of its first ``n_nodes`` rows. It keeps
+    a read-only float array that owns its memory, else a read-only copy.
     """
 
     extended: np.ndarray
@@ -162,10 +163,10 @@ def _checked_inputs(model: ReservoirModel, inputs: np.ndarray) -> np.ndarray:
     return inputs
 
 
-def input_drive(model: ReservoirModel, inputs: np.ndarray) -> np.ndarray:
-    """Validated input drive ``W_in u(t) + b``, ``(N, n)`` with one column per step."""
+def input_drive(model: ReservoirModel, inputs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Validated input drive ``W_in u(t) + b``, ``(N, n)`` with one column per step, in ``out``."""
     inputs = _checked_inputs(model, inputs)
-    return model.input_weights @ inputs + model.biases[:, None]
+    return np.add(np.matmul(model.input_weights, inputs, out=out), model.biases[:, None], out=out)
 
 
 def check_finite_steps(rows: np.ndarray) -> None:
@@ -294,11 +295,11 @@ def run_reservoir(
 
     Column ``t`` of the states is
     ``tanh(W_in u(t) + W_r x(t-1) + b)`` with ``x(0) = initial_state``
-    (zeros by default). The drive is stacked over the inputs once, and
-    :func:`_chunked_recursion` with ``RUN_WARMUP`` warm-up steps turns
-    its top ``N`` rows into the states in place, so the buffer is the
-    extended matrix. The result equals the plain step-by-step recursion
-    bit for bit. Finiteness is checked once, after the last step.
+    (zeros by default). The drive is formed in the top ``N`` rows of one
+    ``(N + K, n)`` buffer over the inputs, :func:`_chunked_recursion`
+    (``RUN_WARMUP`` warm-up steps) turns it into the states in place, and
+    the read-only buffer is the extended matrix, equal to the plain step
+    loop's bit for bit. Finiteness is checked once, after the last step.
     Deterministic: identical arguments give a bit-identical sequence.
 
     The latest run is remembered: a call on the same model object (or
@@ -321,11 +322,12 @@ def run_reservoir(
     if last is not None and last[0]() is model and last[1] == key:
         return last[2]
     _last_run = last = None  # no reference left, so the old states are freed before allocating
-    extended = np.vstack([input_drive(model, inputs), inputs])
-    states = extended[:n]
-    _chunked_recursion(states, model.feedback, RUN_WARMUP, {}, x)
-    check_finite_steps(states.T)
-    seq = StateSequence(extended, n)
+    extended = np.empty((n + model.n_inputs, inputs.shape[1]))
+    extended[n:] = inputs
+    _chunked_recursion(input_drive(model, inputs, extended[:n]), model.feedback, RUN_WARMUP, {}, x)
+    check_finite_steps(extended[:n].T)
+    extended.flags.writeable = False
+    seq = StateSequence(extended, n)  # adopted, not copied
     _last_run = (weakref.ref(model), key, seq)
     return seq
 

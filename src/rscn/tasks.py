@@ -12,7 +12,7 @@ import functools
 import json
 import os
 from dataclasses import dataclass, fields, replace
-from typing import Sequence
+from typing import Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -380,36 +380,44 @@ def slice_sequence(
 GENERATOR_TASKS = ("mg", "mg1", "mg2", "plant")
 
 
-def _conforms(value, default) -> bool:
-    """Whether ``value`` may fill a field whose default is ``default``: a
-    value of the default's type, an integer for a float, or a list or tuple
-    whose items conform to the default's first item."""
-    if isinstance(default, tuple):
-        return isinstance(value, (list, tuple)) and all(_conforms(v, default[0]) for v in value)
-    if isinstance(value, bool) is not isinstance(default, bool):
+def _conforms(value, kind) -> bool:
+    """Whether ``value`` may fill a field annotated ``kind``: a value of that
+    type (a bool only for a bool), an integer for a float, or a list or
+    tuple whose items conform to the tuple's item type. A fixed-length
+    tuple such as ``tuple[float, float]`` takes one item per slot; a ladder
+    ``tuple[float, ...]`` takes any number."""
+    if get_origin(kind) is tuple:
+        if not isinstance(value, (list, tuple)):
+            return False
+        slots = get_args(kind)
+        if slots[-1] is Ellipsis:
+            slots = slots[:1] * len(value)
+        return len(value) == len(slots) and all(map(_conforms, value, slots))
+    if isinstance(value, bool) is not (kind is bool):
         return False
-    return isinstance(value, (int, float) if isinstance(default, float) else type(default))
+    return isinstance(value, (int, float) if kind is float else kind)
 
 
 def from_params(cls, params: dict, source: str):
     """``cls(**params)``, refusing unknown keys and values of the wrong type.
 
-    Each value must conform to its field's default (see ``_conforms``); a
-    list is stored as a tuple, so the object stays hashable.
+    Each value must conform to its field's annotation (see ``_conforms``);
+    a list is stored as a tuple, so the object stays hashable.
     """
     if not isinstance(params, dict):
         raise SchemaError(f"{source} must be an object, got {params!r}")
-    defaults = {f.name: f.default for f in fields(cls)}
-    unknown = sorted(set(params) - set(defaults))
+    hints = get_type_hints(cls)
+    kinds = {f.name: hints[f.name] for f in fields(cls)}
+    unknown = sorted(set(params) - set(kinds))
     if unknown:
         raise SchemaError(
             f"{source} has keys {cls.__name__} does not know: {', '.join(unknown)}"
         )
     for name, value in params.items():
-        if not _conforms(value, defaults[name]):
-            raise SchemaError(
-                f"{source}: {name} must be {type(defaults[name]).__name__}, got {value!r}"
-            )
+        kind = kinds[name]
+        if not _conforms(value, kind):
+            shown = kind.__name__ if get_origin(kind) is None else kind
+            raise SchemaError(f"{source}: {name} must be {shown}, got {value!r}")
     return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in params.items()})
 
 
@@ -421,11 +429,9 @@ def task_from_manifest(manifest: dict) -> TaskData:
     under a ``"csv"`` key. Unstated noise defaults to 5% of the clean
     test-target standard deviation.
     """
-    kind = manifest.get("task")
-    try:
-        seed = int(manifest.get("seed", 0))
-    except (TypeError, ValueError):
-        raise SchemaError(f"task seed must be an integer, got {manifest.get('seed')!r}") from None
+    kind, seed = manifest.get("task"), manifest.get("seed", 0)
+    if not _conforms(seed, int):
+        raise SchemaError(f"task seed must be an integer, got {seed!r}")
     if kind in ("mg", "mg1", "mg2"):
         params = from_params(MGParams, manifest.get("mg_params", {}), "mg_params")
         return mg_task(_mg_series(params, seed), kind)

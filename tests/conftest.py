@@ -40,13 +40,14 @@ def _forget_the_series():
 
 @pytest.fixture()
 def recursions(monkeypatch):
-    """The drive shape of each ``run_reservoir`` recursion, in order, as the test runs."""
+    """The drive array of each ``run_reservoir`` recursion, in order, as the
+    test runs; the recursion turns each into its states in place."""
     from rscn import model
 
     calls, inner = [], model._chunked_recursion
 
     def counted(*args, **kwargs):
-        calls.append(args[0].shape)
+        calls.append(args[0])
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(model, "_chunked_recursion", counted)

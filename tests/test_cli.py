@@ -93,9 +93,10 @@ class TestGen:
     def test_csv_task_rejected(self, tmp_path, toy_csv):
         assert run("gen", "--task", f"csv:{toy_csv}", "--out", str(tmp_path)) == 3
 
-    def test_task_seed_not_an_integer_is_a_schema_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("seed", ["abc", 1.5, True])
+    def test_task_seed_not_an_integer_is_a_schema_error(self, tmp_path, capsys, seed):
         path = tmp_path / "run.json"
-        path.write_text(json.dumps({"task": {"task": "mg", "seed": "abc"}}))
+        path.write_text(json.dumps({"task": {"task": "mg", "seed": seed}}))
         out = tmp_path / "gen"
         assert run("gen", "--manifest", str(path), "--out", str(out)) == 3
         err = capsys.readouterr().err
@@ -397,7 +398,14 @@ class TestErrorPaths:
         ("train", {"task": "mg", "model": "scr", "model_params": {"ring_weight": "abc"}}),
         ("train", {"task": "mg", "model": "esn", "model_params": {"n_nodes": True}}),
         ("bench", {"tasks": ["mg"], "models": ["scr"], "model_params": {"ring_weight": "abc"}}),
-    ], ids=["gen-mg", "gen-plant", "train-scr", "train-esn", "bench-scr"])
+        ("gen", {"task": {"task": "plant", "plant_params": {"coefficients": [0.7, 0.1]}}}),
+        ("gen", {"task": {"task": "plant",
+                          "plant_params": {"initial_outputs": [0.0, 0.0, 0.0, 0.1, 0.5]}}}),
+        ("gen", {"task": {"task": "mg", "mg_params": {"init_range": [0.2]}}}),
+        ("gen", {"task": {"task": "mg", "mg_params": {"init_range": [0.2, 0.5, 0.9]}}}),
+    ], ids=["gen-mg", "gen-plant", "train-scr", "train-esn", "bench-scr",
+            "short-coefficients", "long-initial-outputs", "short-init-range",
+            "long-init-range"])
     def test_mistyped_config_value_is_a_schema_error(self, tmp_path, capsys, command, doc):
         path = tmp_path / "run.json"
         path.write_text(json.dumps(doc))
@@ -406,7 +414,7 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert "kind=SchemaError" in err and "must be" in err
         assert "Traceback" not in err
-        assert not (out.exists() and os.listdir(out))  # bench makes the directory first
+        assert not out.exists()
 
     @pytest.mark.parametrize("command,doc,grid", [
         ("train", {"task": "mg", "model": "esn", "model_params": {"seed": 5}}, None),
@@ -424,7 +432,24 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert "kind=SchemaError" in err and "seed" in err and "--seed" in err
         assert "Traceback" not in err
-        assert not (out.exists() and os.listdir(out))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,key,value", [
+        ("train", "seed", 1.5), ("train", "seed", True),
+        ("bench", "seed", 1.5), ("bench", "seed", True),
+        ("bench", "trials", 1.9), ("bench", "trials", True),
+    ])
+    def test_run_manifest_integer_that_is_not_an_integer_is_a_schema_error(
+            self, tmp_path, capsys, command, key, value):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"task": "mg", "tasks": ["mg"], "model": "esn",
+                                    "models": ["esn"], "trials": 1, key: value}))
+        out = tmp_path / "out"
+        assert run(command, "--manifest", str(path), "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert "kind=SchemaError" in err and f"{key!r} must be int" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_csv_task_without_csv_section_is_a_schema_error(self, tmp_path,
                                                              fast_manifest, capsys):

@@ -215,6 +215,12 @@ class TestStateSequence:
         with pytest.raises(ValueError):
             getattr(self.sequence(), name)[0, 0] = 1.0
 
+    def test_run_reservoir_returns_the_matrix_it_ran_in(self, recursions):
+        seq = self.sequence()
+        (drive,) = recursions
+        assert np.shares_memory(seq.states, drive)
+        assert not seq.extended.flags.writeable
+
     def test_constructor_copies_the_callers_array(self):
         ext = np.arange(12.0).reshape(3, 4)
         seq = StateSequence(ext, 2)

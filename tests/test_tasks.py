@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rscn import tasks
+from rscn.build import BuildConfig
 from rscn.errors import ContractViolationError, CsvParseError, SchemaError
 from rscn.seeding import substream
 from rscn.tasks import (
@@ -386,10 +387,15 @@ class TestFromParams:
         {"length": "abc"}, {"length": 300.0}, {"length": True}, {"tau": None},
         {"dt": "0.1"}, {"dt": False}, {"init_range": 0.5}, {"init_range": "ab"},
         {"init_range": [0.2, "x"]}, {"init_range": [[0.2], [1.2]]},
+        {"init_range": [0.2]}, {"init_range": [0.2, 0.5, 0.9]}, {"init_range": []},
     ])
     def test_mistyped_values_are_schema_errors(self, params):
         with pytest.raises(SchemaError, match=f"mg_params: {next(iter(params))} must be"):
             from_params(MGParams, params, "mg_params")
+
+    def test_a_ladder_takes_any_number_of_rungs(self):
+        cfg = from_params(BuildConfig, {"lambda_sequence": [0.5, 1, 5.0]}, "model_params")
+        assert cfg.lambda_sequence == (0.5, 1, 5.0) and isinstance(cfg.lambda_sequence, tuple)
 
     def test_plant_coefficients_list_becomes_a_tuple(self):
         p = from_params(PlantParams, {"coefficients": [0.7, 0, 0.01, 0.2]}, "plant_params")
