@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Sequence
@@ -346,21 +347,26 @@ def configure_node(
     return CandidatePool(cand, r, ok_idx.size)
 
 
-def _readout(state: BuildState) -> np.ndarray:
-    """Least-squares readout ``(L, n + K)``, states first, from ``R⁻¹Qᵀt``.
+def _readout(state: BuildState, n: int) -> np.ndarray:
+    """Least-squares readout ``(L, n + K)`` of the first ``n`` nodes,
+    states first, from ``R⁻¹Qᵀt``.
 
-    Design column ``c`` (inputs first) is readout column ``(c − K) mod (K + n)``.
+    The basis is in design-column order (inputs, then nodes), so the
+    vectors of the columns below ``K + n`` factorise that prefix; a column
+    without a vector gets weight zero. Design column ``c`` is readout
+    column ``(c − K) mod (K + n)``.
     """
-    p, k = len(state.basis), state.train.n_inputs
-    w = np.zeros((state.train.n_outputs, k + state.n))
-    w[:, (np.array(state.basis, dtype=int) - k) % (k + state.n)] = (
+    k = state.train.n_inputs
+    p = bisect_left(state.basis, k + n)
+    w = np.zeros((state.train.n_outputs, k + n))
+    w[:, (np.array(state.basis[:p], dtype=int) - k) % (k + n)] = (
         state.r_inv[:p, :p] @ state.qt[:p]).T
     return w
 
 
 def _norms(state: BuildState) -> tuple[float, float]:
     """Post-washout training and validation residual norms of the readout."""
-    n, w_v, w = state.n, state.val.washout, _readout(state)
+    n, w_v, w = state.n, state.val.washout, _readout(state, state.n)
     val_resid = state.val.targets[:, w_v:] - w[:, :n] @ state.val_states[:n, 1 + w_v:]
     val_resid -= w[:, n:] @ state.val.inputs[:, w_v:]
     return float(np.linalg.norm(state.residual)), float(np.linalg.norm(val_resid))
@@ -511,8 +517,10 @@ def build_rscn(
     improved over the last ``n_step + 1`` sizes, growth rolls back
     ``n_step`` nodes and returns. Exhausting every (scale, r) pair stops
     growth as a stall and returns the current model rather than raising.
-    ``history.stop`` names the exit taken. The returned model's readout
-    is solved once, on its own design.
+    ``history.stop`` names the exit taken. When every column of the
+    returned model's design has a basis vector, its readout comes from the
+    kept factorisation (:func:`_readout`); otherwise it is the
+    minimum-norm least-squares solve on that design.
 
     An accepted node's validation states come from the next node's first
     pool recursion, so its history row is recorded, and the early stop
@@ -550,6 +558,10 @@ def build_rscn(
         _settle(state)
         owed_row(*_norms(state))
     n = history.final_size = state.n - (cfg.n_step if history.stop == "early_stop" else 0)
-    x = np.vstack([state.train_states[:n, 1:], train.inputs])[:, train.washout:]
-    w_out = solve_output_weights(x, train.targets[:, train.washout:])
+    n_cols = train.n_inputs + n
+    if bisect_left(state.basis, n_cols) == n_cols:
+        w_out = _readout(state, n)
+    else:  # a column without a basis vector: keep the minimum-norm solution
+        x = np.vstack([state.train_states[:n, 1:], train.inputs])[:, train.washout:]
+        w_out = solve_output_weights(x, train.targets[:, train.washout:])
     return state.network(n, w_out), history

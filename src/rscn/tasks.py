@@ -326,7 +326,7 @@ def load_csv(
         for c in chans:
             if c not in series:
                 raise SchemaError(f"{path}: feature column {c!r} not in schema")
-        lag = int(lag)
+        lag = _integer(lag, f"{path}: the lag of {'+'.join(chans)}")
         if lag < 0:
             raise ContractViolationError("lags must be nonnegative")
         lags.append(lag)
@@ -398,6 +398,13 @@ def _conforms(value, kind) -> bool:
     return isinstance(value, (int, float) if kind is float else kind)
 
 
+def _integer(value, name: str) -> int:
+    """``value`` if it conforms to ``int`` (see ``_conforms``), else ``SchemaError``."""
+    if not _conforms(value, int):
+        raise SchemaError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def from_params(cls, params: dict, source: str):
     """``cls(**params)``, refusing unknown keys and values of the wrong type.
 
@@ -429,9 +436,7 @@ def task_from_manifest(manifest: dict) -> TaskData:
     under a ``"csv"`` key. Unstated noise defaults to 5% of the clean
     test-target standard deviation.
     """
-    kind, seed = manifest.get("task"), manifest.get("seed", 0)
-    if not _conforms(seed, int):
-        raise SchemaError(f"task seed must be an integer, got {seed!r}")
+    kind, seed = manifest.get("task"), _integer(manifest.get("seed", 0), "task seed")
     if kind in ("mg", "mg1", "mg2"):
         params = from_params(MGParams, manifest.get("mg_params", {}), "mg_params")
         return mg_task(_mg_series(params, seed), kind)
@@ -447,13 +452,13 @@ def task_from_manifest(manifest: dict) -> TaskData:
         for key in ("path", "u_columns", "y_column", "n_train", "n_test"):
             if key not in spec:
                 raise SchemaError(f"csv manifest missing {key!r}")
-        washout = int(manifest.get("washout", 0))
+        washout = _integer(manifest.get("washout", 0), "csv task washout")
         lag_spec = spec.get("features")
         seq = load_csv(
             spec["path"], spec["u_columns"], spec["y_column"],
             lag_spec=lag_spec, washout=washout,
         )
-        n_train, n_test = int(spec["n_train"]), int(spec["n_test"])
+        n_train, n_test = (_integer(spec[k], f"csv task {k}") for k in ("n_train", "n_test"))
         if n_train + n_test > seq.n_steps:
             raise SchemaError(
                 f"splits need {n_train + n_test} samples, file has {seq.n_steps}"

@@ -291,7 +291,7 @@ class TestCriterion10StructuralGrowth:
 
             from dataclasses import replace
 
-            model = state.network(state.n, _readout(state))
+            model = state.network(state.n, _readout(state, state.n))
             w_r = model.feedback.copy()
             w_r[:n, n] = 0.3  # old nodes now see the appended one
             general = replace(model, feedback=w_r, structure_tag="general")

@@ -284,7 +284,7 @@ class TestInitNetwork:
         cfg = small_cfg()
         a = init_network(toy_task(), toy_task(seed=1), cfg, np.random.default_rng(3))
         b = init_network(toy_task(), toy_task(seed=1), cfg, np.random.default_rng(3))
-        ma, mb = (s.network(s.n, _readout(s)) for s in (a, b))
+        ma, mb = (s.network(s.n, _readout(s, s.n)) for s in (a, b))
         assert np.array_equal(ma.input_weights, mb.input_weights)
         assert np.array_equal(ma.feedback, mb.feedback)
         assert np.array_equal(ma.readout, mb.readout)
@@ -739,7 +739,7 @@ class TestOldStatePreservation:
         before, state = self.grow_once()
         n = before.shape[0]
         # deliberately general growth: let old nodes see the new node
-        model = state.network(state.n, _readout(state))
+        model = state.network(state.n, _readout(state, state.n))
         w_r = model.feedback.copy()
         w_r[:n, n] = 0.5
         from dataclasses import replace
@@ -780,7 +780,7 @@ class TestStoredSequences:
             _accept_node(state, pool.best)
         assert state.n == cfg.n_init + 4
         _settle(state)  # the last node's validation run is still owed
-        model = state.network(state.n, _readout(state))
+        model = state.network(state.n, _readout(state, state.n))
         for stored, seq in ((state.train_states, task), (state.val_states, val)):
             stored = stored[:state.n, 1:]
             want = run_reservoir(model, seq.inputs)
@@ -927,9 +927,24 @@ class TestFactorisation:
         w = solve_output_weights(ext, task.targets[:, task.washout:])
         np.testing.assert_allclose(model.readout, w, rtol=0, atol=1e-9)
 
+    @pytest.mark.parametrize("task,n_max,stop", [("mg", 120, "cap"), ("plant", 140, "early_stop")])
+    def test_seeded_readout_matches_a_fresh_solve(self, task, n_max, stop):
+        # the factorisation's readout, for the full size and after a rollback
+        data = task_from_manifest({"task": task, "seed": 0})
+        model, hist = build_rscn(data.train, data.val, BuildConfig(n_max=n_max, seed=0))
+        assert hist.stop == stop
+        w_t = data.train.washout
+        ext = run_reservoir(model, data.train.inputs).extended[:, w_t:]
+        w = solve_output_weights(ext, data.train.targets[:, w_t:])
+        assert np.linalg.norm(model.readout - w) <= 1e-9 * np.linalg.norm(w)
+
 
 class TestHotPath:
-    def test_one_solve_and_two_model_constructions_per_build(self, monkeypatch):
+    @pytest.mark.parametrize("make_task,solves", [(toy_task, 0), (duplicated_channel_task, 1)],
+                             ids=["full_rank", "repeated_channel"])
+    def test_solves_and_model_constructions_per_build(self, make_task, solves, monkeypatch):
+        # a full-rank design's readout comes from the kept factorisation; one
+        # with a column outside the basis is solved once, for the minimum norm
         counts = {"solve": 0, "model": 0}
         solve, model_cls = build.solve_output_weights, build.ReservoirModel
 
@@ -943,9 +958,9 @@ class TestHotPath:
 
         monkeypatch.setattr(build, "solve_output_weights", counted_solve)
         monkeypatch.setattr(build, "ReservoirModel", counted_model)
-        model, hist = build_rscn(toy_task(160), toy_task(160, seed=9), small_cfg(n_step=14))
+        model, hist = build_rscn(make_task(160), make_task(160, seed=9), small_cfg(n_step=14))
         assert model.n_nodes == 15 and len(hist.sizes) == 13
-        assert counts["solve"] == 1
+        assert counts["solve"] == solves
         assert counts["model"] <= 2
 
     def test_work_arrays_are_reused_and_never_aliased(self):

@@ -460,6 +460,26 @@ class TestErrorPaths:
         assert run("train", "--manifest", str(path), "--out", str(tmp_path)) == 3
         assert "kind=SchemaError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value,named", [
+        ("n_train", 100.7, "csv task n_train"),
+        ("washout", 5.9, "csv task washout"),
+        ("n_train", True, "csv task n_train"),
+        ("features", [["u1", 0.5]], "the lag of u1"),
+    ], ids=["n_train=100.7", "washout=5.9", "n_train=true", "lag=0.5"])
+    def test_csv_task_integer_that_is_not_an_integer_is_a_schema_error(
+            self, tmp_path, fast_manifest, capsys, key, value, named):
+        # int() would truncate each of these and train on the wrong split or lag
+        doc = load_manifest(fast_manifest)
+        (doc["task"] if key == "washout" else doc["task"]["csv"])[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert run("train", "--manifest", str(path), "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert "kind=SchemaError" in err and f"{named} must be an integer" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("task,section", [("mg", "mg_params"),
                                               ("plant", "plant_params")])
     def test_unknown_generator_params_key_is_a_schema_error(self, tmp_path, capsys,

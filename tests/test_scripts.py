@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -23,6 +24,26 @@ def test_online_convergence_writes_one_gap_row_per_stream_step(tmp_path):
         lines = (out / name).read_text().splitlines()
         assert lines[0] == "step,weight_gap"
         assert len(lines) - 1 == n_stream
+
+
+def test_output_digest_repeats_in_one_process(tmp_path):
+    # the second pass finds the series cache filled, and the blanking must
+    # hide each pass's own output directory and timings
+    spec = importlib.util.spec_from_file_location(
+        "output_digest", os.path.join(SCRIPTS, "output_digest.py"))
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    labels = {"gen_mg", "train_mg_rscn_s0", "train_plant_scr_s0", "eval_mg",
+              "online_basic", "online_deadzone", "esp_check"}
+    commands = [c for c in digest.COMMANDS if c[0] in labels]
+    commands.append(("bench", ["bench", "--tasks", "mg", "--trials", "1",
+                               "--models", "esn", "rscn", "--out", "{out}/bench"]))
+    runs = []
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        runs.append(digest.digest(commands, str(tmp_path / name)))
+    assert runs[0] == runs[1]
+    assert len(runs[0]["files"]) == 19 and "bench/report_mg.txt" in runs[0]["files"]
 
 
 def test_readme_library_block_runs_as_written(capsys):
