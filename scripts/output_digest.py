@@ -32,6 +32,7 @@ from rscn.cli import cmd_dispatch  # noqa: E402
 
 TASKS = ("mg", "mg2", "plant")
 MG_MODEL = "{out}/train_s0/mg_rscn.model.json"
+CSV_TASK = "csv:{out}/gen/plant_train.csv"  # a file gen_plant writes
 
 
 def _commands() -> list[tuple[str, list[str]]]:
@@ -51,6 +52,16 @@ def _commands() -> list[tuple[str, list[str]]]:
     runs.append(("esp_check", ["esp-check", "--seed", "0", "--model-file", MG_MODEL]))
     runs.append(("bench", ["bench", "--tasks", *TASKS, "--trials", "2", "--seed", "0",
                            "--out", "{out}/bench"]))
+    csv_model = "{out}/train_csv/plant_train_rscn.model.json"
+    runs += [(f"train_csv_{m}", ["train", "--task", CSV_TASK, "--model", m, "--seed", "0",
+                                 "--out", "{out}/train_csv"]) for m in ("rscn", "esn")]
+    runs.append(("eval_csv", ["eval", "--task", CSV_TASK, "--seed", "0",
+                              "--model-file", csv_model]))
+    runs.append(("online_csv", ["online", "--task", CSV_TASK, "--seed", "0", "--mode",
+                                "deadzone", "--phi", "0.01", "--model-file", csv_model,
+                                "--out", "{out}/online"]))
+    runs.append(("bench_csv", ["bench", "--tasks", CSV_TASK, "--trials", "2", "--seed", "0",
+                               "--out", "{out}/bench"]))
     return runs
 
 

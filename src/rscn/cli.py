@@ -9,7 +9,6 @@ manifest, with flags taking precedence over manifest values. Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv as _csv
 import json
 import os
 import sys
@@ -55,6 +54,7 @@ ESN_SIZES = {"mg": 98, "mg1": 124, "mg2": 135, "plant": 157}
 SCR_SIZES = {"mg": 79, "mg1": 103, "mg2": 111, "plant": 136}
 RSCN_N_MAX = {"mg": 120, "mg1": 120, "mg2": 140, "plant": 140}
 SCR_RING_GRID = (0.25, 0.5, 0.75, 0.9)
+SPLITS = ("train", "val", "test")
 
 ONLINE_MODES = {
     "basic": MODE_BASIC,
@@ -68,33 +68,7 @@ def _resolve_task_manifest(task_arg: str, seed: int) -> dict:
     if task_arg in GENERATOR_TASKS:
         return {"task": task_arg, "seed": seed}
     if task_arg.startswith("csv:"):
-        path = task_arg[len("csv:"):]
-        with open(path, newline="") as fh:
-            reader = _csv.reader(fh)
-            try:
-                header = [h.strip() for h in next(reader)]
-            except StopIteration:
-                raise SchemaError(f"{path}: empty file") from None
-            n_rows = sum(1 for row in reader if any(cell.strip() for cell in row))
-        if len(header) < 2:
-            raise SchemaError(f"{path}: need at least one input column and a target")
-        n_train = int(0.7 * n_rows)
-        n_test = n_rows - n_train
-        if n_train < 2 or n_test < 2:
-            raise SchemaError(f"{path}: too few rows ({n_rows}) to split")
-        washout = min(20, max(0, n_train // 10))
-        return {
-            "task": "csv",
-            "seed": seed,
-            "washout": washout,
-            "csv": {
-                "path": path,
-                "u_columns": header[:-1],
-                "y_column": header[-1],
-                "n_train": n_train,
-                "n_test": n_test,
-            },
-        }
+        return {"task": "csv", "seed": seed, "csv": {"path": task_arg[len("csv:"):]}}
     raise SchemaError(f"unknown task {task_arg!r}")
 
 
@@ -184,6 +158,13 @@ def _effective_task(args, run_manifest: dict, seed: int) -> dict:
     return _resolve_task_manifest(str(task), seed)
 
 
+def _split(args, run_manifest: dict) -> str:
+    split = _merged(args, run_manifest, "split", "test")
+    if split not in SPLITS:
+        raise SchemaError(f"'split' must be one of {', '.join(SPLITS)}, got {split!r}")
+    return split
+
+
 def _load_model_file(args, run_manifest: dict, command: str):
     model_file = _merged(args, run_manifest, "model_file", None)
     if model_file is None:
@@ -241,8 +222,8 @@ def cmd_train(args, run_manifest: dict, seed: int) -> int:
 
 def cmd_eval(args, run_manifest: dict, seed: int) -> int:
     model = _load_model_file(args, run_manifest, "eval")
+    split = _split(args, run_manifest)
     task = task_from_manifest(_effective_task(args, run_manifest, seed))
-    split = args.split or "test"
     value = evaluate_model(model, getattr(task, split))
     print(f"task={task.name} split={split} nrmse={value!r}")
     return 0
@@ -250,8 +231,8 @@ def cmd_eval(args, run_manifest: dict, seed: int) -> int:
 
 def cmd_online(args, run_manifest: dict, seed: int) -> int:
     model = _load_model_file(args, run_manifest, "online")
+    split = _split(args, run_manifest)
     task = task_from_manifest(_effective_task(args, run_manifest, seed))
-    split = args.split or "test"
     stream = getattr(task, split)
     online_section = _section(run_manifest, "online", dict, {})
     mode_arg = _merged(args, online_section, "mode", "basic")
@@ -362,12 +343,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="score a model file on a task split")
     common(p_eval, model_file=True)
-    p_eval.add_argument("--split", default=None, choices=["train", "val", "test"])
+    p_eval.add_argument("--split", default=None, choices=SPLITS)
     p_eval.set_defaults(func=cmd_eval)
 
     p_online = sub.add_parser("online", help="adapt the readout over a stream")
     common(p_online, model_file=True)
-    p_online.add_argument("--split", default=None, choices=["train", "val", "test"])
+    p_online.add_argument("--split", default=None, choices=SPLITS)
     p_online.add_argument("--mode", default=None, choices=list(ONLINE_MODES))
     p_online.add_argument("--a", type=float, default=None)
     p_online.add_argument("--c", type=float, default=None)

@@ -101,6 +101,8 @@ class MGParams:
             raise ContractViolationError("tau must be at least 1")
         if self.dt <= 0:
             raise ContractViolationError("dt must be positive")
+        if not -np.inf < self.init_range[0] <= self.init_range[1] < np.inf:
+            raise ContractViolationError("init_range must be finite with low <= high")
 
 
 def mackey_glass(p: MGParams, rng: np.random.Generator) -> np.ndarray:
@@ -202,6 +204,10 @@ class PlantParams:
     n_test: int = 1000
     washout: int = 100
 
+    def __post_init__(self):
+        if not 0 <= self.washout < min(self.n_train, self.n_val, self.n_test):
+            raise ContractViolationError("the washout must be nonnegative and below each split")
+
 
 def plant_response(u: np.ndarray, p: PlantParams = PlantParams()) -> np.ndarray:
     """Plant output ``y(1..n+1)`` driven by ``u(1..n)``.
@@ -275,27 +281,32 @@ LagSpec = Sequence[tuple]
 
 def load_csv(
     path: str,
-    u_columns: Sequence[str],
-    y_column: str,
+    u_columns: Sequence[str] | None = None,
+    y_column: str | None = None,
     lag_spec: LagSpec | None = None,
-    washout: int = 0,
 ) -> SupervisedSequence:
-    """Build a supervised sequence from a headed CSV file.
+    """Build a supervised sequence from a CSV file whose header has two or more columns.
 
-    ``lag_spec`` lists the input features as ``(column, lag)`` pairs; a
-    tuple of columns means their mean at that lag. The default uses every
-    ``u`` column at lag zero. The target is ``y_column`` at lag zero, and
-    the leading rows lacking any lagged value are dropped.
+    ``y_column`` defaults to the last column and ``u_columns`` to the rest.
+    ``lag_spec`` lists one or more input features as ``(column, lag)``
+    pairs; a tuple of columns means their mean at that lag. The default
+    uses every ``u`` column at lag zero. The target is ``y_column`` at lag
+    zero. Blank rows and the leading rows lacking a lagged value are dropped.
     """
-    if lag_spec is None:
-        lag_spec = [(c, 0) for c in u_columns]
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise SchemaError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
+        if len(header) < 2:
+            raise SchemaError(f"{path}: need at least one input column and a target")
+        u_columns = header[:-1] if u_columns is None else u_columns
+        y_column = header[-1] if y_column is None else y_column
+        if lag_spec is None:
+            lag_spec = [(c, 0) for c in u_columns]
+        if not lag_spec:
+            raise SchemaError(f"{path}: no input feature")
         needed = list(dict.fromkeys(list(u_columns) + [y_column]))
         missing = [c for c in needed if c not in header]
         if missing:
@@ -303,7 +314,7 @@ def load_csv(
         col_idx = {c: header.index(c) for c in needed}
         columns: dict[str, list[float]] = {c: [] for c in needed}
         for line_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
+            if not any(cell.strip() for cell in row):
                 continue
             for c, i in col_idx.items():
                 if i >= len(row):
@@ -319,7 +330,6 @@ def load_csv(
     n_rows = len(series[y_column])
 
     feats = []
-    lags = []
     for chans, lag in lag_spec:
         if isinstance(chans, str):
             chans = (chans,)
@@ -329,17 +339,16 @@ def load_csv(
         lag = _integer(lag, f"{path}: the lag of {'+'.join(chans)}")
         if lag < 0:
             raise ContractViolationError("lags must be nonnegative")
-        lags.append(lag)
         feats.append((tuple(chans), lag))
-    max_lag = max(lags, default=0)
+    max_lag = max(lag for _, lag in feats)
     if n_rows <= max_lag:
-        raise ContractViolationError("file shorter than the largest lag")
+        raise SchemaError(f"{path}: too few rows ({n_rows}) for a lag of {max_lag}")
     t = np.arange(max_lag, n_rows)
     inputs = np.stack(
         [np.mean([series[c][t - lag] for c in chans], axis=0) for chans, lag in feats]
     )
     targets = series[y_column][t][None, :]
-    return SupervisedSequence(inputs, targets, washout=washout)
+    return SupervisedSequence(inputs, targets)
 
 
 def write_sequence_csv(seq: SupervisedSequence, path: str) -> None:
@@ -431,10 +440,12 @@ def from_params(cls, params: dict, source: str):
 def task_from_manifest(manifest: dict) -> TaskData:
     """Materialise the task a manifest describes.
 
-    Generator tasks need only ``{"task", "seed"}``; CSV tasks carry the
-    file, schema, feature map, split sizes and validation-noise level
-    under a ``"csv"`` key. Unstated noise defaults to 5% of the clean
-    test-target standard deviation.
+    Generator tasks need only ``{"task", "seed"}``. CSV tasks need only a
+    ``"csv"`` section naming the ``path``; it may also give ``load_csv``'s
+    columns and ``features``, the split sizes and the validation-noise
+    level. Of ``n`` steps, ``n_train`` defaults to ``int(0.7 * n)``,
+    ``n_test`` to the rest and ``washout`` to ``min(20, n_train // 10)``;
+    unstated noise to 5% of the clean test-target standard deviation.
     """
     kind, seed = manifest.get("task"), _integer(manifest.get("seed", 0), "task seed")
     if kind in ("mg", "mg1", "mg2"):
@@ -447,29 +458,25 @@ def task_from_manifest(manifest: dict) -> TaskData:
         return plant_task(params, substream(seed, "task"))
     if kind == "csv":
         spec = manifest.get("csv")
-        if not isinstance(spec, dict):
-            raise SchemaError("csv task manifest needs a 'csv' section")
-        for key in ("path", "u_columns", "y_column", "n_train", "n_test"):
-            if key not in spec:
-                raise SchemaError(f"csv manifest missing {key!r}")
-        washout = _integer(manifest.get("washout", 0), "csv task washout")
-        lag_spec = spec.get("features")
-        seq = load_csv(
-            spec["path"], spec["u_columns"], spec["y_column"],
-            lag_spec=lag_spec, washout=washout,
-        )
-        n_train, n_test = (_integer(spec[k], f"csv task {k}") for k in ("n_train", "n_test"))
-        if n_train + n_test > seq.n_steps:
-            raise SchemaError(
-                f"splits need {n_train + n_test} samples, file has {seq.n_steps}"
-            )
+        if not isinstance(spec, dict) or not isinstance(spec.get("path"), str):
+            raise SchemaError("csv task manifest needs a 'csv' section with a string 'path'")
+        path = spec["path"]
+        seq = load_csv(path, spec.get("u_columns"), spec.get("y_column"), spec.get("features"))
+        n = seq.n_steps
+        n_train = _integer(spec.get("n_train", int(0.7 * n)), "csv task n_train")
+        n_test = _integer(spec.get("n_test", n - n_train), "csv task n_test")
+        washout = _integer(manifest.get("washout", min(20, n_train // 10)), "csv task washout")
+        if n_train + n_test > n:
+            raise SchemaError(f"splits need {n_train + n_test} samples, file has {n}")
+        if min(n_train, n_test) < 2:
+            raise SchemaError(f"{path}: too few rows ({n}) to split")
         train = slice_sequence(seq, 0, n_train, washout)
         test = slice_sequence(seq, n_train, n_train + n_test, washout)
         sigma = spec.get("val_noise_sigma")
         if sigma is None:
             sigma = 0.05 * float(np.std(test.targets))
         val = add_gaussian_noise(test, float(sigma), substream(seed, "noise"))
-        name = os.path.splitext(os.path.basename(spec["path"]))[0]
+        name = os.path.splitext(os.path.basename(path))[0]
         return TaskData(name=name, train=train, val=val, test=test)
     raise SchemaError(f"unknown task kind {kind!r}")
 

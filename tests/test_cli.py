@@ -56,6 +56,16 @@ def fast_manifest(tmp_path, toy_csv):
     return str(path)
 
 
+def _tiny_model_file(tmp_path):
+    """A two-node model of one input and one output, written to ``tmp_path``."""
+    path = tmp_path / "tiny.model.json"
+    path.write_text(json.dumps(model_to_dict(ReservoirModel(
+        input_weights=np.ones((2, 1)), feedback=np.zeros((2, 2)),
+        biases=np.zeros(2), readout=np.zeros((1, 3)),
+    ))))
+    return str(path)
+
+
 class TestGen:
     def test_variant_flag_controls_input_columns(self, tmp_path):
         out = tmp_path / "gen"
@@ -298,14 +308,10 @@ class TestErrorPaths:
         assert "kind=IsADirectoryError" in capsys.readouterr().err
 
     def test_constant_target_exits_4(self, tmp_path, capsys):
-        model_file = tmp_path / "tiny.model.json"
-        model_file.write_text(json.dumps(model_to_dict(ReservoirModel(
-            input_weights=np.ones((2, 1)), feedback=np.zeros((2, 2)),
-            biases=np.zeros(2), readout=np.zeros((1, 3)),
-        ))))
+        model_file = _tiny_model_file(tmp_path)
         const = tmp_path / "const.csv"
         const.write_text("u1,y\n" + "".join(f"{0.01 * i!r},1.0\n" for i in range(60)))
-        assert run("eval", "--model-file", str(model_file), "--task", f"csv:{const}") == 4
+        assert run("eval", "--model-file", model_file, "--task", f"csv:{const}") == 4
         assert "kind=MetricUndefinedError" in capsys.readouterr().err
 
     @pytest.mark.parametrize("n_step", [-1, 0])
@@ -451,10 +457,15 @@ class TestErrorPaths:
         assert "Traceback" not in err
         assert not out.exists()
 
-    def test_csv_task_without_csv_section_is_a_schema_error(self, tmp_path,
-                                                             fast_manifest, capsys):
+    @pytest.mark.parametrize("csv_path", [None, 0], ids=["no section", "descriptor path"])
+    def test_csv_task_without_a_path_is_a_schema_error(self, tmp_path, fast_manifest, capsys,
+                                                       csv_path):
+        # an integer path would be opened as that file descriptor: 0 reads stdin
         doc = load_manifest(fast_manifest)
-        del doc["task"]["csv"]
+        if csv_path is None:
+            del doc["task"]["csv"]
+        else:
+            doc["task"]["csv"]["path"] = csv_path
         path = tmp_path / "nocsv.json"
         path.write_text(json.dumps(doc))
         assert run("train", "--manifest", str(path), "--out", str(tmp_path)) == 3
@@ -530,12 +541,8 @@ class TestErrorPaths:
     ])
     def test_wrongly_typed_run_manifest_scalar_is_a_schema_error(self, tmp_path, capsys,
                                                                   command, section, key):
-        model_file = tmp_path / "tiny.model.json"
-        model_file.write_text(json.dumps(model_to_dict(ReservoirModel(
-            input_weights=np.ones((2, 1)), feedback=np.zeros((2, 2)),
-            biases=np.zeros(2), readout=np.zeros((1, 3)),
-        ))))
-        doc = {"task": "mg", "model_file": str(model_file), "tasks": ["mg"]}
+        model_file = _tiny_model_file(tmp_path)
+        doc = {"task": "mg", "model_file": model_file, "tasks": ["mg"]}
         if section is None:
             doc[key] = "abc"
         else:
@@ -554,17 +561,82 @@ class TestErrorPaths:
     ])
     def test_run_manifest_section_of_the_wrong_type_is_a_schema_error(
             self, tmp_path, capsys, command, key, value):
-        model_file = tmp_path / "tiny.model.json"
-        model_file.write_text(json.dumps(model_to_dict(ReservoirModel(
-            input_weights=np.ones((2, 1)), feedback=np.zeros((2, 2)),
-            biases=np.zeros(2), readout=np.zeros((1, 3)),
-        ))))
+        model_file = _tiny_model_file(tmp_path)
         path = tmp_path / "run.json"
-        path.write_text(json.dumps({"task": "mg", "model_file": str(model_file), key: value}))
+        path.write_text(json.dumps({"task": "mg", "model_file": model_file, key: value}))
         out = tmp_path / "out"
         assert run(command, "--manifest", str(path), "--out", str(out)) == 3
         err = capsys.readouterr().err
         assert "kind=SchemaError" in err and repr(key) in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "online"])
+    def test_run_manifest_split_is_the_split_scored(self, tmp_path, fast_manifest, capsys,
+                                                    command):
+        doc = load_manifest(fast_manifest)
+        doc.update(split="train", model_file=_tiny_model_file(tmp_path))
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(doc))
+        assert run(command, "--manifest", str(path), "--out", str(tmp_path)) == 0
+        line = capsys.readouterr().out.strip().splitlines()[-1]
+        # the manifest's task trains on 100 steps and tests on 39
+        assert ("split=train" in line) if command == "eval" else ("steps=100" in line)
+
+    @pytest.mark.parametrize("command", ["eval", "online"])
+    def test_run_manifest_split_outside_the_three_is_a_schema_error(self, tmp_path, capsys,
+                                                                    command):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"task": "mg", "split": "bogus",
+                                    "model_file": _tiny_model_file(tmp_path)}))
+        out = tmp_path / "out"
+        assert run(command, "--manifest", str(path), "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert "kind=SchemaError" in err and "'split'" in err and "bogus" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("task,params", [
+        ("plant", {"n_train": -5}),
+        ("plant", {"n_val": -5}),
+        ("mg", {"init_range": [1.3, 0.1]}),
+    ], ids=["plant n_train=-5", "plant n_val=-5", "mg init_range reversed"])
+    def test_malformed_generator_params_exit_3(self, tmp_path, capsys, task, params):
+        path = tmp_path / "gen.json"
+        path.write_text(json.dumps({"task": {"task": task, f"{task}_params": params}}))
+        out = tmp_path / "out"
+        assert run("gen", "--manifest", str(path), "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert "kind=ContractViolationError" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text,named", [
+        ("u1,y\n0.1,1.0\n0.2,2.0\n0.3,0.5\n", "too few rows (3) to split"),
+        ("u1,y\n", "too few rows (0)"),
+        ("y\n" + "".join(f"{i}.0\n" for i in range(40)), "need at least one input column"),
+        ("\nu1,y\n" + "".join(f"{i}.0,{i % 3}.0\n" for i in range(40)),
+         "need at least one input column"),
+    ], ids=["three rows", "header only", "one-column header", "blank first line"])
+    def test_csv_flag_file_that_cannot_make_a_task_is_a_schema_error(self, tmp_path, capsys,
+                                                                      text, named):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert run("train", "--task", f"csv:{path}", "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert "kind=SchemaError" in err and named in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_csv_manifest_with_no_input_column_is_a_schema_error(self, tmp_path,
+                                                                 fast_manifest, capsys):
+        doc = load_manifest(fast_manifest)
+        doc["task"]["csv"]["u_columns"] = []
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert run("train", "--manifest", str(path), "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert "kind=SchemaError" in err and "no input feature" in err
         assert "Traceback" not in err
         assert not out.exists()
 

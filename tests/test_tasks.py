@@ -193,7 +193,7 @@ class TestLoadCsv:
         )
         path = tmp_path / "seq.csv"
         write_sequence_csv(seq, str(path))
-        back = load_csv(str(path), ["u1", "u2", "u3"], "y", washout=4)
+        back = load_csv(str(path), ["u1", "u2", "u3"], "y")
         assert np.array_equal(back.inputs, seq.inputs)
         assert np.array_equal(back.targets, seq.targets)
 
@@ -228,6 +228,12 @@ class TestLoadCsv:
         _write_csv(path, header, rng.normal(size=(50, 5)).tolist())
         seq = load_csv(str(path), header[:-1], "y", lag_spec=POWER_LOAD_FEATURES)
         assert seq.n_inputs == 5
+
+    def test_empty_feature_map_is_schema_error(self, tmp_path):
+        path = tmp_path / "seq.csv"
+        _write_csv(path, ["u1", "y"], [[1.0, 2.0], [3.0, 4.0]])
+        with pytest.raises(SchemaError, match="no input feature"):
+            load_csv(str(path), lag_spec=[])
 
     def test_missing_column_is_schema_error(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -304,6 +310,23 @@ class TestManifests:
         # validation = test inputs with perturbed targets
         assert np.array_equal(task.val.inputs, task.test.inputs)
         assert not np.array_equal(task.val.targets, task.test.targets)
+
+    @pytest.mark.parametrize("n_rows", [117, 400])
+    def test_path_only_csv_manifest_fills_in_the_split_rule(self, tmp_path, n_rows):
+        rng = np.random.default_rng(n_rows)
+        path = tmp_path / "load.csv"
+        rows = [",".join(repr(v) for v in row) for row in rng.normal(size=(n_rows, 3)).tolist()]
+        rows.insert(n_rows // 2, " , ,")  # a blank row counts for nothing
+        path.write_text("u1,u2,y\n" + "\n".join(rows) + "\n\n")
+        n_train = int(0.7 * n_rows)
+        explicit = {
+            "task": "csv", "seed": 4, "washout": min(20, n_train // 10),
+            "csv": {"path": str(path), "u_columns": ["u1", "u2"], "y_column": "y",
+                    "n_train": n_train, "n_test": n_rows - n_train},
+        }
+        task = task_from_manifest({"task": "csv", "seed": 4, "csv": {"path": str(path)}})
+        assert_tasks_bitwise_equal(task, task_from_manifest(explicit))
+        assert task.name == "load" and task.train.washout == min(20, n_train // 10)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(SchemaError):
