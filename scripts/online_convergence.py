@@ -19,7 +19,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from rscn.build import BuildConfig, build_rscn  # noqa: E402
 from rscn.cli import RSCN_N_MAX  # noqa: E402
-from rscn.model import atomic_write_text  # noqa: E402
+from rscn.model import atomic_write_text, csv_text  # noqa: E402
 from rscn.online import OnlineConfig, online_run  # noqa: E402
 from rscn.tasks import SupervisedSequence, task_from_manifest  # noqa: E402
 
@@ -62,10 +62,8 @@ def main() -> int:
     for label, online_cfg in runs.items():
         _, state = online_run(cold, stream, online_cfg, w_ref=w_ref)
         gaps = state.weight_gap_series()
-        lines = ["step,weight_gap"]
-        lines += [f"{i + 1},{float(v)!r}" for i, v in enumerate(gaps)]
         path = os.path.join(args.out, f"gap_{args.task}_{label}.csv")
-        atomic_write_text(path, "\n".join(lines) + "\n")
+        atomic_write_text(path, csv_text(["step", "weight_gap"], [range(1, gaps.size + 1), gaps]))
         print(
             f"{label:10s} gap {gaps[0]:.4f} -> {gaps[-1]:.4f} "
             f"({len(gaps)} steps) -> {path}"

@@ -26,6 +26,7 @@ from .model import (
     ReservoirModel,
     _chunked_recursion,
     _work,
+    csv_text,
     run_reservoir,
 )
 from .seeding import substream
@@ -72,6 +73,8 @@ class BuildConfig:
             raise ContractViolationError("n_step must lie in [1, n_max)")
         if self.n_init < 1 or self.g_max < 0:
             raise ContractViolationError("n_init must be positive, g_max nonnegative")
+        if self.n_init > self.n_max:
+            raise ContractViolationError("n_init must not exceed n_max")
         for name in ("lambda_sequence", "r_sequence"):
             if not getattr(self, name):
                 raise ContractViolationError(f"{name} must not be empty")
@@ -149,14 +152,11 @@ class BuildHistory:
         self.pool_total.append(total)
 
     def to_csv(self) -> str:
-        lines = ["size,lambda,r,xi_best,train_norm,val_norm,pool_accepted,pool_total"]
-        for i in range(len(self.sizes)):
-            lines.append(
-                f"{self.sizes[i]},{self.lambdas[i]!r},{self.rs[i]!r},"
-                f"{self.xi_best[i]!r},{self.train_norms[i]!r},"
-                f"{self.val_norms[i]!r},{self.pool_accepted[i]},{self.pool_total[i]}"
-            )
-        return "\n".join(lines) + "\n"
+        return csv_text(
+            "size,lambda,r,xi_best,train_norm,val_norm,pool_accepted,pool_total".split(","),
+            [self.sizes, self.lambdas, self.rs, self.xi_best, self.train_norms,
+             self.val_norms, self.pool_accepted, self.pool_total],
+        )
 
 
 @dataclass
@@ -439,7 +439,7 @@ def init_network(
         # an all-zero sparse draw is routine at 3% density; the no-op is fine
         warnings.simplefilter("ignore")
         model = scale_feedback(model, cfg.esp_alpha)
-    cap, w_t = max(cfg.n_max, n0), train.washout
+    cap, w_t = cfg.n_max, train.washout
     state = BuildState(
         cfg=cfg, train=train, val=val, n=n0,
         input_weights=np.zeros((cap, k)), feedback=np.zeros((cap, cap)), biases=np.zeros(cap),
@@ -517,10 +517,9 @@ def build_rscn(
     improved over the last ``n_step + 1`` sizes, growth rolls back
     ``n_step`` nodes and returns. Exhausting every (scale, r) pair stops
     growth as a stall and returns the current model rather than raising.
-    ``history.stop`` names the exit taken. When every column of the
-    returned model's design has a basis vector, its readout comes from the
-    kept factorisation (:func:`_readout`); otherwise it is the
-    minimum-norm least-squares solve on that design.
+    ``history.stop`` names the exit taken. The returned model's readout
+    comes from the kept factorisation (:func:`_readout`), the same one
+    behind every recorded norm.
 
     An accepted node's validation states come from the next node's first
     pool recursion, so its history row is recorded, and the early stop
@@ -558,10 +557,4 @@ def build_rscn(
         _settle(state)
         owed_row(*_norms(state))
     n = history.final_size = state.n - (cfg.n_step if history.stop == "early_stop" else 0)
-    n_cols = train.n_inputs + n
-    if bisect_left(state.basis, n_cols) == n_cols:
-        w_out = _readout(state, n)
-    else:  # a column without a basis vector: keep the minimum-norm solution
-        x = np.vstack([state.train_states[:n, 1:], train.inputs])[:, train.washout:]
-        w_out = solve_output_weights(x, train.targets[:, train.washout:])
-    return state.network(n, w_out), history
+    return state.network(n, _readout(state, n)), history

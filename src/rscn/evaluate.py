@@ -13,7 +13,7 @@ import numpy as np
 from .baselines import BaselineConfig, build_baseline
 from .build import BuildConfig, build_rscn
 from .errors import ContractViolationError, MetricUndefinedError
-from .model import ReservoirModel, readout, run_reservoir
+from .model import ReservoirModel, csv_text, readout, run_reservoir
 from .tasks import SupervisedSequence, TaskData, task_from_manifest
 
 
@@ -234,9 +234,7 @@ def emit_report(reports: Sequence[TrialReport], fmt: str = "text") -> str:
         for r in reports
     ]
     if fmt == "csv":
-        lines = [",".join(REPORT_COLUMNS)]
-        lines += [",".join(row) for row in rows]
-        return "\n".join(lines) + "\n"
+        return csv_text(REPORT_COLUMNS, list(zip(*rows)))
     if fmt == "text":
         widths = [
             max(len(REPORT_COLUMNS[j]), *(len(row[j]) for row in rows))

@@ -11,6 +11,7 @@ import os
 import tempfile
 import weakref
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -358,6 +359,11 @@ def model_to_dict(model: ReservoirModel) -> dict:
 
 
 def model_from_dict(doc: dict) -> ReservoirModel:
+    """The model a :func:`model_to_dict` document describes; a malformed
+    document raises :class:`SchemaError` naming the field at fault.
+    """
+    if not isinstance(doc, dict):
+        raise SchemaError(f"model document must be an object, not {type(doc).__name__}")
     if doc.get("version") != SERIALIZATION_VERSION:
         raise ContractViolationError(
             f"unsupported model document version {doc.get('version')!r}"
@@ -365,17 +371,24 @@ def model_from_dict(doc: dict) -> ReservoirModel:
     try:
         if doc["activation"] != TANH:
             raise SchemaError(f"model document has activation {doc['activation']!r}, not {TANH!r}")
+        for name in ("n_nodes", "n_inputs", "n_outputs", "initial_block_size"):
+            if type(doc[name]) is not int or doc[name] < 0:
+                raise SchemaError(f"model field {name!r} must be a nonnegative int, "
+                                  f"got {doc[name]!r}")
+        n, k = doc["n_nodes"], doc["n_inputs"]
+
+        def array(name, *shape):
+            try:
+                return np.array(doc[name], dtype=float).reshape(shape)
+            except (TypeError, ValueError) as err:
+                raise SchemaError(f"model field {name!r} is not a {shape} array "
+                                  f"of numbers: {err}") from None
+
         return ReservoirModel(
-            input_weights=np.array(doc["input_weights"], dtype=float).reshape(
-                doc["n_nodes"], doc["n_inputs"]
-            ),
-            feedback=np.array(doc["feedback"], dtype=float).reshape(
-                doc["n_nodes"], doc["n_nodes"]
-            ),
-            biases=np.array(doc["biases"], dtype=float),
-            readout=np.array(doc["readout"], dtype=float).reshape(
-                doc["n_outputs"], doc["n_nodes"] + doc["n_inputs"]
-            ),
+            input_weights=array("input_weights", n, k),
+            feedback=array("feedback", n, n),
+            biases=array("biases", n),
+            readout=array("readout", doc["n_outputs"], n + k),
             structure_tag=doc["structure_tag"],
             initial_block_size=doc["initial_block_size"],
         )
@@ -395,6 +408,19 @@ def atomic_write_text(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def csv_text(header: Sequence[str], columns: Sequence) -> str:
+    """The header line, then one comma-joined line per row, newline-ended.
+
+    A column of ``str`` cells is written as given, any other by ``repr``
+    of its Python values (an array's through ``tolist()``).
+    """
+    cells = []
+    for col in columns:
+        col = col.tolist() if isinstance(col, np.ndarray) else col
+        cells.append(col if col and isinstance(col[0], str) else map(repr, col))
+    return "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
 
 
 def save_model(model: ReservoirModel, path: str) -> None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError
-from .model import ReservoirModel, run_reservoir
+from .model import ReservoirModel, csv_text, run_reservoir
 from .tasks import SupervisedSequence
 
 MODE_BASIC = "basic"
@@ -283,11 +283,7 @@ def diagnostics_csv(
     header = ["n", *(f"target_{q + 1}" for q in range(ell))]
     header += [f"prediction_{q + 1}" for q in range(ell)]
     header += ["prior_err_norm", "posterior_err_norm", "eta", "weight_gap"]
-    columns = [map(str, range(1, n + 1))]
-    columns += [map(repr, row.tolist()) for row in (*stream.targets[:, :n], *preds[:, :n])]
-    columns += [map(repr, np.sqrt(_row_dots(e)).tolist())
-                for e in (state.prior_errors, state.posterior_errors)]
-    columns.append(map(repr, state.etas.tolist()))
-    columns.append("" if v != v else repr(v) for v in state.weight_gap_series().tolist())  # NaN: no w_ref
-    lines = [",".join(header)] + [",".join(cells) for cells in zip(*columns)]
-    return "\n".join(lines) + "\n"
+    errors = [np.sqrt(_row_dots(e)) for e in (state.prior_errors, state.posterior_errors)]
+    gaps = ["" if v != v else repr(v) for v in state.weight_gap_series().tolist()]  # NaN: no w_ref
+    return csv_text(header, [range(1, n + 1), *stream.targets[:, :n], *preds[:, :n],
+                             *errors, state.etas, gaps])

@@ -17,7 +17,7 @@ from typing import Sequence, get_args, get_origin, get_type_hints
 import numpy as np
 
 from .errors import ContractViolationError, CsvParseError, SchemaError
-from .model import _frozen, atomic_write_text
+from .model import _frozen, atomic_write_text, csv_text
 from .seeding import substream
 
 
@@ -356,12 +356,7 @@ def write_sequence_csv(seq: SupervisedSequence, path: str) -> None:
     k, ell = seq.n_inputs, seq.n_outputs
     u_names = [f"u{i + 1}" for i in range(k)]
     y_names = ["y"] if ell == 1 else [f"y{i + 1}" for i in range(ell)]
-    lines = [",".join(u_names + y_names)]
-    for t in range(seq.n_steps):
-        cells = [repr(float(v)) for v in seq.inputs[:, t]]
-        cells += [repr(float(v)) for v in seq.targets[:, t]]
-        lines.append(",".join(cells))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_text(path, csv_text(u_names + y_names, [*seq.inputs, *seq.targets]))
 
 
 def add_gaussian_noise(

@@ -628,6 +628,14 @@ class TestBuildConfig:
         with pytest.raises(ContractViolationError, match=ladder):
             small_cfg(**{ladder: ()})
 
+    def test_n_init_above_n_max_rejected(self):
+        with pytest.raises(ContractViolationError, match="n_init"):
+            BuildConfig(n_init=8, n_max=3, n_step=1)
+
+    def test_n_init_at_n_max_builds_the_initial_block(self):
+        model, hist = build_rscn(toy_task(), toy_task(seed=1), small_cfg(n_init=15))
+        assert model.n_nodes == 15 and hist.stop == "cap"
+
 
 class TestBuildRscn:
     def test_empty_pools_stall_at_initial_size(self):
@@ -921,11 +929,24 @@ class TestFactorisation:
         cfg = small_cfg(n_max=12, n_step=11)
         state = init_network(task, val, cfg, np.random.default_rng(0))
         assert len(state.basis) == state.n + task.n_inputs - 1
+        calls = []
+
+        def kept(state, n):
+            calls.append((state, n))
+            return _readout(state, n)
+
+        monkeypatch.setattr(build, "_readout", kept)
         model, hist = build_rscn(task, val, cfg)
-        assert sizes[-1] == model.n_nodes == cfg.n_max
+        state, n = calls[-1]
+        assert sizes[-1] == n == model.n_nodes == cfg.n_max
+        np.testing.assert_array_equal(model.readout, _readout(state, n))
+        # the repeated channel, readout column n + 1, keeps weight zero
+        assert np.all(model.readout[:, n + 1] == 0.0)
         ext = run_reservoir(model, task.inputs).extended[:, task.washout:]
-        w = solve_output_weights(ext, task.targets[:, task.washout:])
-        np.testing.assert_allclose(model.readout, w, rtol=0, atol=1e-9)
+        t = task.targets[:, task.washout:]
+        w = solve_output_weights(ext, t)
+        fit = np.linalg.norm(t - model.readout @ ext)
+        assert fit == pytest.approx(np.linalg.norm(t - w @ ext), rel=1e-9)
 
     @pytest.mark.parametrize("task,n_max,stop", [("mg", 120, "cap"), ("plant", 140, "early_stop")])
     def test_seeded_readout_matches_a_fresh_solve(self, task, n_max, stop):
@@ -940,11 +961,10 @@ class TestFactorisation:
 
 
 class TestHotPath:
-    @pytest.mark.parametrize("make_task,solves", [(toy_task, 0), (duplicated_channel_task, 1)],
+    @pytest.mark.parametrize("make_task", [toy_task, duplicated_channel_task],
                              ids=["full_rank", "repeated_channel"])
-    def test_solves_and_model_constructions_per_build(self, make_task, solves, monkeypatch):
-        # a full-rank design's readout comes from the kept factorisation; one
-        # with a column outside the basis is solved once, for the minimum norm
+    def test_solves_and_model_constructions_per_build(self, make_task, monkeypatch):
+        # every design's readout comes from the kept factorisation
         counts = {"solve": 0, "model": 0}
         solve, model_cls = build.solve_output_weights, build.ReservoirModel
 
@@ -960,7 +980,7 @@ class TestHotPath:
         monkeypatch.setattr(build, "ReservoirModel", counted_model)
         model, hist = build_rscn(make_task(160), make_task(160, seed=9), small_cfg(n_step=14))
         assert model.n_nodes == 15 and len(hist.sizes) == 13
-        assert counts["solve"] == solves
+        assert counts["solve"] == 0
         assert counts["model"] <= 2
 
     def test_work_arrays_are_reused_and_never_aliased(self):

@@ -349,6 +349,31 @@ class TestErrorPaths:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_n_init_above_n_max_exits_3(self, tmp_path, fast_manifest, capsys):
+        doc = load_manifest(fast_manifest)
+        doc["model_params"].update({"n_init": 8, "n_max": 3, "n_step": 1})
+        path = tmp_path / "ninit.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert run("train", "--manifest", str(path), "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert "kind=ContractViolationError" in err and "n_init" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit,field", [
+        (lambda doc: [doc], "list"),
+        (lambda doc: {**doc, "n_nodes": 3}, "input_weights"),
+        (lambda doc: {**doc, "biases": ["zero", 0.0]}, "biases"),
+    ], ids=["json-list", "n_nodes-misfit", "string-entry"])
+    def test_malformed_model_file_is_a_schema_error(self, tmp_path, capsys, edit, field):
+        path = tmp_path / "bad.model.json"
+        path.write_text(json.dumps(edit(json.loads(open(_tiny_model_file(tmp_path)).read()))))
+        assert run("esp-check", "--model-file", str(path)) == 3
+        err = capsys.readouterr().err
+        assert "kind=SchemaError" in err and field in err
+        assert "Traceback" not in err
+
     def test_bad_csv_exits_3(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("u1,y\n1.0,oops\n")

@@ -20,6 +20,7 @@ from rscn.model import (
     RUN_WARMUP,
     ReservoirModel,
     StateSequence,
+    csv_text,
     input_drive,
     load_model,
     model_from_dict,
@@ -519,6 +520,15 @@ class TestSerialization:
         doc["version"] = 99
         with pytest.raises(ContractViolationError):
             model_from_dict(doc)
+
+
+def test_csv_text_keeps_strings_and_writes_other_cells_by_repr():
+    text = csv_text(
+        ["name", "i", "x", "y"],
+        [("a", ""), [1, -2], [float("nan"), -0.0], np.array([1e-05, 1e16])],
+    )
+    assert text == "name,i,x,y\na,1,nan,1e-05\n,-2,-0.0,1e+16\n"
+    assert csv_text(["only"], [[]]) == "only\n"
 
 
 def test_import_loads_no_scipy():

@@ -24,6 +24,9 @@ def test_online_convergence_writes_one_gap_row_per_stream_step(tmp_path):
         lines = (out / name).read_text().splitlines()
         assert lines[0] == "step,weight_gap"
         assert len(lines) - 1 == n_stream
+        for i, line in enumerate(lines[1:], start=1):
+            step, gap = line.split(",")
+            assert step == str(i) and gap == repr(float(gap))
 
 
 def test_output_digest_repeats_in_one_process(tmp_path):
