@@ -80,7 +80,7 @@ def _refuse_seed(names, source: str) -> None:
 
 def _model_spec(kind: str, task_name: str, manifest: dict, alpha: float | None):
     """Model config for one of rscn|esn|scr with per-task defaults."""
-    params = dict(_section(manifest, "model_params", dict, {}))
+    params = _merged(None, manifest, "model_params", {}, dict)
     _refuse_seed(params, "model_params")
     if alpha is not None:
         params["esp_alpha"] = alpha
@@ -130,23 +130,17 @@ def _ensure_out(args) -> str:
 
 
 def _merged(args, manifest: dict, key: str, default, kind=None):
-    """Flag > manifest > default. Given ``kind``, the value must conform to
-    it as a config field's value must (``tasks._conforms``), and is converted."""
-    flag = getattr(args, key, None)
-    value = flag if flag is not None else manifest.get(key, default)
-    if kind is None:
-        return value
-    if not _conforms(value, kind):
+    """Flag > manifest > ``default``, which is returned as it is. Given
+    ``kind``, a given value (an explicit null too) must conform to it as a
+    config field's value must (``tasks._conforms``), and is converted."""
+    value = getattr(args, key, None)
+    if value is None:
+        if key not in manifest:
+            return default
+        value = manifest[key]
+    if kind is not None and not _conforms(value, kind):
         raise SchemaError(f"{key!r} must be {kind.__name__}, got {value!r}")
-    return kind(value)
-
-
-def _section(manifest: dict, key: str, kind: type, default):
-    """The run manifest's ``key`` entry, refused unless it is a ``kind``."""
-    value = manifest.get(key, default)
-    if not isinstance(value, kind):
-        raise SchemaError(f"{key!r} must be {kind.__name__}, got {value!r}")
-    return value
+    return value if kind is None else kind(value)
 
 
 def _effective_task(args, run_manifest: dict, seed: int) -> dict:
@@ -166,7 +160,7 @@ def _split(args, run_manifest: dict) -> str:
 
 
 def _load_model_file(args, run_manifest: dict, command: str):
-    model_file = _merged(args, run_manifest, "model_file", None)
+    model_file = _merged(args, run_manifest, "model_file", None, str)
     if model_file is None:
         raise SchemaError(f"{command} needs --model-file")
     return load_model(model_file)
@@ -189,7 +183,7 @@ def cmd_gen(args, run_manifest: dict, seed: int) -> int:
 def cmd_train(args, run_manifest: dict, seed: int) -> int:
     task_manifest = _effective_task(args, run_manifest, seed)
     task = task_from_manifest(task_manifest)
-    kind = str(_merged(args, run_manifest, "model", "rscn")).lower()
+    kind = _merged(args, run_manifest, "model", "rscn", str).lower()
     spec = _model_spec(kind, task.name, run_manifest, args.alpha)
     if args.grid:
         grid = _parse_grid(args.grid)
@@ -234,9 +228,9 @@ def cmd_online(args, run_manifest: dict, seed: int) -> int:
     split = _split(args, run_manifest)
     task = task_from_manifest(_effective_task(args, run_manifest, seed))
     stream = getattr(task, split)
-    online_section = _section(run_manifest, "online", dict, {})
-    mode_arg = _merged(args, online_section, "mode", "basic")
-    mode = ONLINE_MODES.get(str(mode_arg), str(mode_arg))
+    online_section = _merged(None, run_manifest, "online", {}, dict)
+    mode_arg = _merged(args, online_section, "mode", "basic", str)
+    mode = ONLINE_MODES.get(mode_arg, mode_arg)
     cfg = OnlineConfig(
         mode=mode,
         a=_merged(args, online_section, "a", 1.0, float),
@@ -244,7 +238,7 @@ def cmd_online(args, run_manifest: dict, seed: int) -> int:
         phi=_merged(args, online_section, "phi", 0.0, float),
     )
     w_ref = None
-    ref_file = _merged(args, online_section, "ref_model", None)
+    ref_file = _merged(args, online_section, "ref_model", None, str)
     if ref_file is not None:
         w_ref = load_model(ref_file).readout
     preds, state = online_run(model, stream, cfg, w_ref=w_ref)
@@ -263,8 +257,10 @@ def cmd_online(args, run_manifest: dict, seed: int) -> int:
 
 def cmd_bench(args, run_manifest: dict, seed: int) -> int:
     trials = _merged(args, run_manifest, "trials", 20, int)
-    tasks = args.task_list or _section(run_manifest, "tasks", list, []) or list(GENERATOR_TASKS)
-    models = args.model_list or _section(run_manifest, "models", list, []) or ["esn", "scr", "rscn"]
+    if trials < 1:
+        raise SchemaError(f"'trials' must be at least 1, got {trials}")
+    tasks = _merged(args, run_manifest, "tasks", None, list) or list(GENERATOR_TASKS)
+    models = _merged(args, run_manifest, "models", None, list) or ["esn", "scr", "rscn"]
     for task_arg in tasks:
         task_manifest = (
             {**task_arg, "seed": seed} if isinstance(task_arg, dict)
@@ -363,9 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--alpha", type=float, default=None,
                          help="feedback contraction level of rscn and esn; scr "
                          "ignores it (its gain ring_weight is grid-searched)")
-    p_bench.add_argument("--tasks", dest="task_list", nargs="+", default=None,
+    p_bench.add_argument("--tasks", nargs="+", default=None,
                          help="subset of mg mg1 mg2 plant or csv:PATH")
-    p_bench.add_argument("--models", dest="model_list", nargs="+", default=None,
+    p_bench.add_argument("--models", nargs="+", default=None,
                          help="subset of esn scr rscn")
     p_bench.set_defaults(func=cmd_bench)
 

@@ -120,14 +120,7 @@ class ReservoirModel:
 
     def with_readout(self, readout: np.ndarray) -> "ReservoirModel":
         """The model with another readout; it keeps this model's remembered run."""
-        global _last_run
-        model, last = replace(self, readout=readout), _last_run
-        if last is not None and last[0]() is self:  # a readout does not change the states
-            _last_run = (weakref.ref(model), *last[1:])
-        return model
-
-    def with_feedback(self, feedback: np.ndarray) -> "ReservoirModel":
-        return replace(self, feedback=feedback)
+        return replace(self, readout=readout)
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,7 +276,8 @@ def _fix_up(states: np.ndarray, drive: np.ndarray, weight: np.ndarray, exact: np
 # and longer warm-ups ran no faster.
 RUN_WARMUP = 128
 
-# run_reservoir's latest run: (weakref to its model, (input bytes, start bytes), StateSequence)
+# run_reservoir's latest run: (weakrefs to the input weights, feedback and
+# biases it ran, (input bytes, start bytes), StateSequence)
 _last_run = None
 
 
@@ -303,12 +297,13 @@ def run_reservoir(
     loop's bit for bit. Finiteness is checked once, after the last step.
     Deterministic: identical arguments give a bit-identical sequence.
 
-    The latest run is remembered: a call on the same model object (or
-    on one that :meth:`ReservoirModel.with_readout` made from it) whose
-    inputs and start have the same bits returns the same read-only
-    sequence without running the recursion again. Every check still
-    runs. At most one ``(N + K, n)`` matrix is held; a run on any other
-    key drops it before computing.
+    The latest run is remembered: a call on a model holding the same
+    input weight, feedback and bias array objects (a model and every
+    ``replace`` of its readout share them) whose inputs and start have
+    the same bits returns the same read-only sequence without running
+    the recursion again. Every check still runs. The arrays are held by
+    weak reference, and at most one ``(N + K, n)`` matrix is held; a run
+    on any other key drops it before computing.
     """
     global _last_run
     n = model.n_nodes
@@ -318,9 +313,10 @@ def run_reservoir(
     if not np.all(np.isfinite(x)):
         raise ContractViolationError("initial_state contains non-finite values")
     inputs = _checked_inputs(model, inputs)
+    arrays = (model.input_weights, model.feedback, model.biases)
     key, last = (inputs.tobytes(), x.tobytes()), _last_run
-    # one model has one K and N, so equal bytes mean equal shapes
-    if last is not None and last[0]() is model and last[1] == key:
+    # the same arrays have one K and N, so equal bytes mean equal shapes
+    if last is not None and last[1] == key and all(r() is a for r, a in zip(last[0], arrays)):
         return last[2]
     _last_run = last = None  # no reference left, so the old states are freed before allocating
     extended = np.empty((n + model.n_inputs, inputs.shape[1]))
@@ -329,7 +325,7 @@ def run_reservoir(
     check_finite_steps(extended[:n].T)
     extended.flags.writeable = False
     seq = StateSequence(extended, n)  # adopted, not copied
-    _last_run = (weakref.ref(model), key, seq)
+    _last_run = (tuple(map(weakref.ref, arrays)), key, seq)
     return seq
 
 

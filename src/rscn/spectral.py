@@ -11,7 +11,7 @@ certifies the property unconditionally.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -48,7 +48,7 @@ def scale_feedback(model: ReservoirModel, alpha: float) -> ReservoirModel:
     if sigma < np.finfo(float).tiny:  # alpha / sigma could overflow to inf
         warnings.warn("feedback matrix is zero or subnormal; contraction scaling is a no-op")
         return model
-    return model.with_feedback(model.feedback * (alpha / sigma))
+    return replace(model, feedback=model.feedback * (alpha / sigma))
 
 
 @dataclass(frozen=True)

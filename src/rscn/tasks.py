@@ -11,6 +11,7 @@ import csv
 import functools
 import json
 import os
+import types
 from dataclasses import dataclass, fields, replace
 from typing import Sequence, get_args, get_origin, get_type_hints
 
@@ -389,7 +390,10 @@ def _conforms(value, kind) -> bool:
     type (a bool only for a bool), an integer for a float, or a list or
     tuple whose items conform to the tuple's item type. A fixed-length
     tuple such as ``tuple[float, float]`` takes one item per slot; a ladder
-    ``tuple[float, ...]`` takes any number."""
+    ``tuple[float, ...]`` takes any number. A value fills a union such as
+    ``str | tuple[str, ...]`` if it fills one of its members."""
+    if isinstance(kind, types.UnionType):
+        return any(_conforms(value, member) for member in get_args(kind))
     if get_origin(kind) is tuple:
         if not isinstance(value, (list, tuple)):
             return False
@@ -432,6 +436,16 @@ def from_params(cls, params: dict, source: str):
     return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in params.items()})
 
 
+# The keys of a CSV task's "csv" section and the type each value must
+# conform to. A feature's lag may be any number here: load_csv refuses one
+# that is not an integer, naming its column.
+CSV_SECTION = {
+    "path": str, "u_columns": tuple[str, ...], "y_column": str,
+    "features": tuple[tuple[str | tuple[str, ...], float], ...],
+    "n_train": int, "n_test": int, "val_noise_sigma": float,
+}
+
+
 def task_from_manifest(manifest: dict) -> TaskData:
     """Materialise the task a manifest describes.
 
@@ -455,11 +469,21 @@ def task_from_manifest(manifest: dict) -> TaskData:
         spec = manifest.get("csv")
         if not isinstance(spec, dict) or not isinstance(spec.get("path"), str):
             raise SchemaError("csv task manifest needs a 'csv' section with a string 'path'")
+        unknown = sorted(set(spec) - set(CSV_SECTION))
+        if unknown:
+            raise SchemaError(f"csv task section has unknown keys: {', '.join(unknown)}")
+        for key, value in spec.items():
+            want = CSV_SECTION[key]
+            if want is int:
+                _integer(value, f"csv task {key}")
+            elif not _conforms(value, want):
+                shown = want.__name__ if get_origin(want) is None else want
+                raise SchemaError(f"csv task {key} must be {shown}, got {value!r}")
         path = spec["path"]
         seq = load_csv(path, spec.get("u_columns"), spec.get("y_column"), spec.get("features"))
         n = seq.n_steps
-        n_train = _integer(spec.get("n_train", int(0.7 * n)), "csv task n_train")
-        n_test = _integer(spec.get("n_test", n - n_train), "csv task n_test")
+        n_train = spec.get("n_train", int(0.7 * n))
+        n_test = spec.get("n_test", n - n_train)
         washout = _integer(manifest.get("washout", min(20, n_train // 10)), "csv task washout")
         if n_train + n_test > n:
             raise SchemaError(f"splits need {n_train + n_test} samples, file has {n}")
@@ -467,9 +491,7 @@ def task_from_manifest(manifest: dict) -> TaskData:
             raise SchemaError(f"{path}: too few rows ({n}) to split")
         train = slice_sequence(seq, 0, n_train, washout)
         test = slice_sequence(seq, n_train, n_train + n_test, washout)
-        sigma = spec.get("val_noise_sigma")
-        if sigma is None:
-            sigma = 0.05 * float(np.std(test.targets))
+        sigma = spec.get("val_noise_sigma", 0.05 * float(np.std(test.targets)))
         val = add_gaussian_noise(test, float(sigma), substream(seed, "noise"))
         name = os.path.splitext(os.path.basename(path))[0]
         return TaskData(name=name, train=train, val=val, test=test)

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -664,6 +666,88 @@ class TestErrorPaths:
         assert "kind=SchemaError" in err and "no input feature" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command,section,key,value", [
+        ("eval", None, "model_file", 0), ("eval", None, "model_file", True),
+        ("online", None, "model_file", 0), ("online", None, "model_file", True),
+        ("esp-check", None, "model_file", 0), ("esp-check", None, "model_file", True),
+        ("online", "online", "ref_model", 0),
+        ("train", None, "model", 5), ("online", "online", "mode", 5),
+    ])
+    def test_run_manifest_value_that_must_be_a_string_is_a_schema_error(
+            self, tmp_path, capsys, command, section, key, value):
+        # open() takes an integer or a bool as a file descriptor: 0 reads stdin
+        doc = {"task": "mg", "model_file": _tiny_model_file(tmp_path)}
+        if section is None:
+            doc[key] = value
+        else:
+            doc[section] = {key: value}
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert run(command, "--manifest", str(path), "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert "kind=SchemaError" in err and f"{key!r} must be str" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_descriptor_model_file_does_not_score_the_model_on_stdin(self, tmp_path,
+                                                                     fast_manifest):
+        model_file = _tiny_model_file(tmp_path)  # one input, as the manifest's CSV task
+        doc = load_manifest(fast_manifest)
+        doc["model_file"] = 0
+        path = tmp_path / "descriptor.json"
+        path.write_text(json.dumps(doc))
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        with open(model_file) as stdin:
+            proc = subprocess.run([sys.executable, "-m", "rscn.cli", "eval", "--manifest",
+                                   str(path)], stdin=stdin, capture_output=True, text=True,
+                                  env=env, timeout=120)
+        assert proc.returncode == 3, proc.stdout + proc.stderr
+        assert "kind=SchemaError" in proc.stderr and "'model_file' must be str" in proc.stderr
+        assert "nrmse=" not in proc.stdout
+
+    @pytest.mark.parametrize("key,value,named", [
+        ("features", 5, "features"),
+        ("features", [[5, 0]], "features"),
+        ("u_columns", 5, "u_columns"),
+        ("features", [["u1"]], "features"),
+        ("val_noise_sigma", "x", "val_noise_sigma"),
+        ("n_tran", 50, "section has unknown keys: n_tran"),
+    ], ids=["features=5", "column=5", "u_columns=5", "no-lag", "sigma=x", "misspelled"])
+    def test_malformed_csv_section_is_a_schema_error(self, tmp_path, fast_manifest, capsys,
+                                                      key, value, named):
+        doc = load_manifest(fast_manifest)
+        doc["task"]["csv"][key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert run("train", "--manifest", str(path), "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert "kind=SchemaError" in err and f"csv task {named}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_bench_trials_below_one_trains_nothing(self, tmp_path, capsys, monkeypatch,
+                                                    trials):
+        calls = []
+        train = evaluate.train_model
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(evaluate, "train_model", counted)
+        out = tmp_path / "out"
+        assert run("bench", "--tasks", "plant", "--models", "scr", "--trials", trials,
+                   "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert "kind=SchemaError" in err and "'trials' must be at least 1" in err
+        assert "Traceback" not in err
+        assert calls == [] and not out.exists()
 
     def test_help_exits_zero(self):
         assert run("--help") == 0

@@ -29,6 +29,7 @@ from rscn.model import (
     run_reservoir,
     save_model,
 )
+from rscn.spectral import scale_feedback
 from rscn.tasks import task_from_manifest
 
 
@@ -129,8 +130,9 @@ class TestRunReservoir:
 
 
 class TestRememberedRun:
-    """``run_reservoir`` remembers its latest run, keyed on the model object
-    and on the bits of the inputs and the start."""
+    """``run_reservoir`` remembers its latest run, keyed on the model's input
+    weight, feedback and bias array objects and on the bits of the inputs
+    and the start."""
 
     @staticmethod
     def twins(seed=21):
@@ -180,6 +182,40 @@ class TestRememberedRun:
         refit = model.with_readout(np.ones((1, 7)))
         assert run_reservoir(refit, u) is seq and len(recursions) == 1
         assert np.array_equal(refit.readout, np.ones((1, 7)))
+
+    def test_a_model_built_on_the_same_arrays_reuses_the_run(self, recursions):
+        model, _, u = self.twins()
+        seq = run_reservoir(model, u)
+        other = ReservoirModel(model.input_weights, model.feedback, model.biases,
+                               np.ones((1, 7)))
+        assert run_reservoir(other, u) is seq and len(recursions) == 1
+
+    def test_scaled_feedback_runs_again(self, recursions):
+        model, _, u = self.twins()
+        seq = run_reservoir(model, u)
+        scaled = scale_feedback(model, 0.5)
+        again = run_reservoir(scaled, u)
+        assert again is not seq and len(recursions) == 2
+        assert_bitwise_equal(again.states, step_loop_states(scaled, u, np.zeros(5)))
+
+    def test_equal_copies_of_the_arrays_run_again(self, recursions):
+        model, _, u = self.twins()
+        seq = run_reservoir(model, u)
+        copies = ReservoirModel(model.input_weights.copy(), model.feedback.copy(),
+                                model.biases.copy(), model.readout)
+        again = run_reservoir(copies, u)
+        assert again is not seq and len(recursions) == 2
+        assert_bitwise_equal(again.extended, seq.extended)
+
+    def test_the_run_keeps_no_reservoir_alive(self):
+        model, twin, u = self.twins()
+        refit = model.with_readout(np.ones((1, 7)))
+        run_reservoir(refit, u)
+        refs = rmodel._last_run[0]
+        assert len(refs) == 3 and all(r() is not None for r in refs)
+        del model, twin, refit
+        gc.collect()
+        assert all(r() is None for r in refs)
 
     def test_holds_at_most_one_state_matrix(self, monkeypatch):
         model, twin, u = self.twins()

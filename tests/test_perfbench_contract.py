@@ -6,6 +6,7 @@ otherwise pass the unit suite and fail only when the benchmark runs.
 
 import ast
 import importlib
+import inspect
 import subprocess
 import sys
 from pathlib import Path
@@ -47,6 +48,43 @@ def run_py_attributes():
     return sorted(reads)
 
 
+def rscn_calls(script):
+    """``(line, function, positional count, keyword names)`` for each call
+    ``script`` makes into the package.
+
+    A call is ``alias.attr(...)`` on an imported package module, or
+    ``name(...)`` on a name imported from one. Calls that spread ``*args``
+    or ``**kwargs`` cannot be counted, and none are made today.
+    """
+    tree = ast.parse((PERFBENCH / script).read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update({a.asname or a.name: importlib.import_module(a.name)
+                             for a in node.names if a.name.split(".")[0] == "rscn"})
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "rscn":
+            module = importlib.import_module(node.module)
+            for a in node.names:  # a submodule (``from rscn import cli``) or an attribute
+                imported[a.asname or a.name] = (getattr(module, a.name, None)
+                                                or importlib.import_module(f"{node.module}.{a.name}"))
+    calls = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+            owner = imported.get(func.value.id)
+            fn = getattr(owner, func.attr) if inspect.ismodule(owner) else None
+        else:
+            fn = imported.get(func.id) if isinstance(func, ast.Name) else None
+        if fn is None or inspect.ismodule(fn):
+            continue
+        keywords = [k.arg for k in node.keywords]
+        if None not in keywords and not any(isinstance(a, ast.Starred) for a in node.args):
+            calls.append((node.lineno, fn, len(node.args), keywords))
+    return calls
+
+
 def test_every_traced_name_resolves():
     spans = spans_module()
     assert spans.FUNCTIONS and spans.METHODS
@@ -65,6 +103,20 @@ def test_run_py_reads_cover_the_named_modules():
 @pytest.mark.parametrize("module,attr", run_py_attributes())
 def test_every_attribute_run_py_reads_resolves(module, attr):
     assert hasattr(importlib.import_module(module), attr)
+
+
+@pytest.mark.parametrize("script", ["run.py", "selftest.py"])
+def test_every_call_into_the_package_binds(script):
+    """A renamed or dropped parameter breaks the call, though the name resolves."""
+    calls = rscn_calls(script)
+    assert calls
+    unbound = []
+    for line, fn, n_args, keywords in calls:
+        try:
+            inspect.signature(fn).bind(*[None] * n_args, **dict.fromkeys(keywords))
+        except TypeError as err:
+            unbound.append(f"{script}:{line} {fn.__qualname__}: {err}")
+    assert not unbound
 
 
 def test_selftest_passes():
