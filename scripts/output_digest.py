@@ -3,10 +3,11 @@
 
 The commands run in this process, each writing under one output
 directory; each command's printed lines are kept as ``<label>.stdout``.
-What changes from run to run is blanked before hashing: ``time_s=``
-values, the training-time column of ``rscn bench``'s reports and the
-output directory's own path. The result is printed as JSON,
-``{"files": {path: sha256}, "total": sha256}``.
+Two of them read a run manifest, which is written first as
+``<label>.run.json``. What changes from run to run is blanked before
+hashing: ``time_s=`` values, the training-time column of ``rscn
+bench``'s reports and the output directory's own path. The result is
+printed as JSON, ``{"files": {path: sha256}, "total": sha256}``.
 
 Run it on two trees to see which outputs a change moved: equal hashes
 mean equal bytes. The hashes depend on the numpy and BLAS builds, so
@@ -33,6 +34,22 @@ from rscn.cli import cmd_dispatch  # noqa: E402
 TASKS = ("mg", "mg2", "plant")
 MG_MODEL = "{out}/train_s0/mg_rscn.model.json"
 CSV_TASK = "csv:{out}/gen/plant_train.csv"  # a file gen_plant writes
+
+# run manifests, each written to {out}/<label>.run.json before the command
+# its label begins with runs on it
+MANIFESTS = {
+    "train_manifest": {
+        "seed": 1, "model": "rscn",
+        "task": {"task": "csv", "washout": 12,
+                 "csv": {"path": "{out}/gen/plant_train.csv", "n_train": 1000, "n_test": 600}},
+        "model_params": {"n_max": 40, "esp_alpha": 0.8},
+    },
+    "bench_manifest": {
+        "seed": 2, "trials": 2, "models": ["esn", "rscn"],
+        "tasks": ["mg1", {"task": "plant",
+                          "plant_params": {"n_train": 800, "n_val": 400, "n_test": 400}}],
+    },
+}
 
 
 def _commands() -> list[tuple[str, list[str]]]:
@@ -62,6 +79,8 @@ def _commands() -> list[tuple[str, list[str]]]:
                                 "--out", "{out}/online"]))
     runs.append(("bench_csv", ["bench", "--tasks", CSV_TASK, "--trials", "2", "--seed", "0",
                                "--out", "{out}/bench"]))
+    runs += [(label, [label.split("_")[0], "--manifest", f"{{out}}/{label}.run.json",
+                      "--out", f"{{out}}/{label}"]) for label in MANIFESTS]
     return runs
 
 
@@ -79,6 +98,9 @@ def _blank(text: str, out: str) -> str:
 def digest(commands, out: str) -> dict:
     """Run ``commands`` into ``out`` and hash every file they leave there."""
     for label, argv in commands:
+        if label in MANIFESTS:
+            with open(os.path.join(out, f"{label}.run.json"), "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(MANIFESTS[label], indent=1).replace("{out}", out))
         printed = io.StringIO()
         with contextlib.redirect_stdout(printed):
             code = cmd_dispatch([arg.replace("{out}", out) for arg in argv])
@@ -92,7 +114,7 @@ def digest(commands, out: str) -> dict:
             path = os.path.join(root, name)
             with open(path, "rb") as fh:
                 data = fh.read()
-            if name.endswith(".stdout") or name.startswith("report_"):
+            if name.endswith((".stdout", ".run.json")) or name.startswith("report_"):
                 data = _blank(data.decode("utf-8"), out).encode("utf-8")
             files[os.path.relpath(path, out)] = hashlib.sha256(data).hexdigest()
     files = dict(sorted(files.items()))

@@ -68,7 +68,7 @@ def build_baseline(cfg: BaselineConfig, train: SupervisedSequence) -> ReservoirM
         readout=np.zeros((ell, n + k)),
         structure_tag=GENERAL,
     )
-    if cfg.topology == TOPOLOGY_ESN:
+    if cfg.topology == TOPOLOGY_ESN and w_r.any():
         model = scale_feedback(model, cfg.esp_alpha)
     w = train.washout
     x = run_reservoir(model, train.inputs).extended[:, w:]

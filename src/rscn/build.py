@@ -12,7 +12,6 @@ residual norm is non-increasing across accepted nodes.
 from __future__ import annotations
 
 import math
-import warnings
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import partial
@@ -435,9 +434,7 @@ def init_network(
         w_in, w_r, b, np.zeros((ell, n0 + k)),
         structure_tag=BLOCK_LOWER_TRIANGULAR, initial_block_size=n0,
     )
-    with warnings.catch_warnings():
-        # an all-zero sparse draw is routine at 3% density; the no-op is fine
-        warnings.simplefilter("ignore")
+    if model.feedback.any():  # an all-zero sparse draw is routine at 3% density
         model = scale_feedback(model, cfg.esp_alpha)
     cap, w_t = cfg.n_max, train.washout
     state = BuildState(

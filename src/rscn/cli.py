@@ -19,13 +19,7 @@ import numpy as np
 
 from .baselines import BaselineConfig
 from .build import BuildConfig
-from .errors import (
-    ContractViolationError,
-    CsvParseError,
-    MetricUndefinedError,
-    NumericOverflowError,
-    SchemaError,
-)
+from .errors import MetricUndefinedError, NumericOverflowError, RscnError, SchemaError
 from .evaluate import (
     emit_report,
     evaluate_model,
@@ -35,7 +29,7 @@ from .evaluate import (
     spec_name,
     train_model,
 )
-from .model import atomic_write_text, load_model, save_model
+from .model import atomic_write_text, load_model, refuse_unknown, save_model
 from .online import MODE_BASIC, MODE_DEAD_ZONE, MODE_DECREASING, OnlineConfig, diagnostics_csv, online_run
 from .seeding import substream
 from .spectral import esp_check, scale_feedback
@@ -61,13 +55,21 @@ ONLINE_MODES = {
     "decreasing": MODE_DECREASING,
     "deadzone": MODE_DEAD_ZONE,
 }
+# Every key some command reads from a run manifest, and from its online
+# section; --alpha, --grid and --out are flags only.
+RUN_KEYS = ("seed", "task", "model", "model_params", "split", "model_file", "online",
+            "trials", "tasks", "models")
+ONLINE_KEYS = ("mode", "a", "c", "phi", "ref_model")
 
 
-def _resolve_task_manifest(task_arg: str, seed: int) -> dict:
-    """Build a task manifest from a --task argument."""
+def _resolve_task_manifest(task_arg: str | dict, seed: int) -> dict:
+    """The task manifest of a --task argument, or of a task object, which
+    keeps its own seed if it names one."""
+    if isinstance(task_arg, dict):
+        return {"seed": seed, **task_arg}
     if task_arg in GENERATOR_TASKS:
         return {"task": task_arg, "seed": seed}
-    if task_arg.startswith("csv:"):
+    if isinstance(task_arg, str) and task_arg.startswith("csv:"):
         return {"task": "csv", "seed": seed, "csv": {"path": task_arg[len("csv:"):]}}
     raise SchemaError(f"unknown task {task_arg!r}")
 
@@ -147,9 +149,7 @@ def _effective_task(args, run_manifest: dict, seed: int) -> dict:
     task = _merged(args, run_manifest, "task", None)
     if task is None:
         raise SchemaError("no task given (use --task or a manifest)")
-    if isinstance(task, dict):
-        return {**task, "seed": task.get("seed", seed)}
-    return _resolve_task_manifest(str(task), seed)
+    return _resolve_task_manifest(task, seed)
 
 
 def _split(args, run_manifest: dict) -> str:
@@ -224,11 +224,8 @@ def cmd_eval(args, run_manifest: dict, seed: int) -> int:
 
 
 def cmd_online(args, run_manifest: dict, seed: int) -> int:
-    model = _load_model_file(args, run_manifest, "online")
-    split = _split(args, run_manifest)
-    task = task_from_manifest(_effective_task(args, run_manifest, seed))
-    stream = getattr(task, split)
     online_section = _merged(None, run_manifest, "online", {}, dict)
+    refuse_unknown(online_section, ONLINE_KEYS, "online section")
     mode_arg = _merged(args, online_section, "mode", "basic", str)
     mode = ONLINE_MODES.get(mode_arg, mode_arg)
     cfg = OnlineConfig(
@@ -237,6 +234,10 @@ def cmd_online(args, run_manifest: dict, seed: int) -> int:
         c=_merged(args, online_section, "c", 1.0, float),
         phi=_merged(args, online_section, "phi", 0.0, float),
     )
+    model = _load_model_file(args, run_manifest, "online")
+    split = _split(args, run_manifest)
+    task = task_from_manifest(_effective_task(args, run_manifest, seed))
+    stream = getattr(task, split)
     w_ref = None
     ref_file = _merged(args, online_section, "ref_model", None, str)
     if ref_file is not None:
@@ -261,17 +262,18 @@ def cmd_bench(args, run_manifest: dict, seed: int) -> int:
         raise SchemaError(f"'trials' must be at least 1, got {trials}")
     tasks = _merged(args, run_manifest, "tasks", None, list) or list(GENERATOR_TASKS)
     models = _merged(args, run_manifest, "models", None, list) or ["esn", "scr", "rscn"]
+    plans = []  # every task and model spec, resolved before the first trial
     for task_arg in tasks:
-        task_manifest = (
-            {**task_arg, "seed": seed} if isinstance(task_arg, dict)
-            else _resolve_task_manifest(str(task_arg), seed)
-        )
-        # every model's trials share one task per seed; the first names the reports
-        shared = {seed: task_from_manifest(task_manifest)}
-        task_name = shared[seed].name
-        reports = []
-        for kind in models:
-            spec = _model_spec(str(kind).lower(), task_name, run_manifest, args.alpha)
+        if isinstance(task_arg, dict):
+            _refuse_seed(task_arg, "a bench task")
+        task_manifest = _resolve_task_manifest(task_arg, seed)
+        task = task_from_manifest(task_manifest)  # the root seed's task names the reports
+        specs = [_model_spec(str(kind).lower(), task.name, run_manifest, args.alpha)
+                 for kind in models]
+        plans.append((task_manifest, task, specs))
+    for task_manifest, task, specs in plans:
+        shared, reports = {seed: task}, []  # every model's trials share one task per seed
+        for spec in specs:
             if isinstance(spec, BaselineConfig) and spec.topology == "scr_ring":
                 best, _ = grid_search(
                     task_manifest, spec, {"ring_weight": list(SCR_RING_GRID)},
@@ -281,10 +283,10 @@ def cmd_bench(args, run_manifest: dict, seed: int) -> int:
             reports.append(run_trials(task_manifest, spec, trials, base_seed=seed, tasks=shared))
         text = emit_report(reports, "text")
         out = _ensure_out(args)  # made only once there is a report to write
-        atomic_write_text(os.path.join(out, f"report_{task_name}.csv"),
+        atomic_write_text(os.path.join(out, f"report_{task.name}.csv"),
                           emit_report(reports, "csv"))
-        atomic_write_text(os.path.join(out, f"report_{task_name}.txt"), text)
-        print(f"== {task_name} ({trials} trials, seed {seed})")
+        atomic_write_text(os.path.join(out, f"report_{task.name}.txt"), text)
+        print(f"== {task.name} ({trials} trials, seed {seed})")
         print(text, end="")
     return 0
 
@@ -381,21 +383,12 @@ def cmd_dispatch(argv: list[str]) -> int:
         return int(exc.code or 0)
     try:
         run_manifest = load_manifest(args.manifest) if args.manifest else {}
-        if not isinstance(run_manifest, dict):
-            raise SchemaError(f"{args.manifest}: run manifest must be an object")
+        refuse_unknown(run_manifest, RUN_KEYS, f"run manifest {args.manifest}")
         return args.func(args, run_manifest, _merged(args, run_manifest, "seed", 0, int))
-    except (
-        SchemaError,
-        CsvParseError,
-        ContractViolationError,
-        OSError,
-        json.JSONDecodeError,
-    ) as err:
+    except (RscnError, OSError, json.JSONDecodeError, np.linalg.LinAlgError) as err:
         print(f"error: kind={type(err).__name__} msg={err}", file=sys.stderr)
-        return 3
-    except (NumericOverflowError, MetricUndefinedError, np.linalg.LinAlgError) as err:
-        print(f"error: kind={type(err).__name__} msg={err}", file=sys.stderr)
-        return 4
+        numeric = (NumericOverflowError, MetricUndefinedError, np.linalg.LinAlgError)
+        return 4 if isinstance(err, numeric) else 3
 
 
 def main() -> int:

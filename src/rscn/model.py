@@ -338,28 +338,33 @@ def readout(model: ReservoirModel, seq: StateSequence) -> np.ndarray:
     return model.readout @ seq.extended
 
 
+def refuse_unknown(doc, known, source: str) -> None:
+    """Raise :class:`SchemaError` unless ``doc`` is an object whose keys all lie in ``known``."""
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{source} must be an object, not {type(doc).__name__}")
+    unknown = sorted(map(str, doc.keys() - set(known)))
+    if unknown:
+        raise SchemaError(f"{source} has unknown keys: {', '.join(unknown)}")
+
+
+# a model document's keys: the serialization version, then the model's attributes
+MODEL_KEYS = ("version", "n_nodes", "n_inputs", "n_outputs", "activation", "structure_tag",
+              "initial_block_size", "input_weights", "feedback", "biases", "readout")
+
+
 def model_to_dict(model: ReservoirModel) -> dict:
-    return {
-        "version": SERIALIZATION_VERSION,
-        "n_nodes": model.n_nodes,
-        "n_inputs": model.n_inputs,
-        "n_outputs": model.n_outputs,
-        "activation": model.activation,
-        "structure_tag": model.structure_tag,
-        "initial_block_size": model.initial_block_size,
-        "input_weights": model.input_weights.tolist(),
-        "feedback": model.feedback.tolist(),
-        "biases": model.biases.tolist(),
-        "readout": model.readout.tolist(),
-    }
+    doc = {"version": SERIALIZATION_VERSION}
+    for key in MODEL_KEYS[1:]:
+        value = getattr(model, key)
+        doc[key] = value.tolist() if isinstance(value, np.ndarray) else value
+    return doc
 
 
 def model_from_dict(doc: dict) -> ReservoirModel:
     """The model a :func:`model_to_dict` document describes; a malformed
     document raises :class:`SchemaError` naming the field at fault.
     """
-    if not isinstance(doc, dict):
-        raise SchemaError(f"model document must be an object, not {type(doc).__name__}")
+    refuse_unknown(doc, MODEL_KEYS, "model document")
     if doc.get("version") != SERIALIZATION_VERSION:
         raise ContractViolationError(
             f"unsupported model document version {doc.get('version')!r}"

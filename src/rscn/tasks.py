@@ -18,7 +18,7 @@ from typing import Sequence, get_args, get_origin, get_type_hints
 import numpy as np
 
 from .errors import ContractViolationError, CsvParseError, SchemaError
-from .model import _frozen, atomic_write_text, csv_text
+from .model import _frozen, atomic_write_text, csv_text, refuse_unknown
 from .seeding import substream
 
 
@@ -419,15 +419,9 @@ def from_params(cls, params: dict, source: str):
     Each value must conform to its field's annotation (see ``_conforms``);
     a list is stored as a tuple, so the object stays hashable.
     """
-    if not isinstance(params, dict):
-        raise SchemaError(f"{source} must be an object, got {params!r}")
     hints = get_type_hints(cls)
     kinds = {f.name: hints[f.name] for f in fields(cls)}
-    unknown = sorted(set(params) - set(kinds))
-    if unknown:
-        raise SchemaError(
-            f"{source} has keys {cls.__name__} does not know: {', '.join(unknown)}"
-        )
+    refuse_unknown(params, kinds, source)
     for name, value in params.items():
         kind = kinds[name]
         if not _conforms(value, kind):
@@ -446,6 +440,14 @@ CSV_SECTION = {
 }
 
 
+# The keys of each task kind's manifest
+TASK_KEYS = {
+    **dict.fromkeys(("mg", "mg1", "mg2"), ("task", "seed", "mg_params")),
+    "plant": ("task", "seed", "plant_params"),
+    "csv": ("task", "seed", "washout", "csv"),
+}
+
+
 def task_from_manifest(manifest: dict) -> TaskData:
     """Materialise the task a manifest describes.
 
@@ -455,8 +457,13 @@ def task_from_manifest(manifest: dict) -> TaskData:
     level. Of ``n`` steps, ``n_train`` defaults to ``int(0.7 * n)``,
     ``n_test`` to the rest and ``washout`` to ``min(20, n_train // 10)``;
     unstated noise to 5% of the clean test-target standard deviation.
+    Each kind takes only the keys ``TASK_KEYS`` names for it.
     """
-    kind, seed = manifest.get("task"), _integer(manifest.get("seed", 0), "task seed")
+    kind = manifest.get("task")
+    if not isinstance(kind, str) or kind not in TASK_KEYS:
+        raise SchemaError(f"unknown task kind {kind!r}")
+    refuse_unknown(manifest, TASK_KEYS[kind], f"{kind} task manifest")
+    seed = _integer(manifest.get("seed", 0), "task seed")
     if kind in ("mg", "mg1", "mg2"):
         params = from_params(MGParams, manifest.get("mg_params", {}), "mg_params")
         return mg_task(_mg_series(params, seed), kind)
@@ -465,37 +472,33 @@ def task_from_manifest(manifest: dict) -> TaskData:
             PlantParams, manifest.get("plant_params", {}), "plant_params"
         )
         return plant_task(params, substream(seed, "task"))
-    if kind == "csv":
-        spec = manifest.get("csv")
-        if not isinstance(spec, dict) or not isinstance(spec.get("path"), str):
-            raise SchemaError("csv task manifest needs a 'csv' section with a string 'path'")
-        unknown = sorted(set(spec) - set(CSV_SECTION))
-        if unknown:
-            raise SchemaError(f"csv task section has unknown keys: {', '.join(unknown)}")
-        for key, value in spec.items():
-            want = CSV_SECTION[key]
-            if want is int:
-                _integer(value, f"csv task {key}")
-            elif not _conforms(value, want):
-                shown = want.__name__ if get_origin(want) is None else want
-                raise SchemaError(f"csv task {key} must be {shown}, got {value!r}")
-        path = spec["path"]
-        seq = load_csv(path, spec.get("u_columns"), spec.get("y_column"), spec.get("features"))
-        n = seq.n_steps
-        n_train = spec.get("n_train", int(0.7 * n))
-        n_test = spec.get("n_test", n - n_train)
-        washout = _integer(manifest.get("washout", min(20, n_train // 10)), "csv task washout")
-        if n_train + n_test > n:
-            raise SchemaError(f"splits need {n_train + n_test} samples, file has {n}")
-        if min(n_train, n_test) < 2:
-            raise SchemaError(f"{path}: too few rows ({n}) to split")
-        train = slice_sequence(seq, 0, n_train, washout)
-        test = slice_sequence(seq, n_train, n_train + n_test, washout)
-        sigma = spec.get("val_noise_sigma", 0.05 * float(np.std(test.targets)))
-        val = add_gaussian_noise(test, float(sigma), substream(seed, "noise"))
-        name = os.path.splitext(os.path.basename(path))[0]
-        return TaskData(name=name, train=train, val=val, test=test)
-    raise SchemaError(f"unknown task kind {kind!r}")
+    spec = manifest.get("csv", {})
+    refuse_unknown(spec, CSV_SECTION, "csv task section")
+    if "path" not in spec:
+        raise SchemaError("csv task section needs a 'path'")
+    for key, value in spec.items():
+        want = CSV_SECTION[key]
+        if want is int:
+            _integer(value, f"csv task {key}")
+        elif not _conforms(value, want):
+            shown = want.__name__ if get_origin(want) is None else want
+            raise SchemaError(f"csv task {key} must be {shown}, got {value!r}")
+    path = spec["path"]
+    seq = load_csv(path, spec.get("u_columns"), spec.get("y_column"), spec.get("features"))
+    n = seq.n_steps
+    n_train = spec.get("n_train", int(0.7 * n))
+    n_test = spec.get("n_test", n - n_train)
+    washout = _integer(manifest.get("washout", min(20, n_train // 10)), "csv task washout")
+    if n_train + n_test > n:
+        raise SchemaError(f"splits need {n_train + n_test} samples, file has {n}")
+    if min(n_train, n_test) < 2:
+        raise SchemaError(f"{path}: too few rows ({n}) to split")
+    train = slice_sequence(seq, 0, n_train, washout)
+    test = slice_sequence(seq, n_train, n_train + n_test, washout)
+    sigma = spec.get("val_noise_sigma", 0.05 * float(np.std(test.targets)))
+    val = add_gaussian_noise(test, float(sigma), substream(seed, "noise"))
+    name = os.path.splitext(os.path.basename(path))[0]
+    return TaskData(name=name, train=train, val=val, test=test)
 
 
 def load_manifest(path: str) -> dict:

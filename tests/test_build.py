@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -310,6 +311,48 @@ class TestInitNetwork:
         assert max_singular_value(state.feedback[:state.n, :state.n]) == pytest.approx(
             cfg.esp_alpha, rel=1e-9
         )
+
+
+    def test_overlapping_calls_leave_the_warning_filters_alone(self, monkeypatch):
+        # "first" is inside scale_feedback when "second" enters, and returns
+        # first; a warnings.catch_warnings() block around each call would then
+        # restore the filters out of order and leave "ignore" installed
+        first_in, second_in, first_done = (threading.Event() for _ in range(3))
+        scale = build.scale_feedback
+
+        def ordered(model, alpha):
+            if threading.current_thread().name == "first":
+                first_in.set()
+                second_in.wait(10)
+            else:
+                second_in.set()
+                first_done.wait(10)
+            return scale(model, alpha)
+
+        monkeypatch.setattr(build, "scale_feedback", ordered)
+        cfg = small_cfg(sparsity=1.0)  # every draw has feedback to scale
+        states = []
+
+        def grow(rng_seed):
+            try:
+                states.append(init_network(toy_task(), toy_task(seed=1), cfg,
+                                           np.random.default_rng(rng_seed)))
+            finally:
+                if rng_seed == 0:
+                    first_done.set()
+
+        with warnings.catch_warnings():
+            before = list(warnings.filters)
+            first = threading.Thread(target=grow, args=(0,), name="first")
+            second = threading.Thread(target=grow, args=(1,), name="second")
+            first.start()
+            assert first_in.wait(10)
+            second.start()
+            first.join()
+            second.join()
+            after = list(warnings.filters)
+        assert len(states) == 2 and second_in.is_set()
+        assert after == before
 
 
 class TestConfigureNode:

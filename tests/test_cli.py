@@ -8,8 +8,8 @@ import pytest
 
 from rscn import cli, evaluate
 from rscn.cli import cmd_dispatch
-from rscn.model import ReservoirModel, load_model, model_to_dict
-from rscn.tasks import load_manifest
+from rscn.model import ReservoirModel, load_model, model_to_dict, save_model
+from rscn.tasks import load_manifest, task_from_manifest
 
 
 def run(*argv):
@@ -751,3 +751,126 @@ class TestErrorPaths:
 
     def test_help_exits_zero(self):
         assert run("--help") == 0
+
+    @staticmethod
+    def _count_trainings(monkeypatch):
+        """The ``evaluate.train_model`` calls made from now on."""
+        calls, train = [], evaluate.train_model
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(evaluate, "train_model", counted)
+        return calls
+
+    @pytest.mark.parametrize("command,key,value", [
+        ("bench", "trails", 1),
+        ("train", "alpha", 0.5), ("bench", "alpha", 0.5),
+        ("train", "grid", "esp_alpha=0.5,0.9"),
+        ("train", "out", "elsewhere"),
+    ])
+    def test_run_manifest_key_no_command_reads_is_a_schema_error(
+            self, tmp_path, capsys, monkeypatch, command, key, value):
+        # --alpha, --grid and --out are flags only; a misspelled key used to be ignored
+        calls = self._count_trainings(monkeypatch)
+        doc = {"task": "mg", "tasks": ["mg"], "model": "esn", "models": ["esn"],
+               "trials": 1, key: str(tmp_path / value) if key == "out" else value}
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert run(command, "--manifest", str(path), "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert "kind=SchemaError" in err and f"has unknown keys: {key}" in err
+        assert "Traceback" not in err
+        assert calls == [] and not out.exists() and not (tmp_path / "elsewhere").exists()
+
+    def test_misspelled_online_key_is_a_schema_error(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"task": "mg", "model_file": _tiny_model_file(tmp_path),
+                                    "online": {"mdoe": "deadzone"}}))
+        out = tmp_path / "out"
+        assert run("online", "--manifest", str(path), "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert "kind=SchemaError" in err and "online section has unknown keys: mdoe" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,task,key", [
+        ("gen", {"task": "mg", "sed": 3}, "sed"),
+        ("gen", {"task": "mg", "washout": 50}, "washout"),
+        ("gen", {"task": "plant", "mg_params": {"length": 900}}, "mg_params"),
+        ("train", None, "n_train"),
+    ], ids=["mg-sed", "mg-washout", "plant-mg_params", "csv-n_train"])
+    def test_task_key_its_kind_does_not_take_is_a_schema_error(
+            self, tmp_path, fast_manifest, capsys, command, task, key):
+        doc = load_manifest(fast_manifest)
+        if task is None:
+            doc["task"]["n_train"] = 100  # belongs in the "csv" section
+        else:
+            doc = {"task": task}
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert run(command, "--manifest", str(path), "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert "kind=SchemaError" in err and f"task manifest has unknown keys: {key}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "esp-check"])
+    def test_model_document_with_another_key_is_a_schema_error(self, tmp_path, capsys,
+                                                               command):
+        doc = json.loads(open(_tiny_model_file(tmp_path)).read())
+        doc["ridge"] = 0.0
+        path = tmp_path / "extra.model.json"
+        path.write_text(json.dumps(doc))
+        task = ["--task", "mg"] if command == "eval" else []
+        assert run(command, "--model-file", str(path), *task) == 3
+        err = capsys.readouterr().err
+        assert "kind=SchemaError" in err and "model document has unknown keys: ridge" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key,value,named", [
+        ("tasks", ["mg", 5], "unknown task 5"),
+        ("models", ["esn", "lstm"], "unknown model kind 'lstm'"),
+        ("tasks", [{"task": "mg", "seed": 7}], "a bench task may not set seed"),
+    ], ids=["tasks", "models", "task-seed"])
+    def test_bench_refuses_a_bad_entry_before_the_first_trial(
+            self, tmp_path, capsys, monkeypatch, key, value, named):
+        calls = self._count_trainings(monkeypatch)
+        doc = {"tasks": ["mg"], "models": ["esn"], "trials": 1, key: value}
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert run("bench", "--manifest", str(path), "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert "kind=SchemaError" in err and named in err
+        assert "Traceback" not in err
+        assert calls == [] and not out.exists()
+
+
+class TestReplay:
+    """Every document the program writes reads back."""
+
+    def test_written_documents_read_back(self, tmp_path, fast_manifest, capsys):
+        gen = tmp_path / "gen"
+        assert run("gen", "--task", "mg1", "--seed", "4", "--out", str(gen)) == 0
+        written = load_manifest(str(gen / "mg1_manifest.json"))
+        assert task_from_manifest(written).name == "mg1"
+        path = tmp_path / "gen_run.json"
+        path.write_text(json.dumps({"task": written}))
+        again = tmp_path / "again"
+        assert run("gen", "--manifest", str(path), "--out", str(again)) == 0
+        for name in os.listdir(gen):
+            assert (again / name).read_bytes() == (gen / name).read_bytes()
+
+        model = ReservoirModel(input_weights=np.ones((2, 1)), feedback=np.eye(2) * 0.5,
+                               biases=np.zeros(2), readout=np.ones((1, 3)))
+        model_file = str(tmp_path / "saved.model.json")
+        save_model(model, model_file)
+        assert np.array_equal(load_model(model_file).readout, model.readout)
+        capsys.readouterr()
+        # the tests' own run manifest, with the saved model
+        assert run("eval", "--manifest", fast_manifest, "--model-file", model_file) == 0
+        assert "task=toy split=test nrmse=" in capsys.readouterr().out

@@ -332,6 +332,17 @@ class TestManifests:
         with pytest.raises(SchemaError):
             task_from_manifest({"task": "nope"})
 
+    @pytest.mark.parametrize("manifest,key", [
+        ({"task": "mg", "sed": 3}, "sed"),
+        ({"task": "mg", "washout": 50}, "washout"),
+        ({"task": "plant", "mg_params": {}}, "mg_params"),
+        ({"task": "csv", "n_train": 100, "csv": {"path": "toy.csv"}}, "n_train"),
+    ], ids=["mg-sed", "mg-washout", "plant-mg_params", "csv-n_train"])
+    def test_key_the_kind_does_not_take_is_a_schema_error(self, manifest, key):
+        kind = manifest["task"]
+        with pytest.raises(SchemaError, match=f"{kind} task manifest has unknown keys: {key}$"):
+            task_from_manifest(manifest)
+
 
 def assert_tasks_bitwise_equal(a, b):
     for split in ("train", "val", "test"):
