@@ -232,16 +232,15 @@ def _pool_node_states(
     inputs: np.ndarray,
     pool: tuple[np.ndarray, np.ndarray, np.ndarray],
     work: dict[str, np.ndarray],
-    bound: float,
     owed: tuple[np.ndarray, float] | None = None,
 ) -> np.ndarray:
     """State sequences ``(pool size, n_steps)`` of one pool, from a zero state.
 
-    ``pool`` holds the ``(input rows, feedback rows, biases)`` and
-    ``bound`` the self-weight bound ``min(lam, esp_alpha)``. The drive is
-    formed in the C-contiguous work array ``"drive"`` and turned into the
-    states in place by :func:`_chunked_recursion`, which equals the plain
-    step-by-step recursion bit for bit.
+    ``pool`` holds the ``(input rows, feedback rows, biases)``. The drive
+    is formed in the C-contiguous work array ``"drive"`` and turned into
+    the states in place by :func:`_chunked_recursion`, which equals the
+    plain step-by-step recursion bit for bit and takes its warm-up from
+    the largest self-weight magnitude among the rows it runs.
 
     The work array has one row more than the pool. An accepted node's
     validation run ``owed = (drive, self-weight)``, no longer than
@@ -261,14 +260,9 @@ def _pool_node_states(
     spare[:run.size] = run
     spare[run.size:] = SATURATED
     weights = np.append(w_r[:, -1], self_w)
-    _chunked_recursion(rows, weights, _warmup_steps(max(bound, abs(self_w))), work)
+    _chunked_recursion(rows, weights, work)
     run[:] = spare[:run.size]
     return drive
-
-
-def _warmup_steps(bound: float) -> int:
-    """Steps over which self-weights of magnitude at most ``bound`` shrink a gap by 2⁻⁶⁴."""
-    return math.ceil(64 / -math.log2(bound))
 
 
 def _pool_scores(
@@ -326,7 +320,7 @@ def configure_node(
     if state.val.n_steps > inputs.shape[1]:
         _settle(state)
     g = _pool_node_states(
-        state.train_states[:n, :-1], inputs, (w_in, w_r, b), state.work, min(lam, alpha),
+        state.train_states[:n, :-1], inputs, (w_in, w_r, b), state.work,
         _owed_run(state) if state.owed else None,
     )
     state.owed = False
@@ -491,7 +485,7 @@ def _settle(state: BuildState) -> None:
     """Pay the owed validation run, if any, alone on the kernel."""
     if state.owed:
         run, self_w = _owed_run(state)
-        _chunked_recursion(run[None], np.array([self_w]), _warmup_steps(state.cfg.esp_alpha), {})
+        _chunked_recursion(run[None], np.array([self_w]), {})
         state.owed = False
 
 

@@ -272,7 +272,7 @@ def cmd_bench(args, run_manifest: dict, seed: int) -> int:
                  for kind in models]
         plans.append((task_manifest, task, specs))
     for task_manifest, task, specs in plans:
-        shared, reports = {seed: task}, []  # every model's trials share one task per seed
+        shared, reports, trial_lists = {seed: task}, [], []  # one task per seed for all models
         for spec in specs:
             if isinstance(spec, BaselineConfig) and spec.topology == "scr_ring":
                 best, _ = grid_search(
@@ -280,11 +280,14 @@ def cmd_bench(args, run_manifest: dict, seed: int) -> int:
                     seed=seed, tasks=shared,
                 )
                 spec = replace(spec, **best)
-            reports.append(run_trials(task_manifest, spec, trials, base_seed=seed, tasks=shared))
-        text = emit_report(reports, "text")
+            report, results = run_trials(task_manifest, spec, trials, base_seed=seed,
+                                         keep_trials=True, tasks=shared)
+            reports.append(report)
+            trial_lists.append(results)
+        text = emit_report(reports, "text", trial_lists)
         out = _ensure_out(args)  # made only once there is a report to write
         atomic_write_text(os.path.join(out, f"report_{task.name}.csv"),
-                          emit_report(reports, "csv"))
+                          emit_report(reports, "csv", trial_lists))
         atomic_write_text(os.path.join(out, f"report_{task.name}.txt"), text)
         print(f"== {task.name} ({trials} trials, seed {seed})")
         print(text, end="")

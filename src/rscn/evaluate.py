@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import time
 import warnings
 from dataclasses import dataclass, replace
@@ -214,11 +215,40 @@ def grid_search(
 
 
 REPORT_COLUMNS = ("Models", "N", "Training time", "Training NRMSE", "Testing NRMSE")
+PAIRED_COLUMNS = ("Pairs", "Test wins", "Median test ratio", "Sign test p")
 
 
-def emit_report(reports: Sequence[TrialReport], fmt: str = "text") -> str:
+def sign_test_p(wins: int, losses: int) -> float:
+    """Exact two-sided sign-test p-value of ``wins`` against ``losses`` (ties left out)."""
+    n = wins + losses
+    tail = sum(math.comb(n, i) for i in range(min(wins, losses) + 1)) / 2**n
+    return min(1.0, 2.0 * tail)
+
+
+def paired_cells(results: Sequence[TrialResult], first: Sequence[TrialResult]) -> tuple[str, ...]:
+    """``PAIRED_COLUMNS`` of ``results`` against ``first``, over the seeds both have.
+
+    A win is a lower test NRMSE; the ratio is this model's test NRMSE
+    over the first one's, seed by seed.
+    """
+    theirs = {r.seed: r.test_nrmse for r in first}
+    pairs = np.array([(r.test_nrmse, theirs[r.seed]) for r in results if r.seed in theirs])
+    ours, other = pairs.reshape(-1, 2).T
+    wins, losses = int(np.sum(ours < other)), int(np.sum(ours > other))
+    ratio = float(np.median(ours / other)) if len(pairs) else math.nan
+    p = sign_test_p(wins, losses)
+    return str(len(pairs)), str(wins), format(ratio, ".4f"), format(p, ".3g")
+
+
+def emit_report(
+    reports: Sequence[TrialReport], fmt: str = "text",
+    trials: Sequence[Sequence[TrialResult]] | None = None,
+) -> str:
     """Comparison table over models; same numbers in both formats.
 
+    Given each report's per-seed ``trials``, ``PAIRED_COLUMNS`` follow
+    the others: every model after the first is paired with the first
+    on the seeds where both trials succeeded (:func:`paired_cells`).
     The text format adds one line per failed trial under the table.
     """
     if not reports:
@@ -233,18 +263,26 @@ def emit_report(reports: Sequence[TrialReport], fmt: str = "text") -> str:
         )
         for r in reports
     ]
+    columns = REPORT_COLUMNS
+    if trials is not None and len(reports) > 1:
+        if len(trials) != len(reports):
+            raise ContractViolationError("one list of trials per report is required")
+        columns += PAIRED_COLUMNS
+        rows = [rows[0] + ("",) * len(PAIRED_COLUMNS)] + [
+            row + paired_cells(results, trials[0]) for row, results in zip(rows[1:], trials[1:])
+        ]
     if fmt == "csv":
-        return csv_text(REPORT_COLUMNS, list(zip(*rows)))
+        return csv_text(columns, list(zip(*rows)))
     if fmt == "text":
         widths = [
-            max(len(REPORT_COLUMNS[j]), *(len(row[j]) for row in rows))
-            for j in range(len(REPORT_COLUMNS))
+            max(len(columns[j]), *(len(row[j]) for row in rows))
+            for j in range(len(columns))
         ]
-        header = "  ".join(c.ljust(widths[j]) for j, c in enumerate(REPORT_COLUMNS))
+        header = "  ".join(c.ljust(widths[j]) for j, c in enumerate(columns))
         sep = "-" * len(header)
         lines = [header, sep]
         lines += [
-            "  ".join(cell.ljust(widths[j]) for j, cell in enumerate(row))
+            "  ".join(cell.ljust(widths[j]) for j, cell in enumerate(row)).rstrip()
             for row in rows
         ]
         lines += [
@@ -253,4 +291,3 @@ def emit_report(reports: Sequence[TrialReport], fmt: str = "text") -> str:
         ]
         return "\n".join(lines) + "\n"
     raise ContractViolationError(f"unknown report format {fmt!r}")
-

@@ -7,6 +7,7 @@ Arrays follow a channels-by-time convention: an input sequence is a
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 import weakref
@@ -171,14 +172,28 @@ def check_finite_steps(rows: np.ndarray) -> None:
 
 
 def _work(work: dict[str, np.ndarray], name: str, shape: tuple[int, ...]) -> np.ndarray:
-    """Work array ``name``, allocated again only for a new shape."""
+    """Work array ``name``, allocated again only for a new shape; the old
+    one is dropped first, so the two are never held at once."""
     if work.get(name, np.empty(0)).shape != shape:
+        work.pop(name, None)
         work[name] = np.empty(shape)
     return work[name]
 
 
+# On the 120-node model of a 9,194-step stream, 128 warm-up steps (256-step
+# chunks) needed no fix-up; 64 needed one at every boundary and ran slower,
+# and longer warm-ups ran no faster.
+RUN_WARMUP = 128
+
+
+def _warmup_steps(bound: float) -> int:
+    """Steps over which self-weights of magnitude at most ``bound`` shrink a
+    gap by 2⁻⁶⁴; at least one, which a zero weight needs."""
+    return math.ceil(64 / -math.log2(max(bound, 2.0**-64)))
+
+
 def _chunked_recursion(
-    drive: np.ndarray, weight: np.ndarray, warmup: int, work: dict[str, np.ndarray],
+    drive: np.ndarray, weight: np.ndarray, work: dict[str, np.ndarray],
     start: np.ndarray | None = None,
 ) -> None:
     """Turn ``drive`` ``(size, n_steps)`` into the states ``tanh(drive + weight · x)`` in place.
@@ -186,19 +201,24 @@ def _chunked_recursion(
     ``weight`` is either the self-weights ``(size,)`` of independent
     nodes (a candidate pool) or a feedback matrix ``(size, size)`` (a
     network); the state before the first step is ``start`` (zeros by
-    default). The steps are cut into ``c = n_steps // (2 warmup)``
-    chunks that run side by side, one ``(c, size)`` row per step: an
-    elementwise product for self-weights, a stacked ``np.matmul`` for a
-    matrix, which equals ``weight @ x`` bit for bit, and a shifted
-    elementwise product (:func:`_ring_step`) for a ring. Each chunk starts
-    from a zero state ``warmup`` steps before its own first step; the
-    first chunk's warm-up sees zero drive and stays zero. Two runs whose
-    bits agree at some step agree from then on, so a chunk whose last
-    warm-up state equals the exact state before it is exact; any other
-    chunk is recomputed from that exact state by :func:`_fix_up`. With
-    one chunk there is no warm-up and the loop is the plain recursion.
+    default). The kernel picks its own warm-up ``m``: independent nodes
+    close a gap by at least their largest self-weight magnitude per step
+    (tanh is 1-Lipschitz), so ``m`` is :func:`_warmup_steps` of it; a
+    network's nodes are coupled, and ``m`` is ``RUN_WARMUP``. The steps
+    are cut into ``c = n_steps // (2 m)`` chunks that run side by side,
+    one ``(c, size)`` row per step: an elementwise product for
+    self-weights, a stacked ``np.matmul`` for a matrix, which equals
+    ``weight @ x`` bit for bit, and a shifted elementwise product
+    (:func:`_ring_step`) for a ring. Each chunk starts from a zero state
+    ``m`` steps before its own first step; the first chunk's warm-up
+    sees zero drive and stays zero. Two runs whose bits agree at some
+    step agree from then on, so a chunk whose last warm-up state equals
+    the exact state before it is exact; any other chunk is recomputed
+    from that exact state by :func:`_fix_up`. With one chunk there is no
+    warm-up and the loop is the plain recursion.
     """
     size, n_steps = drive.shape
+    warmup = _warmup_steps(float(np.abs(weight).max())) if weight.ndim == 1 else RUN_WARMUP
     c = max(1, n_steps // (2 * warmup))
     span = -(-n_steps // c)
     c = -(-n_steps // span)  # rounding the span up may leave chunks empty
@@ -271,11 +291,6 @@ def _fix_up(states: np.ndarray, drive: np.ndarray, weight: np.ndarray, exact: np
             return
 
 
-# On the 120-node model of a 9,194-step stream, 128 warm-up steps (256-step
-# chunks) needed no fix-up; 64 needed one at every boundary and ran slower,
-# and longer warm-ups ran no faster.
-RUN_WARMUP = 128
-
 # run_reservoir's latest run: (weakrefs to the input weights, feedback and
 # biases it ran, (input bytes, start bytes), StateSequence)
 _last_run = None
@@ -292,10 +307,10 @@ def run_reservoir(
     ``tanh(W_in u(t) + W_r x(t-1) + b)`` with ``x(0) = initial_state``
     (zeros by default). The drive is formed in the top ``N`` rows of one
     ``(N + K, n)`` buffer over the inputs, :func:`_chunked_recursion`
-    (``RUN_WARMUP`` warm-up steps) turns it into the states in place, and
-    the read-only buffer is the extended matrix, equal to the plain step
-    loop's bit for bit. Finiteness is checked once, after the last step.
-    Deterministic: identical arguments give a bit-identical sequence.
+    turns it into the states in place, and the read-only buffer is the
+    extended matrix, equal to the plain step loop's bit for bit.
+    Finiteness is checked once, after the last step. Deterministic:
+    identical arguments give a bit-identical sequence.
 
     The latest run is remembered: a call on a model holding the same
     input weight, feedback and bias array objects (a model and every
@@ -321,7 +336,7 @@ def run_reservoir(
     _last_run = last = None  # no reference left, so the old states are freed before allocating
     extended = np.empty((n + model.n_inputs, inputs.shape[1]))
     extended[n:] = inputs
-    _chunked_recursion(input_drive(model, inputs, extended[:n]), model.feedback, RUN_WARMUP, {}, x)
+    _chunked_recursion(input_drive(model, inputs, extended[:n]), model.feedback, {}, x)
     check_finite_steps(extended[:n].T)
     extended.flags.writeable = False
     seq = StateSequence(extended, n)  # adopted, not copied

@@ -146,20 +146,27 @@ class TestCriterion4LagDegradation:
 class TestCriterion5MonotoneResidual:
     @pytest.mark.parametrize("task,washout", [("mg", 20), ("plant", 100)])
     def test_training_residual_never_increases(self, task, washout):
-        worst = 0.0
+        # and, per node, ||e_n||^2 <= (r + mu_n) ||e_{n-1}||^2 with
+        # mu_n = (1 - r) / (n + 1): the paper's supervisory bound
+        worst, worst_ratio = 0.0, 0.0
         for seed in range(10):
             data = task_from_manifest({"task": task, "seed": seed})
             cfg = BuildConfig(n_max=40, seed=seed)
             _, hist = build_rscn(data.train, data.val, cfg)
-            norms = hist.train_norms
+            norms, rs, sizes = hist.train_norms, hist.rs, hist.sizes
             assert len(norms) >= 2
-            for a, b in zip(norms, norms[1:]):
+            for i in range(1, len(norms)):
+                a, b = norms[i - 1], norms[i]
                 worst = max(worst, b - a)
                 assert b <= a + 1e-12, f"{task} seed {seed}: {a} -> {b}"
+                bound = (rs[i] + (1 - rs[i]) / (sizes[i - 1] + 1)) * a**2
+                worst_ratio = max(worst_ratio, b**2 / bound)
+                assert b**2 <= bound * (1 + 1e-12), f"{task} seed {seed} size {sizes[i]}"
         report(
             5, True,
             f"{task}: residual norm non-increasing in 10/10 builds "
-            f"(worst step change {worst:.2e} <= 1e-12)",
+            f"(worst step change {worst:.2e} <= 1e-12; each node's squared "
+            f"residual at most {worst_ratio:.3f} of the paper's bound)",
         )
 
 

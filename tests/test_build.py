@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import warnings
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -18,7 +19,6 @@ from rscn.build import (
     _pool_node_states,
     _readout,
     _settle,
-    _warmup_steps,
     build_rscn,
     configure_node,
     early_stop_triggered,
@@ -26,7 +26,7 @@ from rscn.build import (
     solve_output_weights,
 )
 from rscn.errors import ContractViolationError
-from rscn.model import run_reservoir, save_model
+from rscn.model import _warmup_steps, run_reservoir, save_model
 from rscn.tasks import SupervisedSequence, task_from_manifest
 
 
@@ -97,14 +97,14 @@ def candidate_states(state, cand, inputs):
     return _node_states(prev, inputs, cand.input_row, cand.feedback_row, cand.bias)
 
 
-def sequential_pool_states(prev_states, inputs, pool, work, bound, owed=None):
+def sequential_pool_states(prev_states, inputs, pool, work, owed=None):
     """Pool state sequences by the plain step-by-step recursion (oracle).
 
     Takes :func:`rscn.build._pool_node_states`'s arguments and forms the
     drive as it does, so only the recursion differs: each candidate runs
     alone through :func:`_node_states`, with its drive as the only input
     channel, and so does an owed validation run, written back into its
-    drive. ``work`` and ``bound`` are unused.
+    drive. ``work`` is unused.
     """
     w_in, w_r, b = pool
     drive = np.matmul(w_in, inputs)
@@ -519,9 +519,8 @@ class TestChunkedRecursion:
         rng = np.random.default_rng(n_steps)
         inputs, prev = rng.uniform(-1, 1, (2, n_steps)), rng.uniform(-1, 1, (n, n_steps))
         pool = self.pool(n_steps + n, g_max, n, 2, lam)
-        bound = min(lam, 0.9)
-        got = _pool_node_states(prev, inputs, pool, {}, bound)
-        want = sequential_pool_states(prev, inputs, pool, None, bound)
+        got = _pool_node_states(prev, inputs, pool, {})
+        want = sequential_pool_states(prev, inputs, pool, None)
         assert got.flags.c_contiguous and got.shape == (g_max, n_steps)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
         if lam > 0.9:
@@ -552,7 +551,8 @@ class TestChunkedRecursion:
         self_w[:3] = (0.0, 0.9, -0.9)
         want = sequential_states(drive, self_w)
         work = {}
-        _chunked_recursion(drive, self_w, 1, work)
+        monkeypatch.setattr(rmodel, "_warmup_steps", lambda bound: 1)
+        _chunked_recursion(drive, self_w, work)
         span = -(-n_steps // (n_steps // 2))
         c = -(-n_steps // span)  # 501 steps: 167 chunks of 3, not 250
         assert work["chunks"].shape == (1 + span, c, 15)
@@ -630,6 +630,27 @@ class TestOwedValidationRuns:
         model, history, state = self.build(monkeypatch, train, val, cfg)
         assert state.n == cfg.n_max and len(history.sizes) == cfg.n_max - cfg.n_init + 1
         assert history.stop == "cap"
+        self.assert_oracle_states(state)
+
+    def test_last_run_takes_its_warmup_from_its_own_self_weight(self, monkeypatch):
+        # the last node's 1,000-step plant run is paid alone; esp_alpha's
+        # 422 warm-up steps would leave it one step-by-step chunk
+        shapes, work = [], rmodel._work
+
+        def spy(arrays, name, shape):
+            if name == "chunks":
+                shapes.append(shape)
+            return work(arrays, name, shape)
+
+        monkeypatch.setattr(rmodel, "_work", spy)
+        data = task_from_manifest({"task": "plant", "seed": 0})
+        cfg = BuildConfig(n_max=10, seed=0)
+        model, history, state = self.build(monkeypatch, data.train, data.val, cfg)
+        assert history.stop == "cap" and data.val.n_steps == 1000
+        m = _warmup_steps(abs(state.feedback[state.n - 1, state.n - 1]))
+        span = -(-1000 // (1000 // (2 * m)))
+        assert m < _warmup_steps(cfg.esp_alpha) and shapes[-1] == (m + span, -(-1000 // span), 1)
+        assert shapes[-1][1] > 1
         self.assert_oracle_states(state)
 
     @pytest.mark.parametrize("task", ["mg", "plant"])
@@ -1025,6 +1046,20 @@ class TestHotPath:
         assert model.n_nodes == 15 and len(hist.sizes) == 13
         assert counts["solve"] == 0
         assert counts["model"] <= 2
+
+    def test_a_new_shape_frees_the_old_work_array_first(self, monkeypatch):
+        # the kernel's warm-up follows each pool's weights, so the chunk
+        # array's shape changes from pool to pool; two at once raise the peak
+        work = {"chunks": np.empty((4, 2))}
+        old, alive, empty = weakref.ref(work["chunks"]), [], np.empty
+
+        def allocate(shape):
+            alive.append(old() is not None)
+            return empty(shape)
+
+        monkeypatch.setattr(rmodel.np, "empty", allocate)
+        assert rmodel._work(work, "chunks", (3, 2)).shape == (3, 2)
+        assert alive[-1] is False and old() is None
 
     def test_work_arrays_are_reused_and_never_aliased(self):
         from rscn.build import _accept_node

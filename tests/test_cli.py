@@ -240,7 +240,8 @@ class TestBench:
         csv_text = next(
             (out / f).read_text() for f in files if f.endswith(".csv")
         )
-        assert csv_text.splitlines()[0] == "Models,N,Training time,Training NRMSE,Testing NRMSE"
+        assert csv_text.splitlines()[0] == ("Models,N,Training time,Training NRMSE,Testing NRMSE,"
+                                            "Pairs,Test wins,Median test ratio,Sign test p")
         assert len(csv_text.strip().splitlines()) == 3  # two models
 
     def test_task_prefix_selects_only_that_task(self, tmp_path, toy_csv):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,11 +10,16 @@ from rscn.build import BuildConfig
 from rscn import evaluate
 from rscn.errors import ContractViolationError, MetricUndefinedError, NumericOverflowError
 from rscn.evaluate import (
+    PAIRED_COLUMNS,
+    REPORT_COLUMNS,
     MeanStd,
+    TrialResult,
     emit_report,
     grid_search,
     nrmse,
+    paired_cells,
     run_trials,
+    sign_test_p,
 )
 
 
@@ -242,3 +249,52 @@ class TestEmitReport:
         got_mean, got_std = map(float, row[header.index("Testing NRMSE")].split("±"))
         assert got_mean == pytest.approx(report.test_nrmse.mean, abs=5e-5)
         assert got_std == pytest.approx(report.test_nrmse.std, abs=5e-5)
+
+
+class TestPairedReport:
+    """Every model after the first is paired with it seed by seed, as the gate pairs them."""
+
+    @staticmethod
+    def results(errors):
+        return [TrialResult(seed, 10, 0.0, 0.0, 0.0, e) for seed, e in errors.items()]
+
+    def test_sign_test_p_counts_every_outcome_as_extreme(self):
+        assert sign_test_p(17, 3) == 2 * (1 + 20 + 190 + 1140) / 2**20
+        assert sign_test_p(0, 0) == sign_test_p(5, 5) == 1.0
+        for n in range(13):
+            for wins in range(n + 1):
+                extreme = [i for i in range(n + 1) if abs(2 * i - n) >= abs(2 * wins - n)]
+                want = min(1.0, sum(math.comb(n, i) for i in extreme) / 2**n)
+                assert sign_test_p(wins, n - wins) == pytest.approx(want, rel=1e-12)
+                assert sign_test_p(wins, n - wins) == sign_test_p(n - wins, wins)
+
+    def test_pairs_only_the_seeds_both_models_scored(self):
+        first = self.results({0: 1.0, 1: 2.0, 2: 4.0, 3: 1.0})  # seed 4 failed
+        other = self.results({0: 0.5, 1: 2.0, 3: 3.0, 4: 0.1})  # seed 2 failed
+        # seed 1 ties: no win, and the sign test leaves it out
+        assert paired_cells(other, first) == ("3", "1", "1.0000", format(sign_test_p(1, 1), ".3g"))
+        assert paired_cells(self.results({5: 1.0}), first) == ("0", "0", "nan", "1")
+
+    def test_paired_columns_follow_the_existing_ones(self, tmp_path):
+        manifest, reports, trials = tiny_manifest(tmp_path), [], []
+        for scale in (1.0, 0.3, 2.0):
+            report, results = run_trials(
+                manifest, BaselineConfig(n_nodes=6, weight_scale=scale), 3, keep_trials=True)
+            reports.append(report)
+            trials.append(results)
+        for fmt in ("csv", "text"):
+            plain = emit_report(reports, fmt).splitlines()
+            paired = emit_report(reports, fmt, trials).splitlines()
+            assert len(paired) == len(plain)
+            assert all(p.startswith(q) for p, q in zip(paired, plain))
+        csv = emit_report(reports, "csv", trials)
+        header, first, *rows = (line.split(",") for line in csv.splitlines())
+        assert tuple(header) == REPORT_COLUMNS + PAIRED_COLUMNS and first[5:] == ["", "", "", ""]
+        for row, results in zip(rows, trials[1:]):
+            wins = sum(r.test_nrmse < f.test_nrmse for r, f in zip(results, trials[0]))
+            assert row[5:7] == ["3", str(wins)]
+            assert row[5:] == list(paired_cells(results, trials[0]))
+        one = emit_report(reports[:1], "csv", trials[:1])
+        assert one == emit_report(reports[:1], "csv")
+        with pytest.raises(ContractViolationError):
+            emit_report(reports, "csv", trials[:2])
