@@ -169,7 +169,8 @@ class BuildState:
     ``basis`` names each vector's design column (inputs, then nodes) and
     ``residual`` is the post-washout training residual ``(L, T)``.
     ``work`` holds the candidate search's work arrays, reused across calls.
-    ``owed`` is true while the last node's validation states are unpaid.
+    ``owed`` is the last node's unpaid validation run: its drive, formed in
+    its ``val_states`` row, and its self-weight; ``None`` once paid.
     """
 
     cfg: BuildConfig
@@ -188,7 +189,7 @@ class BuildState:
     residual: np.ndarray
     history: BuildHistory
     work: dict[str, np.ndarray] = field(default_factory=dict)
-    owed: bool = False
+    owed: tuple[np.ndarray, float] | None = None
 
     def network(self, n: int, readout: np.ndarray) -> ReservoirModel:
         """The first ``n`` grown nodes with the given readout."""
@@ -290,19 +291,14 @@ def _pool_scores(
     return None
 
 
-def configure_node(
-    state: BuildState,
-    inputs: np.ndarray,
-    lam: float,
-    rs: Sequence[float],
-    g_max: int,
-    rng: np.random.Generator,
-) -> CandidatePool:
-    """Draw one pool at weight scale ``lam`` and test it against the r-ladder ``rs``.
+def configure_node(state: BuildState, lam: float, rng: np.random.Generator) -> CandidatePool:
+    """Draw one pool at weight scale ``lam`` and test it against the build's r-ladder.
 
-    The pool's ``g_max`` candidates are drawn in a fixed order (input
-    rows, then feedback rows, then biases); each self-weight is clamped
-    to ``[-esp_alpha, esp_alpha]``. One time-chunked state recursion
+    The pool size ``g_max``, the r-ladder and the self-weight clamp come
+    from ``state.cfg`` and the inputs from ``state.train``. The pool's
+    candidates are drawn in a fixed order (input rows, then feedback
+    rows, then biases); each self-weight is clamped to
+    ``[-esp_alpha, esp_alpha]``. One time-chunked state recursion
     runs over the whole pool (:func:`_pool_node_states`), which is then
     scored at each r in order (see :func:`_pool_scores`). The same
     recursion pays the last accepted node's owed validation run, unless
@@ -312,19 +308,19 @@ def configure_node(
     ties. A result without a node tells the caller to advance the weight
     scale.
     """
-    alpha, n, k = state.cfg.esp_alpha, state.n, state.train.n_inputs
-    w_in = rng.uniform(-lam, lam, size=(g_max, k))
+    cfg, train, n = state.cfg, state.train, state.n
+    g_max, alpha = cfg.g_max, cfg.esp_alpha
+    w_in = rng.uniform(-lam, lam, size=(g_max, train.n_inputs))
     w_r = rng.uniform(-lam, lam, size=(g_max, n + 1))
     b = rng.uniform(-lam, lam, size=g_max)
     np.clip(w_r[:, -1], -alpha, alpha, out=w_r[:, -1])
-    if state.val.n_steps > inputs.shape[1]:
+    if state.val.n_steps > train.n_steps:
         _settle(state)
     g = _pool_node_states(
-        state.train_states[:n, :-1], inputs, (w_in, w_r, b), state.work,
-        _owed_run(state) if state.owed else None,
+        state.train_states[:n, :-1], train.inputs, (w_in, w_r, b), state.work, state.owed
     )
-    state.owed = False
-    found = _pool_scores(state.residual, g[:, state.train.washout:], rs, n)
+    state.owed = None
+    found = _pool_scores(state.residual, g[:, train.washout:], cfg.r_sequence, n)
     if found is None:
         return CandidatePool(None, None, 0)
     r, scores, ok = found
@@ -456,37 +452,29 @@ def init_network(
 def _accept_node(state: BuildState, cand: CandidateNode) -> None:
     """Append the candidate's row, its training states and its design column.
 
-    The old rows are untouched. The node's validation states are left
-    owed (see :func:`_owed_run`).
+    The old rows are untouched. The node feeds only from earlier nodes,
+    whose validation states are paid by now, so its validation drive is
+    formed here in its ``val_states`` row and left owed with its
+    self-weight; the kernel later turns it into the states in place.
     """
     n = state.n
     state.input_weights[n] = cand.input_row
     state.feedback[n, :n + 1] = cand.feedback_row
     state.biases[n] = cand.bias
     state.train_states[n, 1:] = cand.state_seq
-    state.n, state.owed = n + 1, True
+    run = state.val_states[n, 1:]
+    np.add(cand.input_row @ state.val.inputs, cand.bias, out=run)
+    run += cand.feedback_row[:n] @ state.val_states[:n, :-1]
+    state.n, state.owed = n + 1, (run, float(cand.feedback_row[n]))
     _append_column(state, state.train.n_inputs + n, cand.state_seq[state.train.washout:])
-
-
-def _owed_run(state: BuildState) -> tuple[np.ndarray, float]:
-    """The last node's validation drive, formed in its ``val_states`` row, and its self-weight.
-
-    The node feeds only from earlier nodes, whose validation states are
-    known; the kernel turns the drive into the states in place.
-    """
-    k = state.n - 1
-    run = state.val_states[k, 1:]
-    np.add(state.input_weights[k] @ state.val.inputs, state.biases[k], out=run)
-    run += state.feedback[k, :k] @ state.val_states[:k, :-1]
-    return run, float(state.feedback[k, k])
 
 
 def _settle(state: BuildState) -> None:
     """Pay the owed validation run, if any, alone on the kernel."""
-    if state.owed:
-        run, self_w = _owed_run(state)
+    if state.owed is not None:
+        run, self_w = state.owed
         _chunked_recursion(run[None], np.array([self_w]), {})
-        state.owed = False
+        state.owed = None
 
 
 def early_stop_triggered(val_norms: list[float], n_step: int) -> bool:
@@ -523,9 +511,7 @@ def build_rscn(
     while not (float(np.linalg.norm(state.residual)) <= cfg.epsilon or state.n >= cfg.n_max):
         pool_total = 0
         for lam in cfg.lambda_sequence:
-            pool = configure_node(
-                state, train.inputs, lam, cfg.r_sequence, cfg.g_max, rng_cand
-            )
+            pool = configure_node(state, lam, rng_cand)
             pool_total += cfg.g_max
             if pool.best is not None:
                 break
@@ -544,7 +530,7 @@ def build_rscn(
         )
     else:
         history.stop = "cap" if state.n >= cfg.n_max else "tolerance"
-    if state.owed:
+    if state.owed is not None:
         _settle(state)
         owed_row(*_norms(state))
     n = history.final_size = state.n - (cfg.n_step if history.stop == "early_stop" else 0)

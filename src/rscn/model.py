@@ -171,6 +171,12 @@ def check_finite_steps(rows: np.ndarray) -> None:
         raise NumericOverflowError(f"non-finite reservoir state at step {np.argmin(finite) + 1}")
 
 
+def _row_dots(a: np.ndarray) -> np.ndarray:
+    """``r @ r`` for each row ``r``: a stacked vector-vector ``matmul`` takes each
+    row through the dot product of ``r @ r`` and ``np.linalg.norm(r)``, bit for bit."""
+    return np.matmul(a[:, None, :], a[:, :, None])[:, 0, 0]
+
+
 def _work(work: dict[str, np.ndarray], name: str, shape: tuple[int, ...]) -> np.ndarray:
     """Work array ``name``, allocated again only for a new shape; the old
     one is dropped first, so the two are never held at once."""

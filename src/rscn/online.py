@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError
-from .model import ReservoirModel, csv_text, run_reservoir
+from .model import ReservoirModel, _row_dots, csv_text, run_reservoir
 from .tasks import SupervisedSequence
 
 MODE_BASIC = "basic"
@@ -267,12 +267,6 @@ def online_run(
         b = slice(t, t + BLOCK)
         preds[b] = _block(state, cfg, features[b], targets[b], energies[b])
     return np.ascontiguousarray(preds.T), state
-
-
-def _row_dots(a: np.ndarray) -> np.ndarray:
-    """``r @ r`` for each row ``r``: a stacked vector-vector ``matmul`` takes each
-    row through the dot product of ``r @ r`` and ``np.linalg.norm(r)``, bit for bit."""
-    return np.matmul(a[:, None, :], a[:, :, None])[:, 0, 0]
 
 
 def diagnostics_csv(

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ContractViolationError
-from .model import ReservoirModel, check_finite_steps, input_drive
+from .model import ReservoirModel, _row_dots, check_finite_steps, input_drive
 
 
 def max_singular_value(w: np.ndarray) -> float:
@@ -66,6 +66,24 @@ class EspReport:
     tol: float
 
 
+def _start_pairs(rng: np.random.Generator, n: int, n_pairs: int) -> np.ndarray:
+    """Start states ``(n, 2 n_pairs)`` of ``esp_check``: first states, then second states.
+
+    Each pair draws its first, then its second state uniformly on
+    ``[-1, 1]^n``; a second state further than 2 from its first is pulled
+    back along their difference to distance 2. One draw gives the values
+    of the pair-by-pair draws, and ``_row_dots`` the gaps of
+    ``np.linalg.norm``, bit for bit.
+    """
+    pairs = rng.uniform(-1.0, 1.0, size=(n_pairs, 2, n))
+    x1, x2 = pairs[:, 0], pairs[:, 1]
+    delta = x2 - x1
+    gap0 = np.sqrt(_row_dots(delta))
+    far = gap0 > 2.0
+    x2[far] = x1[far] + delta[far] * (2.0 / gap0[far, None])
+    return np.concatenate([x1, x2]).T.copy()
+
+
 def esp_check(
     model: ReservoirModel,
     inputs: np.ndarray | None = None,
@@ -96,16 +114,7 @@ def esp_check(
                         if inputs is None else np.asarray(inputs, dtype=float)[:, :n_steps])
     if not drive.shape[1]:
         raise ContractViolationError("esp_check needs at least one input step")
-    n = model.n_nodes
-    starts = np.empty((n, 2 * n_pairs))
-    for p in range(n_pairs):
-        x1, x2 = rng.uniform(-1.0, 1.0, size=n), rng.uniform(-1.0, 1.0, size=n)
-        delta = x2 - x1
-        gap0 = np.linalg.norm(delta)
-        if gap0 > 2.0:
-            x2 = x1 + delta * (2.0 / gap0)
-        starts[:, p], starts[:, n_pairs + p] = x1, x2
-    x, w_r = starts, model.feedback
+    x, w_r = _start_pairs(rng, model.n_nodes, n_pairs), model.feedback
     # states lie in [-1, 1] after a step, so no later pre-activation can exceed this
     bounded = np.abs(w_r).sum(axis=1).max(initial=0.0) + np.abs(drive).max() < np.finfo(float).max / 2
     gaps = np.empty((drive.shape[1], n_pairs))

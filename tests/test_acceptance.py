@@ -6,6 +6,8 @@ criterion prints one PASS/FAIL line (run with ``pytest -s`` to see them
 even when green).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -281,10 +283,8 @@ class TestCriterion10StructuralGrowth:
             pool = None
             for lam in cfg.lambda_sequence:
                 for r in cfg.r_sequence:
-                    pool = configure_node(
-                        state, data.train.inputs, lam, (r,), cfg.g_max,
-                        np.random.default_rng(seed + 100),
-                    )
+                    state.cfg = dataclasses.replace(cfg, r_sequence=(r,))
+                    pool = configure_node(state, lam, np.random.default_rng(seed + 100))
                     if pool.best is not None:
                         break
                 if pool.best is not None:

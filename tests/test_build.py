@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import threading
@@ -25,6 +26,7 @@ from rscn.build import (
     init_network,
     solve_output_weights,
 )
+from rscn.cli import RSCN_N_MAX
 from rscn.errors import ContractViolationError
 from rscn.model import _warmup_steps, run_reservoir, save_model
 from rscn.tasks import SupervisedSequence, task_from_manifest
@@ -56,7 +58,7 @@ def _node_states(prev_states, inputs, input_row, feedback_row, bias):
     """State sequence of one appended node, starting from zero (scalar oracle).
 
     The plain per-step loop on Python floats: the drive is formed as
-    :func:`rscn.build._owed_run` forms it, and the recursion is the one
+    :func:`rscn.build._accept_node` forms it, and the recursion is the one
     :func:`rscn.build._pool_node_states` must equal bit for bit.
     """
     drive = input_row @ inputs + bias
@@ -361,14 +363,17 @@ class TestConfigureNode:
 
     def test_zero_budget_returns_empty_pool(self):
         state = self.make_state()
-        pool = configure_node(state, state.train.inputs, 1.0, (0.9,), 0, np.random.default_rng(0))
+        state.cfg = dataclasses.replace(state.cfg, r_sequence=(0.9,), g_max=0)
+        pool = configure_node(state, 1.0, np.random.default_rng(0))
         assert pool.best is None
 
     def test_same_seed_same_selection(self):
         state_a = self.make_state()
         state_b = self.make_state()
-        pa = configure_node(state_a, state_a.train.inputs, 1.0, (0.999,), 30, np.random.default_rng(5))
-        pb = configure_node(state_b, state_b.train.inputs, 1.0, (0.999,), 30, np.random.default_rng(5))
+        for state in (state_a, state_b):
+            state.cfg = dataclasses.replace(state.cfg, r_sequence=(0.999,), g_max=30)
+        pa = configure_node(state_a, 1.0, np.random.default_rng(5))
+        pb = configure_node(state_b, 1.0, np.random.default_rng(5))
         assert (pa.best is None) == (pb.best is None)
         if pa.best is not None:
             assert np.array_equal(pa.best.input_row, pb.best.input_row)
@@ -376,7 +381,8 @@ class TestConfigureNode:
 
     def test_accepted_candidate_has_nonnegative_per_output_scores(self):
         state = self.make_state()
-        pool = configure_node(state, state.train.inputs, 1.0, (0.999,), 50, np.random.default_rng(8))
+        state.cfg = dataclasses.replace(state.cfg, r_sequence=(0.999,), g_max=50)
+        pool = configure_node(state, 1.0, np.random.default_rng(8))
         assert pool.best is not None
         r, washout = pool.r, state.train.washout
         _, per = score_candidate(state.residual, pool.best.state_seq[washout:], r,
@@ -399,7 +405,8 @@ class TestConfigureNode:
         rng_cand = np.random.default_rng(1)
         pool = None
         for r in cfg.r_sequence:
-            pool = configure_node(state, seq.inputs, 5.0, (r,), 200, rng_cand)
+            state.cfg = dataclasses.replace(cfg, r_sequence=(r,))
+            pool = configure_node(state, 5.0, rng_cand)
             if pool.best is not None:
                 break
         assert pool.best is not None
@@ -408,7 +415,8 @@ class TestConfigureNode:
     def test_pool_matches_single_candidate_oracle(self):
         state = self.make_state()
         rng = np.random.default_rng(12)
-        pool = configure_node(state, state.train.inputs, 2.0, (0.99,), 10, rng)
+        state.cfg = dataclasses.replace(state.cfg, r_sequence=(0.99,), g_max=10)
+        pool = configure_node(state, 2.0, rng)
         # redraw the same pool and re-evaluate each candidate individually
         rng2 = np.random.default_rng(12)
         n, k = state.n, 2
@@ -479,7 +487,8 @@ class TestConfigureNode:
         rs = (0.9, 0.99, 0.999, 0.9999)
         state = self.make_state()
         rng = np.random.default_rng(seed)
-        pool = configure_node(state, state.train.inputs, lam, rs, g_max, rng)
+        state.cfg = dataclasses.replace(state.cfg, r_sequence=rs, g_max=g_max)
+        pool = configure_node(state, lam, rng)
         twin = np.random.default_rng(seed)
         best, r, n_ok = self.one_pool_oracle(state, lam, rs, g_max, twin)
         assert pool.r == r == passing_r
@@ -597,7 +606,7 @@ class TestOwedValidationRuns:
 
     @staticmethod
     def assert_oracle_states(state):
-        assert not state.owed and state.n > state.cfg.n_init
+        assert state.owed is None and state.n > state.cfg.n_init
         for k in range(state.cfg.n_init, state.n):
             want = _node_states(
                 state.val_states[:k, :-1], state.val.inputs, state.input_weights[k],
@@ -795,7 +804,8 @@ class TestOldStatePreservation:
         cfg = small_cfg()
         state = init_network(task, toy_task(120, seed=1), cfg, np.random.default_rng(0))
         before = state.train_states[:state.n, 1:].copy()
-        pool = configure_node(state, task.inputs, 1.0, (0.999,), 50, np.random.default_rng(4))
+        state.cfg = dataclasses.replace(cfg, r_sequence=(0.999,), g_max=50)
+        pool = configure_node(state, 1.0, np.random.default_rng(4))
         assert pool.best is not None
         from rscn.build import _accept_node
 
@@ -843,9 +853,7 @@ class TestStoredSequences:
         rng = np.random.default_rng(1)
         for _ in range(4):
             for lam in cfg.lambda_sequence:
-                pool = configure_node(
-                    state, task.inputs, lam, cfg.r_sequence, cfg.g_max, rng
-                )
+                pool = configure_node(state, lam, rng)
                 if pool.best is not None:
                     break
             assert pool.best is not None
@@ -859,6 +867,29 @@ class TestStoredSequences:
             np.testing.assert_allclose(stored, want.states, rtol=0, atol=1e-12)
             np.testing.assert_allclose(np.vstack([stored, seq.inputs]), want.extended,
                                        rtol=0, atol=1e-12)
+
+
+class TestPoolCount:
+    @pytest.mark.parametrize("seed,stop", [(0, "cap"), (5, "early_stop")])
+    def test_pool_total_counts_the_configured_pool_of_each_kept_search(self, seed, stop, monkeypatch):
+        data = task_from_manifest({"task": "mg", "seed": seed})
+        cfg = BuildConfig(n_max=RSCN_N_MAX["mg"], seed=seed)
+        found, pool_rows, configure = [], set(), build.configure_node
+
+        def counted(state, lam, rng):
+            pool = configure(state, lam, rng)
+            found.append(pool.best is not None)
+            pool_rows.add(state.work["drive"].shape[0])  # the pool plus the owed run's row
+            return pool
+
+        monkeypatch.setattr(build, "configure_node", counted)
+        _, history = build_rscn(data.train, data.val, cfg)
+        accepted = len(history.sizes) - 1
+        assert history.stop == stop and accepted > 0 and pool_rows == {cfg.g_max + 1}
+        # the kept searches end at the accepted nodes' pools; a last search
+        # discarded at an early stop or a stall records no row
+        used = np.flatnonzero(found)[accepted - 1] + 1
+        assert sum(history.pool_total) == cfg.g_max * used
 
 
 class TestSearchWorker:
@@ -883,11 +914,10 @@ class TestSearchWorker:
             train, val, cfg = toy_task(), toy_task(seed=1), small_cfg()
         state = init_network(train, val, cfg, np.random.default_rng(0))
         rng_inline, rng_worker = np.random.default_rng(seed), np.random.default_rng(seed)
-        inline = configure_node(state, state.train.inputs, lam, rs, g_max, rng_inline)
+        state.cfg = dataclasses.replace(cfg, r_sequence=rs, g_max=g_max)
+        inline = configure_node(state, lam, rng_inline)
         with ThreadPoolExecutor(max_workers=1) as worker:
-            threaded = worker.submit(
-                configure_node, state, state.train.inputs, lam, rs, g_max, rng_worker
-            ).result(timeout=120)
+            threaded = worker.submit(configure_node, state, lam, rng_worker).result(timeout=120)
         assert (threaded.r, threaded.n_accepted) == (inline.r, inline.n_accepted)
         assert (threaded.best is None) == (inline.best is None)
         if inline.best is not None:
@@ -1069,8 +1099,8 @@ class TestHotPath:
         rng, arrays, kept, owed = np.random.default_rng(1), None, [], set()
         for _ in range(6):
             for lam in cfg.lambda_sequence:
-                owed.add(state.owed)
-                pool = configure_node(state, state.train.inputs, lam, cfg.r_sequence, cfg.g_max, rng)
+                owed.add(state.owed is not None)
+                pool = configure_node(state, lam, rng)
                 arrays = arrays or dict(state.work)
                 assert all(state.work[name] is a for name, a in arrays.items())
                 if pool.best is not None:

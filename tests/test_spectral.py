@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 from rscn.build import BuildConfig, build_rscn
 from rscn.errors import ContractViolationError, NumericOverflowError
 from rscn.model import GENERAL, ReservoirModel, run_reservoir
-from rscn.spectral import esp_check, max_singular_value, scale_feedback
+from rscn.spectral import _start_pairs, esp_check, max_singular_value, scale_feedback
 from rscn.tasks import SupervisedSequence
 
 GOLDEN = 1.618033988749895  # larger root of x^2 = x + 1
@@ -247,6 +247,24 @@ class TestEspCheckBatched:
         report = esp_check(model, rng=np.random.default_rng(4), **kwargs)
         assert not report.converged and report.steps_to_tol is None
         assert report.max_final_gap > 1.0
+
+    @pytest.mark.parametrize("n,n_pairs", [(120, 100), (3, 50), (1, 7)])
+    def test_batched_starts_equal_the_per_pair_draws(self, n, n_pairs):
+        # n = 120 pulls back nearly every pair, n <= 3 few or none
+        rng_a, rng_b = np.random.default_rng(n), np.random.default_rng(n)
+        starts = _start_pairs(rng_a, n, n_pairs)
+        want = np.empty((n, 2 * n_pairs))
+        for p in range(n_pairs):
+            x1 = rng_b.uniform(-1.0, 1.0, size=n)
+            x2 = rng_b.uniform(-1.0, 1.0, size=n)
+            delta = x2 - x1
+            gap0 = np.linalg.norm(delta)
+            if gap0 > 2.0:
+                x2 = x1 + delta * (2.0 / gap0)
+            want[:, p], want[:, n_pairs + p] = x1, x2
+        assert starts.shape == want.shape and starts.flags.c_contiguous
+        assert np.array_equal(starts.view(np.int64), want.view(np.int64))
+        assert rng_a.random() == rng_b.random()
 
     @pytest.mark.parametrize("kwargs", [{"n_pairs": 0}, {"n_steps": 0},
                                         {"inputs": np.zeros((2, 0))}])
