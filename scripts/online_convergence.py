@@ -20,13 +20,13 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from rscn.build import BuildConfig, build_rscn  # noqa: E402
 from rscn.cli import RSCN_N_MAX  # noqa: E402
 from rscn.model import atomic_write_text, csv_text  # noqa: E402
-from rscn.online import OnlineConfig, online_run  # noqa: E402
-from rscn.tasks import SupervisedSequence, task_from_manifest  # noqa: E402
+from rscn.online import MODE_DEAD_ZONE, MODE_DECREASING, OnlineConfig, online_run  # noqa: E402
+from rscn.tasks import GENERATOR_TASKS, SupervisedSequence, task_from_manifest  # noqa: E402
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--task", default="mg1", choices=["mg", "mg1", "mg2", "plant"])
+    parser.add_argument("--task", default="mg1", choices=GENERATOR_TASKS)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default="results")
     args = parser.parse_args()
@@ -55,9 +55,9 @@ def main() -> int:
 
     os.makedirs(args.out, exist_ok=True)
     runs = {
-        "basic": OnlineConfig(mode="basic", a=1.0, c=1.0),
-        "decreasing": OnlineConfig(mode="decreasing_gain"),
-        "deadzone": OnlineConfig(mode="dead_zone", phi=0.01),
+        "basic": OnlineConfig(),
+        "decreasing": OnlineConfig(mode=MODE_DECREASING),
+        "deadzone": OnlineConfig(mode=MODE_DEAD_ZONE, phi=0.01),
     }
     for label, online_cfg in runs.items():
         _, state = online_run(cold, stream, online_cfg, w_ref=w_ref)

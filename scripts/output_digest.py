@@ -67,6 +67,12 @@ def _commands() -> list[tuple[str, list[str]]]:
                                  "--phi", "0.01", "--model-file", MG_MODEL, "--out", "{out}/online"])
              for mode in ("basic", "decreasing", "deadzone")]
     runs.append(("esp_check", ["esp-check", "--seed", "0", "--model-file", MG_MODEL]))
+    runs.append(("train_alpha", ["train", "--task", "mg", "--model", "rscn", "--alpha", "0.8",
+                                 "--seed", "0", "--out", "{out}/train_alpha"]))
+    runs.append(("online_ref", ["online", "--task", "mg", "--seed", "0", "--mode", "basic",
+                                "--a", "0.5", "--c", "2.0", "--model-file", MG_MODEL,
+                                "--ref-model", "{out}/train_s1/mg_rscn.model.json",
+                                "--out", "{out}/online_ref"]))
     runs.append(("bench", ["bench", "--tasks", *TASKS, "--trials", "2", "--seed", "0",
                            "--out", "{out}/bench"]))
     csv_model = "{out}/train_csv/plant_train_rscn.model.json"

@@ -14,10 +14,11 @@ import os
 import sys
 import time
 from dataclasses import replace
+from typing import get_type_hints
 
 import numpy as np
 
-from .baselines import BaselineConfig
+from .baselines import TOPOLOGY_ESN, TOPOLOGY_SCR, BaselineConfig
 from .build import BuildConfig
 from .errors import MetricUndefinedError, NumericOverflowError, RscnError, SchemaError
 from .evaluate import (
@@ -59,7 +60,8 @@ ONLINE_MODES = {
 # section; --alpha, --grid and --out are flags only.
 RUN_KEYS = ("seed", "task", "model", "model_params", "split", "model_file", "online",
             "trials", "tasks", "models")
-ONLINE_KEYS = ("mode", "a", "c", "phi", "ref_model")
+ONLINE_FIELDS = get_type_hints(OnlineConfig)
+ONLINE_KEYS = (*ONLINE_FIELDS, "ref_model")
 
 
 def _resolve_task_manifest(task_arg: str | dict, seed: int) -> dict:
@@ -81,20 +83,22 @@ def _refuse_seed(names, source: str) -> None:
 
 
 def _model_spec(kind: str, task_name: str, manifest: dict, alpha: float | None):
-    """Model config for one of rscn|esn|scr with per-task defaults."""
+    """Model config for one of rscn|esn|scr, sized from its per-task table;
+    a task the table does not name takes the config's own size."""
     params = _merged(None, manifest, "model_params", {}, dict)
     _refuse_seed(params, "model_params")
     if alpha is not None:
         params["esp_alpha"] = alpha
     if kind == "rscn":
-        params.setdefault("n_max", RSCN_N_MAX.get(task_name, 100))
-        return from_params(BuildConfig, params, "model_params")
-    if kind in ("esn", "scr"):
-        sizes, topology = (ESN_SIZES, "esn_random") if kind == "esn" else (SCR_SIZES, "scr_ring")
-        params.setdefault("n_nodes", sizes.get(task_name, 100))
-        params.setdefault("topology", topology)
-        return from_params(BaselineConfig, params, "model_params")
-    raise SchemaError(f"unknown model kind {kind!r}")
+        cls, size, sizes = BuildConfig, "n_max", RSCN_N_MAX
+    elif kind in ("esn", "scr"):
+        cls, size, sizes = BaselineConfig, "n_nodes", ESN_SIZES if kind == "esn" else SCR_SIZES
+        params.setdefault("topology", TOPOLOGY_ESN if kind == "esn" else TOPOLOGY_SCR)
+    else:
+        raise SchemaError(f"unknown model kind {kind!r}")
+    if task_name in sizes:
+        params.setdefault(size, sizes[task_name])
+    return from_params(cls, params, "model_params")
 
 
 def _parse_grid(spec: str) -> dict[str, list]:
@@ -117,8 +121,6 @@ def _parse_grid(spec: str) -> dict[str, list]:
                     parsed.append(float(v))
                 except ValueError:
                     parsed.append(v)
-        if not parsed:
-            raise SchemaError(f"grid entry {part!r} has no values")
         grid[name.strip()] = parsed
     if not grid:
         raise SchemaError("empty grid specification")
@@ -169,10 +171,10 @@ def _load_model_file(args, run_manifest: dict, command: str):
 def cmd_gen(args, run_manifest: dict, seed: int) -> int:
     manifest = _effective_task(args, run_manifest, seed)
     if manifest.get("task") == "csv":
-        raise SchemaError("gen produces generator tasks only (mg, mg1, mg2, plant)")
+        raise SchemaError(f"gen produces generator tasks only ({', '.join(GENERATOR_TASKS)})")
     task = task_from_manifest(manifest)
     out = _ensure_out(args)
-    for split_name in ("train", "val", "test"):
+    for split_name in SPLITS:
         seq = getattr(task, split_name)
         write_sequence_csv(seq, os.path.join(out, f"{task.name}_{split_name}.csv"))
     save_manifest(manifest, os.path.join(out, f"{task.name}_manifest.json"))
@@ -226,14 +228,12 @@ def cmd_eval(args, run_manifest: dict, seed: int) -> int:
 def cmd_online(args, run_manifest: dict, seed: int) -> int:
     online_section = _merged(None, run_manifest, "online", {}, dict)
     refuse_unknown(online_section, ONLINE_KEYS, "online section")
-    mode_arg = _merged(args, online_section, "mode", "basic", str)
-    mode = ONLINE_MODES.get(mode_arg, mode_arg)
-    cfg = OnlineConfig(
-        mode=mode,
-        a=_merged(args, online_section, "a", 1.0, float),
-        c=_merged(args, online_section, "c", 1.0, float),
-        phi=_merged(args, online_section, "phi", 0.0, float),
-    )
+    given = {}  # what a flag or the section sets; OnlineConfig holds every default
+    for key, kind in ONLINE_FIELDS.items():
+        value = _merged(args, online_section, key, None, kind)
+        if value is not None:
+            given[key] = ONLINE_MODES.get(value, value) if key == "mode" else value
+    cfg = OnlineConfig(**given)
     model = _load_model_file(args, run_manifest, "online")
     split = _split(args, run_manifest)
     task = task_from_manifest(_effective_task(args, run_manifest, seed))
@@ -244,14 +244,14 @@ def cmd_online(args, run_manifest: dict, seed: int) -> int:
         w_ref = load_model(ref_file).readout
     preds, state = online_run(model, stream, cfg, w_ref=w_ref)
     out = _ensure_out(args)
-    path = os.path.join(out, f"online_{task.name}_{split}_{mode}.csv")
+    path = os.path.join(out, f"online_{task.name}_{split}_{cfg.mode}.csv")
     atomic_write_text(path, diagnostics_csv(stream, preds, state))
     w = stream.washout
     targets = stream.targets[:, w:]
     err = nrmse(preds[:, w:], targets)
     # a-priori: each step predicted with the weights before its update
     prior_err = nrmse(targets - state.prior_errors[w:].T, targets)
-    print(f"online mode={mode} steps={stream.n_steps} nrmse={err:.6f} "
+    print(f"online mode={cfg.mode} steps={stream.n_steps} nrmse={err:.6f} "
           f"apriori_nrmse={prior_err:.6f} -> {path}")
     return 0
 
@@ -260,8 +260,11 @@ def cmd_bench(args, run_manifest: dict, seed: int) -> int:
     trials = _merged(args, run_manifest, "trials", 20, int)
     if trials < 1:
         raise SchemaError(f"'trials' must be at least 1, got {trials}")
-    tasks = _merged(args, run_manifest, "tasks", None, list) or list(GENERATOR_TASKS)
-    models = _merged(args, run_manifest, "models", None, list) or ["esn", "scr", "rscn"]
+    tasks = _merged(args, run_manifest, "tasks", GENERATOR_TASKS, list)
+    models = _merged(args, run_manifest, "models", ("esn", "scr", "rscn"), list)
+    for key, entries in (("tasks", tasks), ("models", models)):
+        if not entries:
+            raise SchemaError(f"{key!r} must not be empty")
     plans = []  # every task and model spec, resolved before the first trial
     for task_arg in tasks:
         if isinstance(task_arg, dict):
@@ -274,7 +277,7 @@ def cmd_bench(args, run_manifest: dict, seed: int) -> int:
     for task_manifest, task, specs in plans:
         shared, reports, trial_lists = {seed: task}, [], []  # one task per seed for all models
         for spec in specs:
-            if isinstance(spec, BaselineConfig) and spec.topology == "scr_ring":
+            if isinstance(spec, BaselineConfig) and spec.topology == TOPOLOGY_SCR:
                 best, _ = grid_search(
                     task_manifest, spec, {"ring_weight": list(SCR_RING_GRID)},
                     seed=seed, tasks=shared,
@@ -322,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
         if task:
             p.add_argument(
                 "--task", default=None,
-                help="mg|mg1|mg2|plant or csv:PATH (header row, target last)",
+                help=f"{'|'.join(GENERATOR_TASKS)} or csv:PATH (header row, target last)",
             )
         if model_file:
             p.add_argument("--model-file", dest="model_file", default=None,
@@ -365,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="feedback contraction level of rscn and esn; scr "
                          "ignores it (its gain ring_weight is grid-searched)")
     p_bench.add_argument("--tasks", nargs="+", default=None,
-                         help="subset of mg mg1 mg2 plant or csv:PATH")
+                         help=f"subset of {' '.join(GENERATOR_TASKS)} or csv:PATH")
     p_bench.add_argument("--models", nargs="+", default=None,
                          help="subset of esn scr rscn")
     p_bench.set_defaults(func=cmd_bench)

@@ -11,7 +11,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .baselines import BaselineConfig, build_baseline
+from .baselines import TOPOLOGY_ESN, TOPOLOGY_SCR, BaselineConfig, build_baseline
 from .build import BuildConfig, build_rscn
 from .errors import ContractViolationError, MetricUndefinedError
 from .model import ReservoirModel, csv_text, readout, run_reservoir
@@ -85,7 +85,7 @@ class TrialReport:
 def spec_name(spec) -> str:
     if isinstance(spec, BuildConfig):
         return "RSCN"
-    return {"esn_random": "ESN", "scr_ring": "SCR"}[spec.topology]
+    return {TOPOLOGY_ESN: "ESN", TOPOLOGY_SCR: "SCR"}[spec.topology]
 
 
 def train_model(spec, task: TaskData, seed: int):

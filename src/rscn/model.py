@@ -6,6 +6,7 @@ Arrays follow a channels-by-time convention: an input sequence is a
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -400,7 +401,12 @@ def model_from_dict(doc: dict) -> ReservoirModel:
         n, k = doc["n_nodes"], doc["n_inputs"]
 
         def array(name, *shape):
+            leaves = [doc[name]]  # numpy would also convert numeric strings, bools and nulls
+            while leaves and type(leaves[0]) is list:
+                leaves = list(itertools.chain.from_iterable(leaves))
             try:
+                if odd := set(map(type, leaves)) - {int, float}:
+                    raise TypeError(f"it holds {', '.join(sorted(t.__name__ for t in odd))}")
                 return np.array(doc[name], dtype=float).reshape(shape)
             except (TypeError, ValueError) as err:
                 raise SchemaError(f"model field {name!r} is not a {shape} array "

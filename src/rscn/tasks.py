@@ -154,7 +154,7 @@ _MG_VAL_END = 800
 _MG_WASHOUT = 20
 
 
-def mg_task(series: np.ndarray, variant: str = "mg") -> TaskData:
+def mg_task(series: np.ndarray, variant: str) -> TaskData:
     """Build the lagged six-step-ahead prediction task from a raw series.
 
     Inputs at time ``n`` are the series values at the variant's lags and
@@ -165,13 +165,10 @@ def mg_task(series: np.ndarray, variant: str = "mg") -> TaskData:
     if variant not in MG_VARIANT_LAGS:
         raise ContractViolationError(f"unknown variant {variant!r}")
     series = np.asarray(series, dtype=float)
-    if series.ndim != 1 or series.size < 25:
-        raise ContractViolationError("series too short for the lag structure")
     lags = MG_VARIANT_LAGS[variant]
-    max_lag = max(MG_VARIANT_LAGS["mg"])
-    first = max_lag  # every lag must exist, for any variant
+    first = max(map(max, MG_VARIANT_LAGS.values()))  # every lag must exist, for any variant
     last = series.size - 1 - _MG_LEAD
-    if last < first:
+    if series.ndim != 1 or last < first:
         raise ContractViolationError("series too short for the lag structure")
     idx = np.arange(first, last + 1)
     inputs = np.stack([series[idx - lag] for lag in lags])
@@ -227,20 +224,9 @@ def plant_response(u: np.ndarray, p: PlantParams = PlantParams()) -> np.ndarray:
 def plant_test_input(n: np.ndarray) -> np.ndarray:
     """Piecewise test drive over 1-based step indices ``n``."""
     n = np.asarray(n, dtype=float)
-    u = np.empty_like(n)
-    seg1 = n < 250
-    seg2 = (n >= 250) & (n < 500)
-    seg3 = (n >= 500) & (n < 750)
-    seg4 = n >= 750
-    u[seg1] = np.sin(np.pi * n[seg1] / 25.0)
-    u[seg2] = 1.0
-    u[seg3] = -1.0
-    u[seg4] = (
-        0.6 * np.cos(np.pi * n[seg4] / 10.0)
-        + 0.1 * np.cos(np.pi * n[seg4] / 32.0)
-        + 0.3 * np.sin(np.pi * n[seg4] / 25.0)
-    )
-    return u
+    wave = np.sin(np.pi * n / 25.0)
+    mixed = 0.6 * np.cos(np.pi * n / 10.0) + 0.1 * np.cos(np.pi * n / 32.0) + 0.3 * wave
+    return np.select([n < 250, n < 500, n < 750], [wave, 1.0, -1.0], mixed)
 
 
 def plant_sequence(u: np.ndarray, p: PlantParams) -> SupervisedSequence:
@@ -382,7 +368,7 @@ def slice_sequence(
 # Task manifests
 # ---------------------------------------------------------------------------
 
-GENERATOR_TASKS = ("mg", "mg1", "mg2", "plant")
+GENERATOR_TASKS = (*MG_VARIANT_LAGS, "plant")
 
 
 def _conforms(value, kind) -> bool:
@@ -442,7 +428,7 @@ CSV_SECTION = {
 
 # The keys of each task kind's manifest
 TASK_KEYS = {
-    **dict.fromkeys(("mg", "mg1", "mg2"), ("task", "seed", "mg_params")),
+    **dict.fromkeys(MG_VARIANT_LAGS, ("task", "seed", "mg_params")),
     "plant": ("task", "seed", "plant_params"),
     "csv": ("task", "seed", "washout", "csv"),
 }
@@ -464,7 +450,7 @@ def task_from_manifest(manifest: dict) -> TaskData:
         raise SchemaError(f"unknown task kind {kind!r}")
     refuse_unknown(manifest, TASK_KEYS[kind], f"{kind} task manifest")
     seed = _integer(manifest.get("seed", 0), "task seed")
-    if kind in ("mg", "mg1", "mg2"):
+    if kind in MG_VARIANT_LAGS:
         params = from_params(MGParams, manifest.get("mg_params", {}), "mg_params")
         return mg_task(_mg_series(params, seed), kind)
     if kind == "plant":

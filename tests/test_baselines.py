@@ -93,3 +93,15 @@ class TestConfig:
     def test_weight_scale_must_be_positive_and_finite(self, scale):
         with pytest.raises(ContractViolationError, match="weight_scale"):
             BaselineConfig(weight_scale=scale)
+
+    @pytest.mark.parametrize("field,match", [
+        ({"n_nodes": 0}, "n_nodes"),
+        ({"esp_alpha": 1.0}, "esp_alpha"),
+        ({"esp_alpha": 0.0}, "esp_alpha"),
+        ({"topology": "lstm"}, "unknown topology 'lstm'"),
+        ({"sparsity": 1.5}, "sparsity"),
+        ({"sparsity": -0.1}, "sparsity"),
+    ], ids=["n_nodes=0", "alpha=1", "alpha=0", "topology", "sparsity>1", "sparsity<0"])
+    def test_value_out_of_range_rejected(self, field, match):
+        with pytest.raises(ContractViolationError, match=match):
+            BaselineConfig(**field)

@@ -701,6 +701,22 @@ class TestBuildConfig:
         with pytest.raises(ContractViolationError, match=ladder):
             small_cfg(**{ladder: ()})
 
+    @pytest.mark.parametrize("field,match", [
+        ({"n_init": 0}, "n_init must be positive"),
+        ({"g_max": -1}, "g_max nonnegative"),
+        ({"r_sequence": (0.9, 1.0)}, "every r"),
+        ({"r_sequence": (0.0,)}, "every r"),
+        ({"lambda_sequence": (0.5, -1.0)}, "weight scales"),
+        ({"sparsity": 1.5}, "sparsity"),
+        ({"sparsity": -0.1}, "sparsity"),
+        ({"esp_alpha": 1.0}, "esp_alpha"),
+        ({"esp_alpha": 0.0}, "esp_alpha"),
+    ], ids=["n_init=0", "g_max=-1", "r=1", "r=0", "lambda<0", "sparsity>1", "sparsity<0",
+            "alpha=1", "alpha=0"])
+    def test_value_out_of_range_rejected(self, field, match):
+        with pytest.raises(ContractViolationError, match=match):
+            small_cfg(**field)
+
     def test_n_init_above_n_max_rejected(self):
         with pytest.raises(ContractViolationError, match="n_init"):
             BuildConfig(n_init=8, n_max=3, n_step=1)

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from rscn import cli, evaluate
+from rscn.baselines import BaselineConfig
+from rscn.build import BuildConfig
 from rscn.cli import cmd_dispatch
 from rscn.model import ReservoirModel, load_model, model_to_dict, save_model
 from rscn.tasks import load_manifest, task_from_manifest
@@ -368,7 +370,12 @@ class TestErrorPaths:
         (lambda doc: [doc], "list"),
         (lambda doc: {**doc, "n_nodes": 3}, "input_weights"),
         (lambda doc: {**doc, "biases": ["zero", 0.0]}, "biases"),
-    ], ids=["json-list", "n_nodes-misfit", "string-entry"])
+        (lambda doc: {**doc, "biases": ["0.1", True]}, "biases"),
+        (lambda doc: {**doc, "readout": [[0.0, True, 0.0]]}, "readout"),
+        (lambda doc: {**doc, "feedback": [[0.0, None], [0.0, 0.0]]}, "feedback"),
+        (lambda doc: {**doc, "n_nodes": 2.0}, "n_nodes"),
+    ], ids=["json-list", "n_nodes-misfit", "string-entry", "numeric-string-and-bool",
+            "bool-entry", "null-entry", "float-size"])
     def test_malformed_model_file_is_a_schema_error(self, tmp_path, capsys, edit, field):
         path = tmp_path / "bad.model.json"
         path.write_text(json.dumps(edit(json.loads(open(_tiny_model_file(tmp_path)).read()))))
@@ -644,7 +651,9 @@ class TestErrorPaths:
         ("y\n" + "".join(f"{i}.0\n" for i in range(40)), "need at least one input column"),
         ("\nu1,y\n" + "".join(f"{i}.0,{i % 3}.0\n" for i in range(40)),
          "need at least one input column"),
-    ], ids=["three rows", "header only", "one-column header", "blank first line"])
+        ("", "empty file"),
+    ], ids=["three rows", "header only", "one-column header", "blank first line",
+            "empty file"])
     def test_csv_flag_file_that_cannot_make_a_task_is_a_schema_error(self, tmp_path, capsys,
                                                                       text, named):
         path = tmp_path / "bad.csv"
@@ -836,7 +845,9 @@ class TestErrorPaths:
         ("tasks", ["mg", 5], "unknown task 5"),
         ("models", ["esn", "lstm"], "unknown model kind 'lstm'"),
         ("tasks", [{"task": "mg", "seed": 7}], "a bench task may not set seed"),
-    ], ids=["tasks", "models", "task-seed"])
+        ("tasks", [], "'tasks' must not be empty"),
+        ("models", [], "'models' must not be empty"),
+    ], ids=["tasks", "models", "task-seed", "no-tasks", "no-models"])
     def test_bench_refuses_a_bad_entry_before_the_first_trial(
             self, tmp_path, capsys, monkeypatch, key, value, named):
         calls = self._count_trainings(monkeypatch)
@@ -849,6 +860,75 @@ class TestErrorPaths:
         assert "kind=SchemaError" in err and named in err
         assert "Traceback" not in err
         assert calls == [] and not out.exists()
+
+
+    @pytest.mark.parametrize("command", ["train", "bench"])
+    def test_alpha_outside_the_unit_interval_exits_3(self, tmp_path, capsys, monkeypatch,
+                                                     command):
+        calls = self._count_trainings(monkeypatch)
+        out = tmp_path / "out"
+        task = ["--task", "mg", "--model"] if command == "train" else ["--tasks", "mg", "--models"]
+        assert run(command, *task, "esn", "--alpha", "1.5", "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert "kind=ContractViolationError" in err and "esp_alpha" in err
+        assert "Traceback" not in err
+        assert calls == [] and not out.exists()
+
+    @pytest.mark.parametrize("argv,named", [
+        (["train", "--model", "esn"], "no task given"),
+        (["eval", "--task", "mg"], "eval needs --model-file"),
+        (["online", "--task", "mg"], "online needs --model-file"),
+        (["esp-check"], "esp-check needs --model-file"),
+    ], ids=["train-task", "eval-model", "online-model", "esp-check-model"])
+    def test_missing_input_is_a_schema_error(self, tmp_path, capsys, argv, named):
+        out = tmp_path / "out"
+        assert run(*argv, "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert "kind=SchemaError" in err and named in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid,named", [
+        ("n_max", "grid entry 'n_max' is not name=v1,v2,..."),
+        (" ; ", "empty grid specification"),
+    ], ids=["no-equals", "empty"])
+    def test_grid_without_a_named_value_is_a_schema_error(self, tmp_path, capsys, grid, named):
+        out = tmp_path / "out"
+        assert run("train", "--task", "mg", "--model", "esn", "--grid", grid,
+                   "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert "kind=SchemaError" in err and named in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_ref_model_with_another_readout_shape_exits_3(self, tmp_path, fast_manifest,
+                                                          capsys):
+        ref = tmp_path / "ref.model.json"
+        save_model(ReservoirModel(input_weights=np.ones((3, 1)), feedback=np.zeros((3, 3)),
+                                  biases=np.zeros(3), readout=np.zeros((1, 4))), str(ref))
+        out = tmp_path / "out"
+        assert run("online", "--manifest", fast_manifest, "--model-file",
+                   _tiny_model_file(tmp_path), "--ref-model", str(ref), "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert "kind=ContractViolationError" in err and "w_ref shape" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
+class TestModelSpec:
+    @pytest.mark.parametrize("kind,cls,size", [
+        ("rscn", BuildConfig, "n_max"), ("esn", BaselineConfig, "n_nodes"),
+        ("scr", BaselineConfig, "n_nodes"),
+    ])
+    def test_a_task_no_size_table_names_takes_the_config_size(self, kind, cls, size):
+        assert getattr(cli._model_spec(kind, "toy", {}, None), size) == getattr(cls(), size)
+        assert getattr(cli._model_spec(kind, "plant", {}, None), size) != getattr(cls(), size)
+
+    @pytest.mark.parametrize("kind", ["rscn", "esn"])
+    def test_alpha_sets_the_contraction_level(self, kind):
+        manifest = {"model_params": {"esp_alpha": 0.5}}
+        assert cli._model_spec(kind, "mg", manifest, 0.8).esp_alpha == 0.8
+        assert cli._model_spec(kind, "mg", manifest, None).esp_alpha == 0.5
 
 
 class TestReplay:

@@ -20,6 +20,7 @@ from rscn.model import (
     RUN_WARMUP,
     ReservoirModel,
     StateSequence,
+    atomic_write_text,
     csv_text,
     input_drive,
     load_model,
@@ -549,6 +550,17 @@ class TestSerialization:
         save_model(model, str(path))
         back = load_model(str(path))
         assert np.array_equal(back.readout, model.readout)
+
+    @pytest.mark.parametrize("target,text,error", [
+        ("model.json", 5, TypeError),
+        ("taken", "{}", IsADirectoryError),
+    ], ids=["write-fails", "rename-fails"])
+    def test_failed_write_removes_its_temp_file(self, tmp_path, target, text, error):
+        (tmp_path / "taken").mkdir()
+        with pytest.raises(error):
+            atomic_write_text(str(tmp_path / target), text)
+        assert sorted(os.listdir(tmp_path)) == ["taken"]
+        assert os.listdir(tmp_path / "taken") == []
 
     def test_unknown_version_rejected(self):
         model = make_model([[0.5]], [[0.25]], [0.125], [[1.0, -1.0]])

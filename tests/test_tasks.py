@@ -241,6 +241,23 @@ class TestLoadCsv:
         with pytest.raises(SchemaError):
             load_csv(str(path), ["a"], "y")
 
+    @pytest.mark.parametrize("lag_spec,error,match", [
+        ([("u9", 0)], SchemaError, "feature column 'u9' not in schema"),
+        ([("u1", 0), ("y", -1)], ContractViolationError, "lags must be nonnegative"),
+    ], ids=["column-not-in-schema", "negative-lag"])
+    def test_feature_the_file_cannot_supply_is_refused(self, tmp_path, lag_spec, error, match):
+        path = tmp_path / "seq.csv"
+        _write_csv(path, ["u1", "y"], [[1.0, 2.0], [3.0, 4.0]])
+        with pytest.raises(error, match=match):
+            load_csv(str(path), lag_spec=lag_spec)
+
+    def test_short_row_reports_line_and_column(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text("u1,y\n1.0,2.0\n3.0\n")
+        with pytest.raises(CsvParseError, match="row has no column 'y'") as err:
+            load_csv(str(path))
+        assert err.value.line == 3
+
     def test_non_numeric_cell_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         _write_csv(path, ["u1", "y"], [[1.0, 2.0], ["oops", 3.0]])
@@ -327,6 +344,17 @@ class TestManifests:
         task = task_from_manifest({"task": "csv", "seed": 4, "csv": {"path": str(path)}})
         assert_tasks_bitwise_equal(task, task_from_manifest(explicit))
         assert task.name == "load" and task.train.washout == min(20, n_train // 10)
+
+    @pytest.mark.parametrize("section,error,match", [
+        ({"val_noise_sigma": -0.1}, ContractViolationError, "sigma must be nonnegative"),
+        ({"n_train": 100, "n_test": 21}, SchemaError, "splits need 121 samples, file has 120"),
+    ], ids=["negative-sigma", "splits-past-the-file"])
+    def test_csv_section_the_file_cannot_satisfy_is_refused(self, tmp_path, section, error,
+                                                            match):
+        path = tmp_path / "load.csv"
+        _write_csv(path, ["u1", "y"], np.random.default_rng(9).normal(size=(120, 2)).tolist())
+        with pytest.raises(error, match=match):
+            task_from_manifest({"task": "csv", "csv": {"path": str(path), **section}})
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(SchemaError):
